@@ -11,8 +11,11 @@ from __future__ import annotations
 import csv
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable
+
+import numpy as np
 
 from .errors import DataError, EmptyCorpusError, RowError, SchemaError
 
@@ -70,23 +73,87 @@ class Document:
     ratings: dict[str, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Corpus:
     """An immutable collection of tokenized, document-labeled texts.
 
-    ``vocab`` maps each token to its document frequency; ``inverted_index``
-    maps each token to the set of indices of documents containing it.  The
-    two always share the same key set.
+    The document-term counts are held once, in CSR form over ``terms``, the
+    sorted distinct tokens of all documents: the entries of document ``i``
+    are ``indptr[i]:indptr[i + 1]``, each giving a term column
+    (``indices``, ascending within a document) and its occurrence count
+    (``counts``); ``lengths`` holds each document's token count.
+
+    ``min_df`` is a column mask, not a filter on the documents: ``vocab``
+    maps each term with document frequency >= ``min_df`` to that frequency,
+    and ``inverted_index`` maps the same words to the set of indices of the
+    documents containing them.  Documents keep all their tokens.
     """
 
     documents: tuple[Document, ...]
     constructs: tuple[str, ...]
-    vocab: dict[str, int]
-    inverted_index: dict[str, frozenset[int]]
+    terms: tuple[str, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    counts: np.ndarray
+    lengths: np.ndarray
+    min_df: int = 1
     report: LoadReport = field(default_factory=LoadReport)
 
     def __len__(self) -> int:
         return len(self.documents)
+
+    def entry_rows(self) -> np.ndarray:
+        """Document index of every (document, term) entry."""
+        return np.repeat(np.arange(len(self.documents)), np.diff(self.indptr))
+
+    @cached_property
+    def document_frequency(self) -> np.ndarray:
+        """Number of documents containing each term, by term column."""
+        return np.bincount(self.indices, minlength=len(self.terms))
+
+    @cached_property
+    def vocab_columns(self) -> np.ndarray:
+        """Term columns of the vocabulary words, ascending (= sorted words)."""
+        return np.flatnonzero(self.document_frequency >= max(self.min_df, 1))
+
+    @cached_property
+    def vocab(self) -> dict[str, int]:
+        df = self.document_frequency
+        return {self.terms[j]: int(df[j]) for j in self.vocab_columns}
+
+    @cached_property
+    def inverted_index(self) -> dict[str, frozenset[int]]:
+        df = self.document_frequency
+        by_term = self.entry_rows()[np.argsort(self.indices, kind="stable")]
+        members = np.split(by_term, np.cumsum(df)[:-1])
+        return {
+            self.terms[j]: frozenset(members[j].tolist()) for j in self.vocab_columns
+        }
+
+    def select(self, rows) -> Corpus:
+        """Sub-corpus of the given document indices, in the given order.
+
+        The sub-corpus keeps ``terms`` and ``min_df``; its vocabulary is the
+        words whose document frequency among the selected rows reaches
+        ``min_df``, exactly as :func:`build_corpus` on those documents.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        starts = self.indptr[rows]
+        sizes = self.indptr[rows + 1] - starts
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=indptr[1:])
+        pos = np.repeat(starts - indptr[:-1], sizes) + np.arange(indptr[-1])
+        return Corpus(
+            tuple(self.documents[i] for i in rows.tolist()),
+            self.constructs,
+            self.terms,
+            indptr,
+            self.indices[pos],
+            self.counts[pos],
+            self.lengths[rows],
+            self.min_df,
+            LoadReport(rows_read=len(rows)),
+        )
 
 
 @dataclass(frozen=True)
@@ -134,7 +201,7 @@ def build_corpus(
     min_df: int = 1,
     report: LoadReport | None = None,
 ) -> Corpus:
-    """Assemble a Corpus from ready-made documents, building indices.
+    """Assemble a Corpus from ready-made documents, building the counts.
 
     Every document must carry a non-empty token tuple and the same set of
     construct names; ``min_df`` drops words whose document frequency falls
@@ -148,8 +215,9 @@ def build_corpus(
     else:
         constructs = tuple(constructs)
     ckeys = set(constructs)
-    inverted: dict[str, set[int]] = {}
-    for i, doc in enumerate(docs):
+    first_seen: dict[str, int] = {}
+    token_ids: list[int] = []
+    for doc in docs:
         if not doc.tokens:
             raise DataError(f"document {doc.id!r} has no tokens")
         if set(doc.ratings.keys()) != ckeys:
@@ -160,13 +228,32 @@ def build_corpus(
         for value in doc.ratings.values():
             if value != value or value in (float("inf"), float("-inf")):
                 raise DataError(f"document {doc.id!r} carries a non-finite rating")
-        for tok in doc.tokens:
-            inverted.setdefault(tok, set()).add(i)
-    if min_df > 1:
-        inverted = {w: s for w, s in inverted.items() if len(s) >= min_df}
-    vocab = {w: len(s) for w, s in inverted.items()}
-    index = {w: frozenset(s) for w, s in inverted.items()}
-    return Corpus(docs, constructs, vocab, index, report or LoadReport(rows_read=len(docs)))
+        token_ids.extend(
+            first_seen.setdefault(tok, len(first_seen)) for tok in doc.tokens
+        )
+    terms = tuple(sorted(first_seen))
+    column = np.empty(len(terms), dtype=np.int64)
+    column[[first_seen[t] for t in terms]] = np.arange(len(terms))
+    lengths = np.array([len(doc.tokens) for doc in docs], dtype=np.int64)
+    rows = np.repeat(np.arange(len(docs), dtype=np.int64), lengths)
+    # one key per (document, term) pair; sorting them gives CSR order
+    keys, counts = np.unique(
+        rows * len(terms) + column[np.array(token_ids, dtype=np.int64)],
+        return_counts=True,
+    )
+    indptr = np.zeros(len(docs) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // len(terms), minlength=len(docs)), out=indptr[1:])
+    return Corpus(
+        docs,
+        constructs,
+        terms,
+        indptr,
+        keys % len(terms),
+        counts,
+        lengths,
+        min_df,
+        report or LoadReport(rows_read=len(docs)),
+    )
 
 
 def load_corpus(

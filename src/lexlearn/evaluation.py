@@ -17,7 +17,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Document, GoldWordLexicon, build_corpus, tokenize
+# build_corpus stays importable from here for code that wraps it by module
+# attribute; folds themselves are row selections of one Corpus
+from .corpus import Corpus, GoldWordLexicon, build_corpus, tokenize  # noqa: F401
 from .errors import (
     DataError,
     LexlearnError,
@@ -75,12 +77,15 @@ def report_tsv_row(report: EvalReport) -> str:
     )
 
 
-def _canonical_documents(corpus: Corpus) -> list[Document]:
+def _canonical_order(corpus: Corpus) -> list[int]:
     # a fixed pre-shuffle order makes the fold split independent of the
     # incoming document order
+    docs = corpus.documents
     return sorted(
-        corpus.documents,
-        key=lambda d: (d.id, " ".join(d.tokens), sorted(d.ratings.items())),
+        range(len(docs)),
+        key=lambda i: (
+            docs[i].id, " ".join(docs[i].tokens), sorted(docs[i].ratings.items())
+        ),
     )
 
 
@@ -97,8 +102,10 @@ def eval_intrinsic(
     Documents are shuffled once (seeded, over a canonical order) and split
     into ``folds`` groups; for each fold the method is fit on the other
     groups' documents and its ratings are correlated with the gold ratings
-    over rated-and-gold words.  Folds with undefined correlation are
-    recorded as failed and excluded from the mean.
+    over rated-and-gold words.  A fold's training corpus is a row selection
+    of ``corpus`` in canonical order, so its vocabulary honours the corpus's
+    ``min_df`` among the training documents.  Folds with undefined
+    correlation are recorded as failed and excluded from the mean.
     """
     if folds < 2:
         raise ValueError(f"eval_intrinsic: folds must be >= 2, got {folds}")
@@ -117,13 +124,13 @@ def eval_intrinsic(
             f"need at least 30"
         )
     gci = gold.constructs.index(construct)
-    docs = _canonical_documents(corpus)
-    if folds > len(docs):
+    order = _canonical_order(corpus)
+    if folds > len(order):
         raise ValueError(
-            f"eval_intrinsic: folds={folds} exceeds document count {len(docs)}"
+            f"eval_intrinsic: folds={folds} exceeds document count {len(order)}"
         )
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(docs))
+    perm = rng.permutation(len(order))
     groups = np.array_split(perm, folds)
     fold_seeds = [
         int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(folds)
@@ -135,9 +142,9 @@ def eval_intrinsic(
     seen_words: set[str] = set()
     for f, group in enumerate(groups):
         held_out = set(int(i) for i in group)
-        train_docs = [docs[i] for i in range(len(docs)) if i not in held_out]
+        train_rows = [order[i] for i in range(len(order)) if i not in held_out]
         try:
-            sub = build_corpus(train_docs, corpus.constructs)
+            sub = corpus.select(train_rows)
             lex = fit_method(sub, construct, method, seed=fold_seeds[f])
             rated = lex.ratings_for(construct)
             common = sorted(set(rated) & set(gold.ratings))

@@ -8,9 +8,10 @@ feed-forward net on (document centroid, label) pairs and rates a word by
 running its embedding vector through the trained net, which also lets it
 rate words that never occur in the corpus.
 
-The first three methods accumulate plain Python floats in ascending
-document-index order, so their output is exactly reproducible by a
-straightforward recomputation.
+The first three methods read the corpus's document-term count arrays.  The
+two mean methods sum labels per word in ascending document-index order
+(``np.bincount`` adds its weights one by one, in input order), so their
+output is exactly reproducible by a straightforward float recomputation.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -103,21 +103,26 @@ def _label_vector(corpus: Corpus, construct: str) -> list[float]:
     return [doc.ratings[construct] for doc in corpus.documents]
 
 
+def _require_vocab(corpus: Corpus, method: str) -> None:
+    if not corpus.vocab:
+        raise DataError(
+            f"{method}: the corpus vocabulary is empty (no word reaches "
+            f"min_df={corpus.min_df} in {len(corpus)} documents)"
+        )
+
+
 def _word_means(corpus: Corpus, labels: list[float]) -> dict[str, float]:
-    # plain-float accumulation in ascending document order: exactly
-    # reproducible by an independent pass over the documents
-    out = {}
-    for word in sorted(corpus.vocab):
-        total = 0.0
-        members = sorted(corpus.inverted_index[word])
-        for i in members:
-            total += labels[i]
-        out[word] = total / len(members)
-    return out
+    # bincount accumulates in entry order, which is ascending document order
+    weights = np.asarray(labels, dtype=np.float64)[corpus.entry_rows()]
+    sums = np.bincount(corpus.indices, weights=weights, minlength=len(corpus.terms))
+    cols = corpus.vocab_columns
+    means = sums[cols] / corpus.document_frequency[cols]
+    return {corpus.terms[j]: float(m) for j, m in zip(cols.tolist(), means)}
 
 
 def fit_mean_star(corpus: Corpus, construct: str) -> Lexicon:
     """Word rating = mean gold label of the documents containing the word."""
+    _require_vocab(corpus, "mean_star")
     labels = _label_vector(corpus, construct)
     means = _word_means(corpus, labels)
     entries = {w: np.array([r]) for w, r in means.items()}
@@ -135,6 +140,7 @@ def fit_mean_binary(corpus: Corpus, construct: str, ties: str = "high") -> Lexic
     ``ties`` controls labels equal to the median: "high" codes them 1,
     "low" codes them 0.  All-identical labels are rejected.
     """
+    _require_vocab(corpus, "mean_binary")
     labels = _label_vector(corpus, construct)
     if len(set(labels)) < 2:
         raise DegenerateLabelsError(
@@ -164,19 +170,18 @@ def fit_regression_weights(
 ) -> Lexicon:
     """Word ratings = coefficients of a ridge model over relative word
     frequencies; the intercept stays out of the lexicon."""
+    _require_vocab(corpus, "regression_weights")
     labels = _label_vector(corpus, construct)
-    words = sorted(corpus.vocab)
-    col = {w: j for j, w in enumerate(words)}
+    cols = corpus.vocab_columns
+    words = [corpus.terms[j] for j in cols.tolist()]
+    col = np.full(len(corpus.terms), -1)
+    col[cols] = np.arange(len(cols))
+    rows, j = corpus.entry_rows(), col[corpus.indices]
+    keep = j >= 0
     X = np.zeros((len(corpus), len(words)))
-    for i, doc in enumerate(corpus.documents):
-        counts = Counter(doc.tokens)
-        length = len(doc.tokens)
-        for tok, cnt in counts.items():
-            j = col.get(tok)
-            if j is not None:
-                X[i, j] = cnt / length
+    X[rows[keep], j[keep]] = corpus.counts[keep] / corpus.lengths[rows[keep]]
     model = ridge_fit(X, np.array(labels), ridge_lambda)
-    entries = {w: np.array([model.coefficients[col[w]]]) for w in words}
+    entries = {w: np.array([model.coefficients[j]]) for j, w in enumerate(words)}
     prov = {
         "method": "regression_weights",
         "construct": construct,
@@ -216,6 +221,7 @@ def fit_mlffn(
         raise DimensionError(
             f"config output_dim {config.output_dim} != {len(constructs)} constructs"
         )
+    _require_vocab(corpus, "mlffn")
     in_vocab = sorted(w for w in corpus.vocab if w in table)
     if not in_vocab:
         raise DataError("mlffn: no corpus word has an embedding vector")

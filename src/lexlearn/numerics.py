@@ -26,8 +26,8 @@ __all__ = ["pearson", "RidgeModel", "ridge_fit", "sym_eig_smallest", "kmeans"]
 def pearson(x, y) -> float:
     """Product-moment correlation of two equal-length vectors.
 
-    Raises UndefinedCorrelationError when either argument has zero variance;
-    callers decide how to report that.
+    Raises UndefinedCorrelationError when either argument has zero variance
+    or holds a non-finite value; callers decide how to report that.
     """
     a = np.asarray(x, dtype=np.float64)
     b = np.asarray(y, dtype=np.float64)
@@ -35,6 +35,8 @@ def pearson(x, y) -> float:
         raise DimensionError(f"pearson: incompatible shapes {a.shape} and {b.shape}")
     if a.size < 2:
         raise DimensionError("pearson: need at least 2 observations")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise UndefinedCorrelationError("pearson: an argument holds a non-finite value")
     ac = a - a.mean()
     bc = b - b.mean()
     sa = np.sqrt(np.sum(ac * ac))
@@ -60,8 +62,17 @@ def ridge_fit(X, y, lam: float) -> RidgeModel:
     """Ridge regression via centered normal equations and a Cholesky solve.
 
     Minimizes sum_i (y_i - a0 - x_i . a)^2 + lam * ||a||^2 with the intercept
-    left out of the penalty (centering trick).  A numerically singular Gram
-    matrix gets lam bumped by 1e-10 up to 3 times before giving up.
+    left out of the penalty (centering trick).  The system is solved in the
+    smaller of the two spaces, chosen from the shape of X: with at most as
+    many features as rows, the primal p x p system (Xc'Xc + lam I) a = Xc'yc;
+    with more features than rows, the dual n x n system
+    (Xc Xc' + lam I) d = yc, mapped back as a = Xc'd (Saunders, Gammerman &
+    Vovk 1998).  Both give the same minimizer.  The dual Gram also gets a
+    rank-one term along the ones vector, which centering leaves in its null
+    space; d is orthogonal to that vector, so the term leaves d unchanged
+    and at lam = 0 the dual gives the minimum-norm least-squares solution.
+    A numerically singular Gram matrix gets lam bumped by 1e-10 up to 3
+    times before giving up.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -75,22 +86,32 @@ def ridge_fit(X, y, lam: float) -> RidgeModel:
     ym = y.mean()
     Xc = X - xm
     yc = y - ym
-    gram = Xc.T @ Xc
-    rhs = Xc.T @ yc
-    eye = np.eye(X.shape[1])
-    coef = None
+    dual = X.shape[1] > X.shape[0]
+    if dual:
+        # s * 11' with s = trace / n^2 puts the ones direction at the mean
+        # eigenvalue, so a centred X of rank n - 1 factors even at lam = 0
+        gram = Xc @ Xc.T
+        gram += np.trace(gram) / X.shape[0] ** 2
+        rhs = yc
+    else:
+        gram, rhs = Xc.T @ Xc, Xc.T @ yc
+    diagonal = np.arange(gram.shape[0])
+    sol = None
     for bump in range(4):
+        shifted = gram.copy()
+        shifted[diagonal, diagonal] += lam + bump * 1e-10
         try:
-            chol = np.linalg.cholesky(gram + (lam + bump * 1e-10) * eye)
+            chol = np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             continue
         z = np.linalg.solve(chol, rhs)
-        coef = np.linalg.solve(chol.T, z)
+        sol = np.linalg.solve(chol.T, z)
         break
-    if coef is None:
+    if sol is None:
         raise NumericalError(
             "ridge_fit: Gram matrix stayed singular after 3 lambda bumps of 1e-10"
         )
+    coef = Xc.T @ sol if dual else sol
     intercept = float(ym - xm @ coef)
     return RidgeModel(intercept, coef)
 

@@ -96,6 +96,21 @@ class TestInduce:
                    "--construct", "empathy", "--out", str(tmp_path / "x.tsv")])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "method", ["mean-star", "mean-binary", "regression-weights"]
+    )
+    def test_empty_vocabulary_fails_at_fit(self, toy, tmp_path, capsys, method):
+        out = tmp_path / "lex.tsv"
+        rc = main(["induce", "--method", method, "--corpus", str(toy),
+                   "--construct", "empathy", "--min-df", "5", "--seed", "1",
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "stage 'fit'" in err and "vocabulary is empty" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert not (tmp_path / "lex.tsv.prov").exists()
+
     def test_unknown_flag_is_usage_error(self, toy, tmp_path):
         rc = main(["induce", "--bogus"])
         assert rc == 2
@@ -240,6 +255,30 @@ class TestEval:
         out = capsys.readouterr().out
         assert rc == 0
         assert "r=1.0000" in out
+
+
+    def test_extrinsic_nan_trait_fails_at_eval(self, tmp_path, capsys):
+        lex = tmp_path / "lex.tsv"
+        lex.write_text(
+            "word\taff\ngreat\t7.0\nmeh\t4.0\nawful\t1.0\n", encoding="utf-8"
+        )
+        users = tmp_path / "users.csv"
+        users.write_text(
+            "user_id,word,count\nu1,great,3\nu2,meh,2\nu3,awful,4\n",
+            encoding="utf-8",
+        )
+        traits = tmp_path / "traits.csv"
+        traits.write_text("user_id,emp\nu1,7\nu2,nan\nu3,1\n", encoding="utf-8")
+        out = tmp_path / "scores.tsv"
+        rc = main(["eval", "extrinsic", "--lexicon", str(lex), "--construct", "aff",
+                   "--users", str(users), "--traits", str(traits),
+                   "--trait-column", "emp", "--seed", "0", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "stage 'eval'" in captured.err and "non-finite" in captured.err
+        assert "Traceback" not in captured.err
+        assert "r=nan" not in captured.out
+        assert not out.exists()
 
 
 class TestClusterCommand:

@@ -11,8 +11,9 @@ from lexlearn.evaluation import (
     eval_intrinsic,
     load_user_corpora,
 )
-from lexlearn.induction import Lexicon, MethodSpec, rescale_log_minmax
+from lexlearn.induction import Lexicon, MethodSpec, fit_method, rescale_log_minmax
 from lexlearn.neural import NetConfig
+from lexlearn.numerics import pearson
 
 from _worlds import linear_world
 
@@ -99,6 +100,32 @@ class TestIntrinsic:
                            folds=5, seed=7)
         assert a.per_fold == b.per_fold
         assert a.mean_r == b.mean_r
+
+    @pytest.mark.parametrize("kind", ["mean_star", "mean_binary", "regression_weights"])
+    def test_folds_honour_min_df(self, kind):
+        min_df, folds, seed = 4, 5, 2
+        world, gold = exact_world(seed=8, n_words=400, n_docs=300, wpd=6)
+        corpus = build_corpus(world.documents, ["aff"], min_df=min_df)
+        spec = MethodSpec(kind)
+        report = eval_intrinsic(corpus, gold, spec, "aff", folds=folds, seed=seed)
+        # the same split, each training corpus built from its documents
+        docs = sorted(
+            corpus.documents,
+            key=lambda d: (d.id, " ".join(d.tokens), sorted(d.ratings.items())),
+        )
+        perm = np.random.default_rng(seed).permutation(len(docs))
+        expected = []
+        for group in np.array_split(perm, folds):
+            held_out = set(group.tolist())
+            train = [docs[i] for i in range(len(docs)) if i not in held_out]
+            sub = build_corpus(train, min_df=min_df)
+            rated = fit_method(sub, "aff", spec).ratings_for("aff")
+            common = sorted(set(rated) & set(gold.ratings))
+            ref = [gold.ratings[w][0] for w in common]
+            expected.append(pearson([rated[w] for w in common], ref))
+        assert report.per_fold == expected
+        unfiltered = eval_intrinsic(world, gold, spec, "aff", folds=folds, seed=seed)
+        assert unfiltered.evaluated_vocab_size > report.evaluated_vocab_size
 
     def test_bad_fold_count(self):
         corpus, gold = exact_world(seed=4, n_docs=60)

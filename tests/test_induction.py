@@ -6,7 +6,7 @@ import pytest
 
 from lexlearn.corpus import Document, build_corpus
 from lexlearn.embeddings import centroid
-from lexlearn.errors import DegenerateLabelsError
+from lexlearn.errors import DataError, DegenerateLabelsError
 from lexlearn.induction import (
     Lexicon,
     fit_mean_binary,
@@ -119,6 +119,75 @@ class TestMeanBinary:
         corpus = build_corpus(docs, ["aff"])
         with pytest.raises(DegenerateLabelsError):
             fit_mean_binary(corpus, "aff")
+
+
+def plain_word_means(corpus, labels, min_df):
+    """Per-word label means by plain float addition in ascending document
+    order, over the words in at least ``min_df`` documents."""
+    members = {}
+    for i, doc in enumerate(corpus.documents):
+        for w in set(doc.tokens):
+            members.setdefault(w, []).append(i)
+    out = {}
+    for w, ids in members.items():
+        if len(ids) >= min_df:
+            total = 0.0
+            for i in ids:
+                total += labels[i]
+            out[w] = total / len(ids)
+    return out
+
+
+class TestCountArrays:
+    """The mean methods read the corpus's count arrays; a row selection of a
+    corpus stands for the corpus built from those documents."""
+
+    def test_means_bit_identical_on_corpus_and_row_selection(self):
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            min_df = int(rng.integers(2, 4))
+            base = random_corpus(rng, max_docs=80, max_vocab=60)
+            corpus = build_corpus(base.documents, base.constructs, min_df=min_df)
+            rows = rng.permutation(len(corpus))[: max(2, 3 * len(corpus) // 4)]
+            for sub in (corpus, corpus.select(rows)):
+                labels = [d.ratings["aff"] for d in sub.documents]
+                star = plain_word_means(sub, labels, min_df)
+                assert sub.vocab == build_corpus(sub.documents, min_df=min_df).vocab
+                if not star:
+                    with pytest.raises(DataError, match="vocabulary is empty"):
+                        fit_mean_star(sub, "aff")
+                    continue
+                assert fit_mean_star(sub, "aff").ratings_for("aff") == star
+                if len(set(labels)) < 2:
+                    continue
+                med = float(np.median(labels))
+                binary = [1.0 if v >= med else 0.0 for v in labels]
+                lex = fit_mean_binary(sub, "aff")
+                assert lex.ratings_for("aff") == plain_word_means(sub, binary, min_df)
+
+    def test_regression_on_selection_equals_rebuilt_corpus(self):
+        rng = np.random.default_rng(32)
+        base = random_corpus(rng, max_docs=60, max_vocab=120)
+        corpus = build_corpus(base.documents, base.constructs, min_df=2)
+        rows = rng.permutation(len(corpus))[: len(corpus) // 2 + 1]
+        sub = corpus.select(rows)
+        rebuilt = build_corpus([corpus.documents[i] for i in rows], min_df=2)
+        a = fit_regression_weights(sub, "aff", 0.5)
+        b = fit_regression_weights(rebuilt, "aff", 0.5)
+        assert a.ratings_for("aff") == b.ratings_for("aff")
+        assert a.provenance == b.provenance
+
+    @pytest.mark.parametrize(
+        "fit", [fit_mean_star, fit_mean_binary, fit_regression_weights]
+    )
+    def test_empty_vocabulary_refused(self, fit):
+        docs = [
+            Document("d1", ("a", "b"), {"aff": 1.0}),
+            Document("d2", ("a", "c"), {"aff": 2.0}),
+        ]
+        corpus = build_corpus(docs, ["aff"], min_df=3)
+        with pytest.raises(DataError, match="vocabulary is empty"):
+            fit(corpus, "aff")
 
 
 class TestRegressionWeights:

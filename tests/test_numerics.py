@@ -50,6 +50,13 @@ class TestPearson:
         with pytest.raises(DimensionError):
             pearson([1, 2], [1, 2, 3])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(UndefinedCorrelationError, match="non-finite"):
+            pearson([1.0, 2.0, bad], [1.0, 2.0, 3.0])
+        with pytest.raises(UndefinedCorrelationError, match="non-finite"):
+            pearson([1.0, 2.0, 3.0], [bad, 2.0, 3.0])
+
 
 def penalized_loss(X, y, intercept, coef, lam):
     resid = y - intercept - X @ coef
@@ -126,6 +133,47 @@ class TestRidge:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             ridge_fit(np.zeros((3, 2)), np.zeros(4), 1.0)
+
+
+def bag_of_words(rng, n, p, length=40):
+    """Relative word frequencies of n random documents over p words."""
+    X = np.zeros((n, p))
+    for i in range(n):
+        np.add.at(X[i], rng.integers(0, p, length), 1.0 / length)
+    return X
+
+
+class TestRidgeDual:
+    """More features than rows: ridge_fit solves the n x n dual system."""
+
+    @pytest.mark.parametrize("shape", [(200, 500), (300, 301)])
+    @pytest.mark.parametrize("lam", [1e-3, 1.0, 100.0])
+    def test_matches_primal_normal_equations(self, shape, lam):
+        n, p = shape
+        rng = np.random.default_rng(n + p)
+        X = bag_of_words(rng, n, p)
+        y = X @ rng.standard_normal(p) + 0.1 * rng.standard_normal(n)
+        xm, ym = X.mean(axis=0), y.mean()
+        Xc = X - xm
+        coef = np.linalg.solve(Xc.T @ Xc + lam * np.eye(p), Xc.T @ (y - ym))
+        intercept = ym - xm @ coef
+        model = ridge_fit(X, y, lam)
+        err = np.linalg.norm(model.coefficients - coef) / np.linalg.norm(coef)
+        assert err <= 1e-9
+        assert abs(model.intercept - intercept) <= 1e-9
+
+    @pytest.mark.parametrize("shape", [(200, 500), (300, 301)])
+    def test_lambda_zero_gives_minimum_norm_solution(self, shape):
+        n, p = shape
+        rng = np.random.default_rng(7 * n + p)
+        X = rng.standard_normal((n, p))
+        y = X @ rng.standard_normal(p) + rng.standard_normal(n)
+        Xc = X - X.mean(axis=0)
+        yc = y - y.mean()
+        ref, *_ = np.linalg.lstsq(Xc, yc, rcond=None)
+        model = ridge_fit(X, y, 0.0)
+        assert np.max(np.abs(model.coefficients - ref)) <= 1e-6
+        assert np.max(np.abs(model.predict(X) - y)) <= 1e-6
 
 
 class TestSymEig:
