@@ -125,6 +125,33 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
     return sizes
 
 
+def _checked(kind, ok, expected: str):
+    """argparse ``type=``: parse with ``kind`` and require ``ok(value)``, so a
+    bad value exits 2 at parse time, also when it comes from ``--config``."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _int_at_least(low: int):
+    return _checked(int, lambda v: v >= low, f"an integer >= {low}")
+
+
+# the ranges mirror the library's own checks (NetConfig, ridge_fit,
+# eval_intrinsic, build_signed_graph, cluster); --min-df and --top count from 1
+_DROPOUT = _checked(float, lambda v: 0 <= v < 1, "a rate in [0, 1)")
+_FRACTION = _checked(float, lambda v: 0 < v < 1, "a fraction in (0, 1)")
+_NONNEGATIVE = _checked(float, lambda v: v >= 0, "a number >= 0")
+
+
 def _net_config(args: argparse.Namespace, input_dim: int, output_dim: int) -> NetConfig:
     return NetConfig(
         input_dim=input_dim,
@@ -396,8 +423,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         raise _UsageFailure(
             f"--k {args.k} exceeds the {usable} lexicon words with nonzero embeddings"
         )
-    if args.k < 2:
-        raise _UsageFailure("--k must be at least 2")
     result = _stage(
         "cluster",
         cluster,
@@ -512,7 +537,7 @@ def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--id-column", default=None)
     parser.add_argument("--delimiter", default=None,
                         help="override the extension-inferred delimiter")
-    parser.add_argument("--min-df", type=int, default=1,
+    parser.add_argument("--min-df", type=_int_at_least(1), default=1,
                         help="minimum document frequency for vocabulary words")
     parser.add_argument("--construct", default=None)
     parser.add_argument("--constructs", default=None,
@@ -521,19 +546,19 @@ def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_method_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ridge-lambda", "--lambda", dest="ridge_lambda",
-                        type=float, default=1.0)
+                        type=_NONNEGATIVE, default=1.0)
     parser.add_argument("--median-ties", choices=("high", "low"), default="high")
     parser.add_argument("--embeddings", default=None, help="word-vector file")
     parser.add_argument("--hidden", default="256,128",
                         help="comma-separated hidden layer sizes")
     parser.add_argument("--lr", type=float, default=1e-3)
-    parser.add_argument("--batch-size", type=int, default=32)
-    parser.add_argument("--epochs", type=int, default=200)
-    parser.add_argument("--patience", type=int, default=20)
-    parser.add_argument("--dropout-input", type=float, default=0.2)
-    parser.add_argument("--dropout-hidden", type=float, default=0.5)
+    parser.add_argument("--batch-size", type=_int_at_least(1), default=32)
+    parser.add_argument("--epochs", type=_int_at_least(1), default=200)
+    parser.add_argument("--patience", type=_int_at_least(1), default=20)
+    parser.add_argument("--dropout-input", type=_DROPOUT, default=0.2)
+    parser.add_argument("--dropout-hidden", type=_DROPOUT, default=0.5)
     parser.add_argument("--l2", type=float, default=0.001)
-    parser.add_argument("--val-fraction", type=float, default=0.1)
+    parser.add_argument("--val-fraction", type=_FRACTION, default=0.1)
     parser.add_argument("--monitor", choices=("mse", "pearson"), default="mse")
 
 
@@ -574,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="all",
                    help="'all' or a comma-separated subset of "
                         + ",".join(sorted(METHOD_FLAGS)))
-    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--folds", type=_int_at_least(2), default=10)
     p.add_argument("--out", default=None, help="optional report TSV")
     p.set_defaults(func=cmd_eval_intrinsic)
 
@@ -595,8 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", required=True)
     p.add_argument("--construct", required=True)
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--k", type=int, default=50)
-    p.add_argument("--knn", type=int, default=20)
+    p.add_argument("--k", type=_int_at_least(2), default=50)
+    p.add_argument("--knn", type=_int_at_least(1), default=20)
     p.add_argument("--rho", type=float, default=None,
                    help="rating gap where edge signs flip "
                         "(default: half the rating range)")
@@ -604,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the symmetric-normalized signed Laplacian")
     p.add_argument("--no-clip", action="store_true",
                    help="keep negative cosine similarities instead of clipping at 0")
-    p.add_argument("--top", type=int, default=10,
+    p.add_argument("--top", type=_int_at_least(1), default=10,
                    help="words shown per pole in the terminal preview")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cluster)

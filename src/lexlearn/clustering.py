@@ -80,6 +80,8 @@ def build_signed_graph(
     half the construct's rating range over the lexicon.  Words with a zero
     embedding cannot sit in the graph and are reported as dropped.
     """
+    if knn < 1:
+        raise ValueError(f"build_signed_graph: knn must be >= 1, got {knn}")
     ci = lex.construct_index(construct)
     all_words = sorted(lex.entries)
     vectors = table.matrix(all_words).astype(np.float64)

@@ -1,11 +1,9 @@
 """Dense numerical kernels: Pearson correlation, ridge regression, symmetric
 eigensolves, and k-means.
 
-Everything is plain numpy.  The eigensolver runs a vectorized cyclic Jacobi
-(round-robin rotation ordering, disjoint pairs applied per round) for
-matrices up to ``dense_threshold`` and Lanczos with full reorthogonalization
-above it.  All stochastic routines take explicit seeds and are bit
-reproducible.
+Everything is plain numpy.  The eigensolver is one LAPACK symmetric
+eigendecomposition (``np.linalg.eigh``) sliced to the smallest pairs.  All
+stochastic routines take explicit seeds and are bit reproducible.
 """
 
 from __future__ import annotations
@@ -121,165 +119,14 @@ def ridge_fit(X, y, lam: float) -> RidgeModel:
 # ---------------------------------------------------------------------------
 
 
-def _round_robin_rounds(n: int) -> list[np.ndarray]:
-    """Schedule of disjoint index pairs covering every i<j exactly once.
-
-    Classic circle method: with a dummy player for odd n, rotate all but the
-    first seat; each round pairs off seats front-to-back.
-    """
-    m = n + (n % 2)
-    seats = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        pairs = []
-        for t in range(m // 2):
-            a, b = seats[t], seats[m - 1 - t]
-            if a < n and b < n:
-                pairs.append((min(a, b), max(a, b)))
-        rounds.append(np.array(pairs, dtype=np.intp))
-        seats = [seats[0], seats[-1]] + seats[1:-1]
-    return rounds
-
-
-def _offdiag_norm(A: np.ndarray) -> float:
-    B = A.copy()
-    np.fill_diagonal(B, 0.0)
-    return float(np.linalg.norm(B))
-
-
-def _jacobi_eigh(A: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60):
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
-
-    Returns (eigenvalues ascending, eigenvectors as columns).  Rotations
-    within a round act on disjoint pairs, so each round is applied as one
-    vectorized orthogonal update.
-    """
-    A = np.array(A, dtype=np.float64)
-    n = A.shape[0]
-    V = np.eye(n)
-    if n == 1:
-        return A.diagonal().copy(), V
-    fro = np.linalg.norm(A)
-    if fro == 0.0:
-        return np.zeros(n), V
-    rounds = _round_robin_rounds(n)
-    converged = False
-    for _ in range(max_sweeps):
-        if _offdiag_norm(A) <= tol * fro:
-            converged = True
-            break
-        for pairs in rounds:
-            i = pairs[:, 0]
-            j = pairs[:, 1]
-            aij = A[i, j]
-            rotate = np.abs(aij) > 0.0
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                denom = np.where(rotate, 2.0 * aij, 1.0)
-                tau = np.where(rotate, (A[j, j] - A[i, i]) / denom, 0.0)
-                sgn = np.where(tau >= 0.0, 1.0, -1.0)
-                # tau overflow drives t to its correct limit of 0
-                t = np.where(
-                    rotate & np.isfinite(tau),
-                    sgn / (np.abs(tau) + np.sqrt(1.0 + tau * tau)),
-                    0.0,
-                )
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            ci = A[:, i].copy()
-            cj = A[:, j].copy()
-            A[:, i] = c * ci - s * cj
-            A[:, j] = s * ci + c * cj
-            ri = A[i, :].copy()
-            rj = A[j, :].copy()
-            A[i, :] = c[:, None] * ri - s[:, None] * rj
-            A[j, :] = s[:, None] * ri + c[:, None] * rj
-            A[i, j] = 0.0
-            A[j, i] = 0.0
-            vi = V[:, i].copy()
-            vj = V[:, j].copy()
-            V[:, i] = c * vi - s * vj
-            V[:, j] = s * vi + c * vj
-        A = 0.5 * (A + A.T)
-    if not converged and _offdiag_norm(A) > tol * fro:
-        raise NumericalError(
-            f"Jacobi eigensolver did not converge in {max_sweeps} sweeps"
-        )
-    vals = A.diagonal().copy()
-    order = np.argsort(vals, kind="stable")
-    return vals[order], V[:, order]
-
-
-def _lanczos_smallest(A: np.ndarray, k: int, tol: float = 1e-10,
-                      budget: int | None = None):
-    """k algebraically smallest eigenpairs via Lanczos, fully reorthogonalized.
-
-    The Krylov basis is reorthogonalized twice per step; a breakdown
-    (invariant subspace) restarts the recurrence with a fresh random
-    direction, leaving a zero coupling in the tridiagonal matrix.
-    """
-    n = A.shape[0]
-    if budget is None:
-        budget = min(n, max(8 * k, 300))
-    budget = max(budget, k)
-    rng = np.random.default_rng(0x5EED)
-    scale = max(np.linalg.norm(A), 1e-30)
-    Q = np.empty((n, budget))
-    alphas: list[float] = []
-    betas: list[float] = []
-    q = rng.standard_normal(n)
-    Q[:, 0] = q / np.linalg.norm(q)
-    m = 0
-    last_check = 0
-    while True:
-        u = A @ Q[:, m]
-        alpha = float(Q[:, m] @ u)
-        alphas.append(alpha)
-        r = u - alpha * Q[:, m]
-        if m > 0:
-            r -= betas[m - 1] * Q[:, m - 1]
-        # full reorthogonalization, twice for numerical safety
-        r -= Q[:, : m + 1] @ (Q[:, : m + 1].T @ r)
-        r -= Q[:, : m + 1] @ (Q[:, : m + 1].T @ r)
-        beta = float(np.linalg.norm(r))
-        m += 1
-        breakdown = beta <= 1e-13 * scale
-        if m >= k and (breakdown or m == budget or m - last_check >= 10):
-            last_check = m
-            T = np.diag(alphas)
-            if m > 1:
-                off = np.array(betas[: m - 1])
-                T += np.diag(off, 1) + np.diag(off, -1)
-            tvals, tvecs = _jacobi_eigh(T)
-            resid = beta * np.abs(tvecs[m - 1, :k])
-            if breakdown or np.all(resid <= tol * scale):
-                vecs = Q[:, :m] @ tvecs[:, :k]
-                # renormalize columns; rounding can shave a few ulps
-                vecs /= np.linalg.norm(vecs, axis=0, keepdims=True)
-                return tvals[:k].copy(), vecs
-        if m == budget:
-            raise NumericalError(
-                f"Lanczos did not converge within the {budget}-step budget"
-            )
-        if breakdown:
-            fresh = rng.standard_normal(n)
-            fresh -= Q[:, :m] @ (Q[:, :m].T @ fresh)
-            fresh -= Q[:, :m] @ (Q[:, :m].T @ fresh)
-            norm = np.linalg.norm(fresh)
-            if norm <= 1e-13:
-                raise NumericalError("Lanczos restart failed to find a new direction")
-            Q[:, m] = fresh / norm
-            betas.append(0.0)
-        else:
-            Q[:, m] = r / beta
-            betas.append(beta)
-
-
-def sym_eig_smallest(A, k: int, *, dense_threshold: int = 512):
+def sym_eig_smallest(A, k: int):
     """k algebraically smallest eigenpairs of a symmetric matrix.
 
-    Dense cyclic Jacobi up to ``dense_threshold`` rows, Lanczos with full
-    reorthogonalization above.  Returns (eigenvalues ascending of length k,
-    eigenvector matrix n x k with orthonormal columns).
+    One LAPACK call (``np.linalg.eigh``, which reads the lower triangle)
+    computes the full spectrum; the symmetry check guards the other
+    triangle.  A non-finite entry, or LAPACK failing to converge, raises
+    NumericalError.  Returns (eigenvalues ascending of length k, eigenvector
+    matrix n x k with orthonormal columns).
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -287,13 +134,17 @@ def sym_eig_smallest(A, k: int, *, dense_threshold: int = 512):
     n = A.shape[0]
     if not 1 <= k <= n:
         raise DimensionError(f"sym_eig_smallest: k={k} out of range for n={n}")
+    if not np.isfinite(A).all():
+        # eigh returns NaN for such input instead of raising
+        raise NumericalError("sym_eig_smallest: matrix holds a non-finite value")
     if np.max(np.abs(A - A.T)) > 1e-8:
         raise DimensionError("sym_eig_smallest: matrix is not symmetric within 1e-8")
-    A = 0.5 * (A + A.T)
-    if n <= dense_threshold:
-        vals, vecs = _jacobi_eigh(A)
-        return vals[:k].copy(), vecs[:, :k].copy()
-    return _lanczos_smallest(A, k)
+    try:
+        vals, vecs = np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"sym_eig_smallest: {exc}") from exc
+    # copy the k columns so the full n x n basis can be freed
+    return vals[:k].copy(), vecs[:, :k].copy()
 
 
 # ---------------------------------------------------------------------------

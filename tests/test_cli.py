@@ -320,6 +320,23 @@ class TestClusterCommand:
                    "--out", str(tmp_path / "c.tsv")])
         assert rc == 2
 
+    def test_nan_rating_fails_at_cluster_stage(self, synth, tmp_path, capsys):
+        _, emb = synth
+        lex = tmp_path / "lex.tsv"
+        lex.write_text(
+            "word\tempathy\n" + "".join(f"w{i:02d}\t{i / 10}\n" for i in range(29))
+            + "w29\tnan\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "c.tsv"
+        rc = main(["cluster", "--lexicon", str(lex), "--embeddings", str(emb),
+                   "--construct", "empathy", "--k", "2", "--knn", "5",
+                   "--rho", "1", "--seed", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "stage 'cluster'" in err and "non-finite" in err
+        assert not out.exists()
+
     def test_unknown_construct_names_available(self, synth, tmp_path, capsys):
         corpus, emb = synth
         lex = tmp_path / "lex.tsv"
@@ -398,3 +415,63 @@ class TestDescribeAndRescale:
         rc = main(["rescale", "--lexicon", str(lex), "--range", "7:1",
                    "--out", str(tmp_path / "o.tsv"), "--seed", "0"])
         assert rc == 2
+
+
+BAD_FLAG_VALUES = [
+    ("cluster", "--knn", "0"),
+    ("cluster", "--knn", "-1"),
+    ("cluster", "--k", "1"),
+    ("cluster", "--top", "0"),
+    ("intrinsic", "--folds", "1"),
+    ("intrinsic", "--min-df", "0"),
+    ("induce", "--min-df", "0"),
+    ("induce", "--batch-size", "0"),
+    ("induce", "--epochs", "0"),
+    ("induce", "--patience", "0"),
+    ("induce", "--epochs", "ten"),
+    ("induce", "--dropout-input", "1.5"),
+    ("induce", "--dropout-input", "-0.1"),
+    ("induce", "--dropout-hidden", "1"),
+    ("induce", "--val-fraction", "0"),
+    ("induce", "--ridge-lambda", "-1"),
+]
+
+
+class TestFlagRanges:
+    @pytest.fixture
+    def commands(self, synth, tmp_path):
+        corpus, emb = synth
+        ratings = "word\tempathy\n" + "".join(
+            f"w{i:02d}\t{i / 10}\n" for i in range(30)
+        )
+        lex = tmp_path / "lex.tsv"  # also serves as the gold word ratings
+        lex.write_text(ratings, encoding="utf-8")
+        return {
+            "cluster": ["cluster", "--lexicon", str(lex), "--embeddings", str(emb),
+                        "--construct", "empathy", "--k", "2", "--knn", "5"],
+            "intrinsic": ["eval", "intrinsic", "--corpus", str(corpus),
+                          "--gold", str(lex), "--construct", "empathy",
+                          "--methods", "mean-star", "--folds", "3"],
+            "induce": ["induce", "--method", "mlffn", "--corpus", str(corpus),
+                       "--construct", "empathy", "--embeddings", str(emb),
+                       "--hidden", "4", "--epochs", "2"],
+        }
+
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    @pytest.mark.parametrize("command,flag,value", BAD_FLAG_VALUES)
+    def test_out_of_range_value_is_usage_error(self, commands, tmp_path, capsys,
+                                               command, flag, value, via_config):
+        argv = commands[command] + ["--seed", "1", "--out", str(tmp_path / "o.tsv")]
+        if via_config:
+            cfg = tmp_path / "run.conf"
+            cfg.write_text(f"{flag[2:].replace('-', '_')}={value}\n", encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += [flag, value]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "usage:" in err
+        assert f"argument {flag}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o.tsv").exists()

@@ -71,6 +71,12 @@ class TestSignedGraph:
         assert g.dropped_words == ("ghost",)
         assert "ghost" not in g.node_words
 
+    @pytest.mark.parametrize("knn", [0, -1])
+    def test_knn_below_one_rejected(self, knn):
+        lex, table = two_word_setup(1.0, 2.0)
+        with pytest.raises(ValueError, match="knn must be >= 1"):
+            build_signed_graph(lex, "aff", table, knn=knn, rho=1.0)
+
     def test_too_few_usable_words(self):
         lex, table = two_word_setup(1.0, 2.0)
         with pytest.raises(DataError, match="knn"):
@@ -140,6 +146,20 @@ class TestSignedLaplacian:
         assert np.max(np.abs(L - L.T)) < 1e-12
         vals, _ = sym_eig_smallest(L, 1)
         assert vals[0] >= -1e-8
+
+
+class TestEigensolveAtPaperScale:
+    def test_3000_words_k50_knn20(self):
+        # the CLI defaults (k=50, knn=20) on a lexicon of paper size
+        lex, table, _ = planted_block_lexicon(12, per_block=750)
+        L = signed_laplacian(build_signed_graph(lex, "aff", table, knn=20))
+        assert L.shape == (3000, 3000)
+        vals, vecs = sym_eig_smallest(L, 50)
+        assert vals.shape == (50,) and vecs.shape == (3000, 50)
+        resid = np.linalg.norm(L @ vecs - vecs * vals, axis=0)
+        assert resid.max() <= 1e-8 * np.linalg.norm(L)
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(50))) <= 1e-10
+        assert np.all(np.diff(vals) >= 0)
 
 
 class TestCluster:

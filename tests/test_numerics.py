@@ -1,8 +1,10 @@
 """Numerical kernels against independent oracles.
 
-The eigensolver is checked against LAPACK (numpy.linalg.eigh) as a reference
-solve; ridge is checked against a least-squares solve and a brute-force
-gradient-descent minimizer that knows nothing about normal equations.
+The eigensolver wraps LAPACK (numpy.linalg.eigh), so its tests pin the
+contract around that call: the k smallest values in ascending order,
+eigen-residuals, orthonormal columns and the input checks.  Ridge is checked
+against a least-squares solve and a brute-force gradient-descent minimizer
+that knows nothing about normal equations.
 """
 
 import numpy as np
@@ -213,12 +215,12 @@ class TestSymEig:
             for i in range(k):
                 assert np.linalg.norm(A @ vecs[:, i] - vals[i] * vecs[:, i]) < 1e-6 * scale
 
-    def test_lanczos_path(self):
+    def test_random_80x80_smallest_four(self):
         rng = np.random.default_rng(6)
         n = 80
         A = rng.standard_normal((n, n))
         A = (A + A.T) / 2
-        vals, vecs = sym_eig_smallest(A, 4, dense_threshold=10)
+        vals, vecs = sym_eig_smallest(A, 4)
         ref = np.linalg.eigvalsh(A)[:4]
         assert np.max(np.abs(vals - ref)) < 1e-6
         scale = np.linalg.norm(A)
@@ -226,11 +228,11 @@ class TestSymEig:
             assert np.linalg.norm(A @ vecs[:, i] - vals[i] * vecs[:, i]) < 1e-6 * scale
         assert np.max(np.abs(vecs.T @ vecs - np.eye(4))) < 1e-6
 
-    def test_lanczos_degenerate_spectrum(self):
+    def test_degenerate_spectrum(self):
         A = np.eye(60)
         A[0, 0] = -3.0
         A[1, 1] = -2.0
-        vals, _ = sym_eig_smallest(A, 3, dense_threshold=10)
+        vals, _ = sym_eig_smallest(A, 3)
         assert vals == pytest.approx([-3.0, -2.0, 1.0], abs=1e-8)
 
     def test_rejects_nonsymmetric(self):
@@ -241,6 +243,13 @@ class TestSymEig:
     def test_k_out_of_range(self):
         with pytest.raises(DimensionError):
             sym_eig_smallest(np.eye(3), 4)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, bad):
+        A = np.eye(3)
+        A[0, 1] = A[1, 0] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            sym_eig_smallest(A, 1)
 
 
 class TestKMeans:
