@@ -65,7 +65,7 @@ class _UsageFailure(Exception):
 def _stage(name: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except LexlearnError as exc:
+    except (LexlearnError, OSError) as exc:
         raise _StageFailure(name, exc) from exc
 
 

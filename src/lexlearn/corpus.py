@@ -1,19 +1,22 @@
-"""Corpus and gold-lexicon ingestion.
+"""Corpus and gold-lexicon ingestion, and the delimited-table reader.
 
 Input files are delimiter-separated values with a header row (UTF-8).  The
 delimiter is inferred from the extension (``.tsv`` -> tab, anything else ->
-comma) and can be overridden.  Documents are tokenized at load time; rows
-whose text tokenizes to nothing are dropped and counted in the load report.
+comma) and can be overridden.  ``_read_table`` reads every such table,
+including the users and traits files of :mod:`lexlearn.evaluation`.
+Documents are tokenized at load time; rows whose text tokenizes to nothing
+are dropped and counted in the load report.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -84,9 +87,8 @@ class Corpus:
     (``counts``); ``lengths`` holds each document's token count.
 
     ``min_df`` is a column mask, not a filter on the documents: ``vocab``
-    maps each term with document frequency >= ``min_df`` to that frequency,
-    and ``inverted_index`` maps the same words to the set of indices of the
-    documents containing them.  Documents keep all their tokens.
+    maps each term with document frequency >= ``min_df`` to that frequency.
+    Documents keep all their tokens.
     """
 
     documents: tuple[Document, ...]
@@ -120,15 +122,6 @@ class Corpus:
     def vocab(self) -> dict[str, int]:
         df = self.document_frequency
         return {self.terms[j]: int(df[j]) for j in self.vocab_columns}
-
-    @cached_property
-    def inverted_index(self) -> dict[str, frozenset[int]]:
-        df = self.document_frequency
-        by_term = self.entry_rows()[np.argsort(self.indices, kind="stable")]
-        members = np.split(by_term, np.cumsum(df)[:-1])
-        return {
-            self.terms[j]: frozenset(members[j].tolist()) for j in self.vocab_columns
-        }
 
     def select(self, rows) -> Corpus:
         """Sub-corpus of the given document indices, in the given order.
@@ -174,23 +167,79 @@ def _infer_delimiter(path: str | Path, delimiter: str | None) -> str:
     return "\t" if Path(path).suffix.lower() == ".tsv" else ","
 
 
-def _header_index(header: list[str], wanted: Iterable[str], path) -> dict[str, int]:
-    index = {}
-    for name in wanted:
-        if name not in header:
-            raise SchemaError(f"{path}: column {name!r} not found in header {header}")
-        index[name] = header.index(name)
-    return index
+def _first_non_utf8_line(path: str | Path) -> int:
+    """Number of the first line of ``path`` that is not UTF-8 (0 if none)."""
+    # a newline byte never occurs inside a multi-byte UTF-8 sequence, so
+    # each line can be checked on its own
+    with open(path, "rb") as handle:
+        for number, raw in enumerate(handle, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return number
+    return 0
 
 
-def _parse_rating(cell: str, column: str, path, line_num: int) -> float:
+def _read_table(
+    path: str | Path, delimiter: str | None, *layouts: Sequence[str]
+) -> Iterator[tuple[int, list[str]]]:
+    """Stream the rows of a delimited UTF-8 table that has a header row.
+
+    ``layouts`` are sequences of column names; the first one whose columns
+    all appear in the header is read.  Yields ``(line, cells)`` per data
+    row: the file line the row ends on and the layout's cells, in layout
+    order.
+
+    Raises:
+        EmptyCorpusError: the file has no header row.
+        SchemaError: no layout fits the header.
+        RowError: a row is too short to hold the layout's columns or is not
+            valid CSV, or the file holds bytes that are not UTF-8; the
+            message names the file and the line.
+    """
+    sep = _infer_delimiter(path, delimiter)
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle, delimiter=sep)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise EmptyCorpusError(f"{path}: file is empty")
+            for layout in layouts:
+                if all(name in header for name in layout):
+                    break
+            else:
+                missing = " or ".join(
+                    "+".join(repr(name) for name in layout if name not in header)
+                    for layout in layouts
+                )
+                raise SchemaError(
+                    f"{path}: column {missing} not found in header {header}"
+                )
+            columns = [header.index(name) for name in layout]
+            width = max(columns) + 1
+            for row in reader:
+                if len(row) < width:
+                    raise RowError(
+                        f"{path}: line {reader.line_num}: row has too few fields"
+                    )
+                yield reader.line_num, [row[i] for i in columns]
+        except UnicodeDecodeError:
+            raise RowError(
+                f"{path}: line {_first_non_utf8_line(path)}: bytes are not valid UTF-8"
+            ) from None
+        except csv.Error as exc:
+            raise RowError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _parse_number(cell: str, column: str, path, line_num: int) -> float:
+    """The cell as a finite float; ``RowError`` naming the file and line if not."""
     try:
         value = float(cell)
     except ValueError:
         raise RowError(
             f"{path}: line {line_num}: cannot parse {column!r} value {cell!r} as a number"
         ) from None
-    if value != value or value in (float("inf"), float("-inf")):
+    if not math.isfinite(value):
         raise RowError(f"{path}: line {line_num}: non-finite {column!r} value {cell!r}")
     return value
 
@@ -279,41 +328,30 @@ def load_corpus(
 
     Raises:
         SchemaError: a named column is missing from the header.
-        RowError: a rating cell does not parse as a finite number.
+        RowError: a row is short or not UTF-8, or a rating cell does not
+            parse as a finite number.
         EmptyCorpusError: no documents survive tokenization.
     """
     if not rating_columns:
         raise SchemaError(f"{path}: at least one rating column is required")
-    sep = _infer_delimiter(path, delimiter)
+    columns = [text_column, *rating_columns]
+    if id_column is not None:
+        columns.append(id_column)
     docs: list[Document] = []
     dropped = 0
     rows = 0
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle, delimiter=sep)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyCorpusError(f"{path}: file is empty") from None
-        wanted = [text_column] + list(rating_columns)
-        if id_column is not None:
-            wanted.append(id_column)
-        cols = _header_index(header, wanted, path)
-        for row_index, row in enumerate(reader):
-            rows += 1
-            line = reader.line_num
-            try:
-                text = row[cols[text_column]]
-                ratings = {
-                    c: _parse_rating(row[cols[c]], c, path, line) for c in rating_columns
-                }
-                doc_id = row[cols[id_column]] if id_column is not None else str(row_index)
-            except IndexError:
-                raise RowError(f"{path}: line {line}: row has too few fields") from None
-            tokens = tuple(tokenizer(text))
-            if not tokens:
-                dropped += 1
-                continue
-            docs.append(Document(doc_id, tokens, ratings))
+    for line, cells in _read_table(path, delimiter, columns):
+        ratings = {
+            c: _parse_number(cell, c, path, line)
+            for c, cell in zip(rating_columns, cells[1:])
+        }
+        doc_id = cells[-1] if id_column is not None else str(rows)
+        rows += 1
+        tokens = tuple(tokenizer(cells[0]))
+        if not tokens:
+            dropped += 1
+            continue
+        docs.append(Document(doc_id, tokens, ratings))
     if not docs:
         raise EmptyCorpusError(
             f"{path}: no documents left after tokenization ({rows} rows read, "
@@ -352,32 +390,21 @@ def load_gold_lexicon(
     """
     if not rating_columns:
         raise SchemaError(f"{path}: at least one rating column is required")
-    sep = _infer_delimiter(path, delimiter)
     ratings: dict[str, tuple[float, ...]] = {}
     duplicates = 0
     rows = 0
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle, delimiter=sep)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyCorpusError(f"{path}: file is empty") from None
-        cols = _header_index(header, [word_column] + list(rating_columns), path)
-        for row in reader:
-            rows += 1
-            line = reader.line_num
-            try:
-                word = row[cols[word_column]]
-                values = tuple(
-                    _parse_rating(row[cols[c]], c, path, line) for c in rating_columns
-                )
-            except IndexError:
-                raise RowError(f"{path}: line {line}: row has too few fields") from None
-            if lowercase:
-                word = word.lower()
-            if word in ratings:
-                duplicates += 1
-            ratings[word] = values
+    for line, (word, *cells) in _read_table(
+        path, delimiter, [word_column, *rating_columns]
+    ):
+        rows += 1
+        values = tuple(
+            _parse_number(cell, c, path, line) for c, cell in zip(rating_columns, cells)
+        )
+        if lowercase:
+            word = word.lower()
+        if word in ratings:
+            duplicates += 1
+        ratings[word] = values
     if not ratings:
         raise EmptyCorpusError(f"{path}: no word entries found")
     report = LoadReport(rows_read=rows, duplicates=duplicates)

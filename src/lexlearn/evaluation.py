@@ -9,7 +9,6 @@ lexicon words and correlate the scores with a user-level trait.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,14 +18,15 @@ import numpy as np
 
 # build_corpus stays importable from here for code that wraps it by module
 # attribute; folds themselves are row selections of one Corpus
-from .corpus import Corpus, GoldWordLexicon, build_corpus, tokenize  # noqa: F401
-from .errors import (
-    DataError,
-    LexlearnError,
-    RowError,
-    SchemaError,
-    UndefinedCorrelationError,
+from .corpus import (  # noqa: F401
+    Corpus,
+    GoldWordLexicon,
+    _parse_number,
+    _read_table,
+    build_corpus,
+    tokenize,
 )
+from .errors import DataError, LexlearnError, RowError, UndefinedCorrelationError
 from .induction import Lexicon, MethodSpec, fit_method
 from .numerics import pearson
 
@@ -227,12 +227,6 @@ def eval_extrinsic(
     return r, scores
 
 
-def _infer_delimiter(path: str | Path, delimiter: str | None) -> str:
-    if delimiter is not None:
-        return delimiter
-    return "\t" if Path(path).suffix.lower() == ".tsv" else ","
-
-
 def load_user_corpora(
     usage_path: str | Path,
     traits_path: str | Path,
@@ -245,69 +239,33 @@ def load_user_corpora(
 
     The usage file carries either (user_id, text) rows, repeatable per user
     and tokenized here, or pre-counted (user_id, word, count) rows.  The
-    traits file maps user_id to numeric trait columns.  Users missing a
+    traits file maps user_id to numeric trait columns.  Counts and traits
+    must be finite numbers; a short row, a bad cell or bytes that are not
+    UTF-8 raise ``RowError`` naming the file and line.  Users missing a
     trait row are dropped with a warning.
     """
-    sep = _infer_delimiter(usage_path, delimiter)
     counts: dict[str, dict[str, int]] = {}
-    with open(usage_path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle, delimiter=sep)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{usage_path}: file is empty") from None
-        if "user_id" not in header:
-            raise SchemaError(f"{usage_path}: column 'user_id' not found")
-        uid_col = header.index("user_id")
-        if "text" in header:
-            text_col = header.index("text")
-            for row in reader:
-                user = counts.setdefault(row[uid_col], {})
-                for tok in tokenizer(row[text_col]):
-                    user[tok] = user.get(tok, 0) + 1
-        elif "word" in header and "count" in header:
-            word_col = header.index("word")
-            count_col = header.index("count")
-            for row in reader:
-                line = reader.line_num
-                try:
-                    value = int(float(row[count_col]))
-                except ValueError:
-                    raise RowError(
-                        f"{usage_path}: line {line}: bad count {row[count_col]!r}"
-                    ) from None
-                if value <= 0:
-                    raise RowError(f"{usage_path}: line {line}: count must be positive")
-                user = counts.setdefault(row[uid_col], {})
-                user[row[word_col]] = user.get(row[word_col], 0) + value
-        else:
-            raise SchemaError(
-                f"{usage_path}: need either a 'text' column or 'word'+'count' columns"
-            )
+    for line, cells in _read_table(
+        usage_path, delimiter, ("user_id", "text"), ("user_id", "word", "count")
+    ):
+        user = counts.setdefault(cells[0], {})
+        if len(cells) == 2:  # the (user_id, text) layout
+            for tok in tokenizer(cells[1]):
+                user[tok] = user.get(tok, 0) + 1
+            continue
+        value = int(_parse_number(cells[2], "count", usage_path, line))
+        if value <= 0:
+            raise RowError(f"{usage_path}: line {line}: count must be positive")
+        user[cells[1]] = user.get(cells[1], 0) + value
     if not counts:
         raise DataError(f"{usage_path}: no user rows found")
 
-    sep_t = _infer_delimiter(traits_path, delimiter)
-    traits: dict[str, float] = {}
-    with open(traits_path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle, delimiter=sep_t)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{traits_path}: file is empty") from None
-        for name in ("user_id", trait_column):
-            if name not in header:
-                raise SchemaError(f"{traits_path}: column {name!r} not found")
-        uid_col = header.index("user_id")
-        trait_col = header.index(trait_column)
-        for row in reader:
-            line = reader.line_num
-            try:
-                traits[row[uid_col]] = float(row[trait_col])
-            except ValueError:
-                raise RowError(
-                    f"{traits_path}: line {line}: bad trait value {row[trait_col]!r}"
-                ) from None
+    traits = {
+        uid: _parse_number(cell, trait_column, traits_path, line)
+        for line, (uid, cell) in _read_table(
+            traits_path, delimiter, ("user_id", trait_column)
+        )
+    }
     users = []
     missing = []
     for uid, words in counts.items():

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, corpus_fingerprint
+from .corpus import Corpus, _first_non_utf8_line, corpus_fingerprint
 from .embeddings import EmbeddingTable, centroid
 from .errors import DataError, DegenerateLabelsError, DimensionError
 from .neural import FeedForwardNet, NetConfig, forward_batch, train
@@ -335,29 +336,41 @@ def save_lexicon(lex: Lexicon, path: str | Path, *, provenance: bool = True) -> 
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
-    """Read a lexicon TSV written by :func:`save_lexicon` (or compatible)."""
+    """Read a lexicon TSV written by :func:`save_lexicon` (or compatible).
+
+    Every rating must be a finite number; a bad line raises ``DataError``
+    naming the file and the line.
+    """
     path = Path(path)
     entries: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n").split("\t")
-        if len(header) < 2 or header[0] != "word":
-            raise DataError(
-                f"{path}: expected a header starting with 'word' and one or "
-                f"more construct columns"
-            )
-        constructs = tuple(header[1:])
-        for line_no, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != len(header):
-                raise DataError(f"{path}: line {line_no}: wrong field count")
-            try:
-                entries[parts[0]] = np.array([float(v) for v in parts[1:]])
-            except ValueError:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            header = handle.readline().rstrip("\n").split("\t")
+            if len(header) < 2 or header[0] != "word":
                 raise DataError(
-                    f"{path}: line {line_no}: unparsable rating value"
-                ) from None
+                    f"{path}: expected a header starting with 'word' and one or "
+                    f"more construct columns"
+                )
+            constructs = tuple(header[1:])
+            for line_no, line in enumerate(handle, start=2):
+                if not line.strip():
+                    continue
+                parts = line.rstrip("\n").split("\t")
+                if len(parts) != len(header):
+                    raise DataError(f"{path}: line {line_no}: wrong field count")
+                try:
+                    values = [float(v) for v in parts[1:]]
+                except ValueError:
+                    raise DataError(
+                        f"{path}: line {line_no}: unparsable rating value"
+                    ) from None
+                if not all(map(math.isfinite, values)):
+                    raise DataError(f"{path}: line {line_no}: non-finite rating value")
+                entries[parts[0]] = np.array(values)
+    except UnicodeDecodeError:
+        raise DataError(
+            f"{path}: line {_first_non_utf8_line(path)}: bytes are not valid UTF-8"
+        ) from None
     if not entries:
         raise DataError(f"{path}: lexicon has no entries")
     prov_path = Path(str(path) + ".prov")

@@ -257,7 +257,7 @@ class TestEval:
         assert "r=1.0000" in out
 
 
-    def test_extrinsic_nan_trait_fails_at_eval(self, tmp_path, capsys):
+    def test_extrinsic_nan_trait_fails_at_load_users(self, tmp_path, capsys):
         lex = tmp_path / "lex.tsv"
         lex.write_text(
             "word\taff\ngreat\t7.0\nmeh\t4.0\nawful\t1.0\n", encoding="utf-8"
@@ -275,7 +275,8 @@ class TestEval:
                    "--trait-column", "emp", "--seed", "0", "--out", str(out)])
         captured = capsys.readouterr()
         assert rc == 1
-        assert "stage 'eval'" in captured.err and "non-finite" in captured.err
+        assert "stage 'load-users'" in captured.err
+        assert "line 3" in captured.err and "non-finite" in captured.err
         assert "Traceback" not in captured.err
         assert "r=nan" not in captured.out
         assert not out.exists()
@@ -320,12 +321,13 @@ class TestClusterCommand:
                    "--out", str(tmp_path / "c.tsv")])
         assert rc == 2
 
-    def test_nan_rating_fails_at_cluster_stage(self, synth, tmp_path, capsys):
+    def test_overflowing_rating_fails_at_cluster_stage(self, synth, tmp_path, capsys):
+        # finite ratings whose gaps overflow make the Laplacian non-finite
         _, emb = synth
         lex = tmp_path / "lex.tsv"
         lex.write_text(
-            "word\tempathy\n" + "".join(f"w{i:02d}\t{i / 10}\n" for i in range(29))
-            + "w29\tnan\n",
+            "word\tempathy\n" + "".join(f"w{i:02d}\t{i / 10}\n" for i in range(28))
+            + "w28\t-1e308\nw29\t1e308\n",
             encoding="utf-8",
         )
         out = tmp_path / "c.tsv"
@@ -475,3 +477,105 @@ class TestFlagRanges:
         assert f"argument {flag}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "o.tsv").exists()
+
+
+# (case id, command, file, fault, stage, line named in the message or None);
+# the fault is the file's new bytes, a (line, bytes) replacement, or None to
+# delete the file
+BAD_TABLES = [
+    ("users-short-text-row", "extrinsic", "users.csv",
+     b"user_id,text\nu1,w01 w02\nu2\nu3,w04\n", "load-users", 3),
+    ("users-short-count-row", "extrinsic", "users.csv",
+     b"user_id,word,count\nu1,w01,2\nu2,w03\nu3,w04,1\n", "load-users", 3),
+    ("traits-short-row", "extrinsic", "traits.csv",
+     b"user_id,emp\nu1,7\nu2\nu3,1\n", "load-users", 3),
+    ("corpus-not-utf8", "intrinsic", "corpus.csv",
+     (5, b"w01 caf\xe9,1.0,-1.0"), "load-corpus", 5),
+    ("gold-not-utf8", "intrinsic", "gold.tsv", (4, b"caf\xe9\t0.5"), "load-gold", 4),
+    ("trait-nan", "extrinsic", "traits.csv",
+     b"user_id,emp\nu1,7\nu2,nan\nu3,1\n", "load-users", 3),
+    ("trait-inf", "extrinsic", "traits.csv",
+     b"user_id,emp\nu1,7\nu2,4\nu3,inf\n", "load-users", 4),
+    ("count-inf", "extrinsic", "users.csv",
+     b"user_id,word,count\nu1,w01,2\nu2,w03,inf\nu3,w04,1\n", "load-users", 3),
+    ("lexicon-nan-describe", "describe", "lex.tsv", (7, b"w05\tnan"),
+     "load-lexicon", 7),
+    ("lexicon-nan-cluster", "cluster", "lex.tsv", (7, b"w05\tnan"),
+     "load-lexicon", 7),
+    ("lexicon-not-utf8", "describe", "lex.tsv", (9, b"caf\xe9\t0.5"),
+     "load-lexicon", 9),
+    ("users-missing", "extrinsic", "users.csv", None, "load-users", None),
+]
+
+
+class TestBadTables:
+    @pytest.fixture
+    def world(self, synth, tmp_path):
+        corpus, emb = synth
+        ratings = "word\tempathy\n" + "".join(
+            f"w{i:02d}\t{i / 10}\n" for i in range(30)
+        )
+        for name in ("gold.tsv", "lex.tsv"):
+            (tmp_path / name).write_text(ratings, encoding="utf-8")
+        corpus.rename(tmp_path / "corpus.csv")
+        (tmp_path / "users.csv").write_text(
+            "user_id,text\nu1,w01 w02\nu2,w03\nu3,w04 w05\n", encoding="utf-8"
+        )
+        (tmp_path / "traits.csv").write_text(
+            "user_id,emp\nu1,7\nu2,4\nu3,1\n", encoding="utf-8"
+        )
+        out = str(tmp_path / "out.tsv")
+        lex = str(tmp_path / "lex.tsv")
+        commands = {
+            "extrinsic": ["eval", "extrinsic", "--lexicon", lex,
+                          "--construct", "empathy",
+                          "--users", str(tmp_path / "users.csv"),
+                          "--traits", str(tmp_path / "traits.csv"),
+                          "--trait-column", "emp", "--out", out],
+            "intrinsic": ["eval", "intrinsic", "--corpus", str(tmp_path / "corpus.csv"),
+                          "--gold", str(tmp_path / "gold.tsv"),
+                          "--construct", "empathy", "--methods", "mean-star",
+                          "--folds", "3", "--out", out],
+            "describe": ["describe", "--lexicon", lex, "--plot-data", out],
+            "cluster": ["cluster", "--lexicon", lex, "--embeddings", str(emb),
+                        "--construct", "empathy", "--k", "2", "--knn", "5",
+                        "--out", out],
+        }
+        return tmp_path, commands
+
+    @pytest.mark.parametrize(
+        "command", ["extrinsic", "intrinsic", "describe", "cluster"]
+    )
+    def test_clean_world_runs(self, world, command):
+        tmp_path, commands = world
+        assert main(commands[command] + ["--seed", "1"]) == 0
+        assert (tmp_path / "out.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "command,name,fault,stage,line",
+        [case[1:] for case in BAD_TABLES],
+        ids=[case[0] for case in BAD_TABLES],
+    )
+    def test_bad_table_fails_at_its_stage(self, world, capsys,
+                                          command, name, fault, stage, line):
+        tmp_path, commands = world
+        path = tmp_path / name
+        if fault is None:
+            path.unlink()
+        elif isinstance(fault, tuple):
+            number, raw = fault
+            lines = path.read_bytes().split(b"\n")
+            lines[number - 1] = raw
+            path.write_bytes(b"\n".join(lines))
+        else:
+            path.write_bytes(fault)
+        rc = main(commands[command] + ["--seed", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "Traceback" not in err
+        assert any(
+            f"stage '{stage}'" in row and name in row
+            and (line is None or f"line {line}" in row)
+            for row in err.splitlines()
+        ), err
+        assert not (tmp_path / "out.tsv").exists()

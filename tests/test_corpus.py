@@ -56,7 +56,8 @@ class TestLoadCorpus:
         corpus = load_corpus(path, "text", ["empathy"], id_column="id")
         assert len(corpus) == 2
         assert sorted(corpus.vocab) == ["a", "joke", "sad", "story"]
-        assert corpus.inverted_index["sad"] == frozenset({0, 1})
+        sad = corpus.terms.index("sad")
+        assert corpus.entry_rows()[corpus.indices == sad].tolist() == [0, 1]
         assert corpus.vocab["sad"] == 2 and corpus.vocab["story"] == 1
         assert corpus.documents[0].ratings == {"empathy": 6.0}
 
@@ -94,6 +95,27 @@ class TestLoadCorpus:
         with pytest.raises(RowError):
             load_corpus(path, "text", ["empathy"])
 
+    def test_short_row_reports_line(self, tmp_path):
+        path = write(tmp_path / "s.csv", "id,text,empathy\nd1,hi,1.0\nd2,yo\n")
+        with pytest.raises(RowError, match="line 3: row has too few fields"):
+            load_corpus(path, "text", ["empathy"], id_column="id")
+
+    def test_non_utf8_reports_line_of_bad_bytes(self, tmp_path):
+        # the bad bytes sit past the first decode chunk of the text reader
+        rows = [f"word {i},{i}.0\n".encode() for i in range(2000)]
+        rows[1500] = b"caf\xe9 au lait,1.0\n"
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"text,empathy\n" + b"".join(rows))
+        with pytest.raises(RowError, match=r"line 1502: bytes are not valid UTF-8"):
+            load_corpus(str(path), "text", ["empathy"])
+
+    def test_malformed_csv_reports_line(self, tmp_path):
+        # a field beyond the csv module's size limit is a csv.Error
+        long_text = "word " * 40_000
+        path = write(tmp_path / "l.csv", f"text,empathy\nhi,1.0\n{long_text},2.0\n")
+        with pytest.raises(RowError, match="line 3: field larger than field limit"):
+            load_corpus(path, "text", ["empathy"])
+
     def test_tsv_delimiter_inferred(self, tmp_path):
         path = write(tmp_path / "t.tsv", "text\tempathy\na sad story\t6.0\n")
         corpus = load_corpus(path, "text", ["empathy"])
@@ -117,15 +139,20 @@ class TestLoadCorpus:
 
 
 class TestCorpusInvariants:
-    def test_inverted_index_bounds(self):
+    def test_document_term_bounds(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             corpus = random_corpus(rng, max_docs=40, max_vocab=60)
-            for w, docs in corpus.inverted_index.items():
-                assert 1 <= len(docs) <= len(corpus)
-                for i in docs:
-                    assert w in corpus.documents[i].tokens
-            assert set(corpus.vocab) == set(corpus.inverted_index)
+            corpus = build_corpus(
+                corpus.documents, corpus.constructs, min_df=int(rng.integers(1, 4))
+            )
+            for i, j in zip(corpus.entry_rows().tolist(), corpus.indices.tolist()):
+                assert corpus.terms[j] in corpus.documents[i].tokens
+            df = corpus.document_frequency
+            assert ((1 <= df) & (df <= len(corpus))).all()
+            assert set(corpus.vocab) == {
+                t for t, d in zip(corpus.terms, df.tolist()) if d >= corpus.min_df
+            }
 
     def test_roundtrip_save_reload(self, tmp_path):
         rng = np.random.default_rng(6)
