@@ -216,40 +216,27 @@ def cmd_induce(args: argparse.Namespace) -> int:
         min_df=args.min_df,
     )
     inputs = [args.corpus]
+    parts = []
     if method == "mlffn":
         table = _stage("load-embeddings", load_embeddings, args.embeddings)
         inputs.append(args.embeddings)
-        if args.joint:
-            config = _net_config(args, table.dim, len(constructs))
-            lex, _ = _stage(
+        # one net for all constructs, or one per construct seeded seed + i
+        groups = [constructs] if args.joint else [[c] for c in constructs]
+        for i, group in enumerate(groups):
+            config = _net_config(args, table.dim, len(group))
+            config.seed = seed + i
+            part, _ = _stage(
                 "fit",
                 fit_mlffn,
                 corpus,
-                constructs,
+                group,
                 table,
                 config,
                 rate_all_embedded=args.rate_all_embedded,
                 include_oov_words=args.include_oov,
             )
-        else:
-            parts = []
-            for i, construct in enumerate(constructs):
-                config = _net_config(args, table.dim, 1)
-                config.seed = seed + i
-                part, _ = _stage(
-                    "fit",
-                    fit_mlffn,
-                    corpus,
-                    [construct],
-                    table,
-                    config,
-                    rate_all_embedded=args.rate_all_embedded,
-                    include_oov_words=args.include_oov,
-                )
-                parts.append(part)
-            lex = parts[0] if len(parts) == 1 else _merge_lexica(parts)
+            parts.append(part)
     else:
-        parts = []
         for construct in constructs:
             if method == "mean_star":
                 part = _stage("fit", fit_mean_star, corpus, construct)
@@ -260,7 +247,7 @@ def cmd_induce(args: argparse.Namespace) -> int:
                 part = _stage("fit", fit_regression_weights, corpus, construct,
                               args.ridge_lambda)
             parts.append(part)
-        lex = parts[0] if len(parts) == 1 else _merge_lexica(parts)
+    lex = parts[0] if len(parts) == 1 else _merge_lexica(parts)
     if args.rescale:
         lo, hi = _parse_range(args.rescale)
         lex = _stage("rescale", rescale_log_minmax, lex, lo, hi)
@@ -416,9 +403,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     lex = _stage("load-lexicon", load_lexicon, args.lexicon)
     table = _stage("load-embeddings", load_embeddings, args.embeddings)
-    usable = sum(
-        1 for w in lex.entries if w in table and np.linalg.norm(table.vectors[w]) > 0
-    )
+    usable = np.count_nonzero(np.linalg.norm(table.matrix(list(lex.entries)), axis=1))
     if args.k > usable:
         raise _UsageFailure(
             f"--k {args.k} exceeds the {usable} lexicon words with nonzero embeddings"

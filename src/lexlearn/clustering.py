@@ -12,6 +12,7 @@ semidefinite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -32,12 +33,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+EDGE_DTYPE = np.dtype([("i", np.intp), ("j", np.intp), ("w", np.float64)])
+
+
+@dataclass(frozen=True, eq=False)
 class SignedGraph:
-    """Undirected signed graph over lexicon words (edges stored once, i < j)."""
+    """Undirected signed graph over lexicon words: ``edges`` is an EDGE_DTYPE
+    array of (i, j, w) records, one per edge with i < j, sorted by (i, j)."""
 
     node_words: tuple[str, ...]
-    edges: tuple[tuple[int, int, float], ...]
+    edges: np.ndarray
     construct: str
     rho: float
     dropped_words: tuple[str, ...] = ()
@@ -87,40 +92,39 @@ def build_signed_graph(
     vectors = table.matrix(all_words).astype(np.float64)
     norms = np.linalg.norm(vectors, axis=1)
     usable = norms > 0.0
-    dropped = tuple(w for w, ok in zip(all_words, usable) if not ok)
-    words = [w for w, ok in zip(all_words, usable) if ok]
+    dropped = tuple(compress(all_words, ~usable))
+    words = list(compress(all_words, usable))
     n = len(words)
     if n < knn + 1:
         raise DataError(
             f"only {n} words have nonzero embeddings; need at least knn+1 = {knn + 1}"
         )
     if rho is None:
-        ratings_all = lex.values(construct)
-        rho = float(ratings_all.max() - ratings_all.min()) / 2.0
+        rho = float(np.ptp(lex.values(construct))) / 2.0
     if not rho > 0:
         raise DataError(f"rho must be positive, got {rho}")
     unit = vectors[usable] / norms[usable][:, None]
-    ratings = np.array([lex.entries[w][ci] for w in words])
+    ratings = np.array(list(map(lex.entries.get, words)))[:, ci]
 
-    weights: dict[tuple[int, int], float] = {}
-    block = 512
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    # each row's knn nearest neighbours, rows in order, keyed i * n + j, i < j
+    keys, weights = [], []
+    for start in range(0, n, 512):
+        stop = min(start + 512, n)
         sims = unit[start:stop] @ unit.T
-        for local in range(stop - start):
-            i = start + local
-            row = sims[local]
-            row[i] = -np.inf  # no self-loops
-            neighbors = np.argpartition(row, -knn)[-knn:]
-            for j in neighbors:
-                cos = float(np.clip(row[j], -1.0, 1.0))
-                base = max(cos, 0.0) if clip_negative_cosine else cos
-                w = base * (1.0 - abs(ratings[i] - ratings[j]) / rho)
-                if w == 0.0:
-                    continue
-                key = (i, int(j)) if i < j else (int(j), i)
-                weights[key] = w  # symmetric formula: union keeps one copy
-    edges = tuple((i, j, weights[(i, j)]) for i, j in sorted(weights))
+        rows = np.arange(start, stop)[:, None]
+        sims[rows - start, rows] = -np.inf  # no self-loops
+        nbrs = np.argpartition(sims, -knn, axis=1)[:, -knn:]
+        cos = np.clip(np.take_along_axis(sims, nbrs, axis=1), -1.0, 1.0)
+        base = np.maximum(cos, 0.0) if clip_negative_cosine else cos
+        keys.append(np.minimum(rows, nbrs) * n + np.maximum(rows, nbrs))
+        weights.append(base * (1.0 - np.abs(ratings[rows] - ratings[nbrs]) / rho))
+    keys, weights = np.concatenate(keys, axis=None), np.concatenate(weights, axis=None)
+    # a pair keeps its later row's nonzero weight: unique over reversed keys
+    nonzero = weights != 0.0
+    keys, last = np.unique(keys[nonzero][::-1], return_index=True)
+    edges = np.empty(len(keys), dtype=EDGE_DTYPE)
+    edges["i"], edges["j"] = np.divmod(keys, n)
+    edges["w"] = weights[nonzero][::-1][last]
     return SignedGraph(tuple(words), edges, construct, rho, dropped)
 
 
@@ -130,21 +134,21 @@ def signed_laplacian(g: SignedGraph, *, normalized: bool = False) -> np.ndarray:
     Isolated nodes make the spectral embedding meaningless, so they are an
     error that names the words involved.
     """
-    n = g.n
-    W = np.zeros((n, n))
-    for i, j, w in g.edges:
-        W[i, j] = w
-        W[j, i] = w
-    absdeg = np.abs(W).sum(axis=1)
-    isolated = [g.node_words[i] for i in range(n) if absdeg[i] == 0.0]
+    i, j, w = g.edges["i"], g.edges["j"], g.edges["w"]
+    L = np.zeros((g.n, g.n))
+    L[i, j] = L[j, i] = np.abs(w)
+    absdeg = L.sum(axis=1)
+    isolated = [g.node_words[k] for k in np.flatnonzero(absdeg == 0.0)]
     if isolated:
         raise DataError(
             f"{len(isolated)} isolated word(s) in the signed graph: {isolated[:10]}"
         )
-    L = np.diag(absdeg) - W
+    L[i, j] = L[j, i] = -w
+    L[np.diag_indices(g.n)] = absdeg
     if normalized:
         inv_sqrt = 1.0 / np.sqrt(absdeg)
-        L = inv_sqrt[:, None] * L * inv_sqrt[None, :]
+        L *= inv_sqrt[:, None]
+        L *= inv_sqrt[None, :]
     return L
 
 
@@ -173,9 +177,7 @@ def cluster(
     L = signed_laplacian(graph, normalized=normalized)
     _, vecs = sym_eig_smallest(L, k)
     row_norms = np.linalg.norm(vecs, axis=1)
-    rows = vecs.copy()
-    nonzero = row_norms > 0
-    rows[nonzero] /= row_norms[nonzero][:, None]
+    rows = vecs / np.where(row_norms > 0, row_norms, 1.0)[:, None]
     assign = kmeans(rows, k, restarts=restarts, seed=seed)
 
     ci = lex.construct_index(construct)
@@ -185,12 +187,10 @@ def cluster(
         members[c].append((w, float(lex.entries[w][ci])))
     means = [float(np.mean([r for _, r in m])) if m else float("nan") for m in members]
     overall = float(np.mean([r for m in members for _, r in m]))
-    clusters = []
-    for c in range(k):
-        high_pole = means[c] == means[c] and means[c] >= overall
-        clusters.append(
-            sorted(members[c], key=lambda wr: wr[1], reverse=high_pole)
-        )
+    clusters = [
+        sorted(m, key=lambda wr: wr[1], reverse=mean >= overall)
+        for m, mean in zip(members, means)
+    ]
     prov = {
         "construct": construct,
         "k": k,

@@ -2,14 +2,16 @@
 
 The file format is the common ``.vec`` text convention: an optional first
 line ``count dim`` (two integers), then one record per line, ``word f1 ...
-fdim``.  Vectors are stored at 32-bit precision; centroid accumulation runs
-at 64-bit.  Tables are read-only after loading and safe to share across
-threads.
+fdim``.  Vectors are stored at 32-bit precision, as the rows of one matrix;
+centroid accumulation runs at 64-bit.  Tables are read-only after loading
+and safe to share across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -17,40 +19,43 @@ import numpy as np
 
 from .errors import DataError, DimensionError, FormatError
 
-__all__ = ["EmbeddingTable", "load_embeddings", "centroid", "cosine"]
+__all__ = ["EmbeddingTable", "load_embeddings", "centroid", "centroids", "cosine"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingTable:
     """Word -> fixed-dimension vector map with zero-vector fallback.
 
-    Looking up an absent word yields the all-zero vector of length ``dim``;
-    it is never an error.
+    ``vectors`` is one float32 (len(words), dim) matrix, row i for words[i].
+    An absent word looks up as the zero vector; it is never an error.
     """
 
-    dim: int
-    vectors: dict[str, np.ndarray]
+    words: tuple[str, ...]
+    vectors: np.ndarray
     skipped_lines: int = 0
 
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
+
+    @cached_property
+    def rows(self) -> dict[str, int]:
+        return dict(zip(self.words, range(len(self.words))))
+
     def __contains__(self, word: str) -> bool:
-        return word in self.vectors
+        return word in self.rows
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.words)
 
     def lookup(self, word: str) -> np.ndarray:
-        vec = self.vectors.get(word)
-        if vec is None:
-            return np.zeros(self.dim, dtype=np.float32)
-        return vec.copy()
+        return self.matrix([word])[0]
 
     def matrix(self, words: Sequence[str]) -> np.ndarray:
-        """Stack vectors for ``words`` into a (len(words), dim) float32 array."""
-        out = np.zeros((len(words), self.dim), dtype=np.float32)
-        for i, word in enumerate(words):
-            vec = self.vectors.get(word)
-            if vec is not None:
-                out[i] = vec
+        """(len(words), dim) float32 rows for ``words``; absent words get zeros."""
+        index = np.fromiter(map(self.rows.get, words, repeat(-1)), np.intp, len(words))
+        out = self.vectors[index]
+        out[index < 0] = 0.0
         return out
 
 
@@ -65,7 +70,8 @@ def load_embeddings(
     files).
     """
     keep = set(restrict_to) if restrict_to is not None else None
-    vectors: dict[str, np.ndarray] = {}
+    rows: dict[str, int] = {}
+    data = bytearray()  # the float32 rows, appended in place
     dim: int | None = None
     data_lines = 0
     skipped = 0
@@ -81,34 +87,22 @@ def load_embeddings(
                 except ValueError:
                     pass
             data_lines += 1
-            if dim is None:
-                if len(parts) < 2:
-                    skipped += 1
-                    continue
-                try:
-                    values = np.array(parts[1:], dtype=np.float32)
-                except ValueError:
-                    skipped += 1
-                    continue
-                if not np.all(np.isfinite(values)):
-                    skipped += 1
-                    continue
-                dim = len(values)
-            else:
-                if len(parts) != dim + 1:
-                    skipped += 1
-                    continue
-                try:
-                    values = np.array(parts[1:], dtype=np.float32)
-                except ValueError:
-                    skipped += 1
-                    continue
-                if not np.all(np.isfinite(values)):
-                    skipped += 1
-                    continue
+            if len(parts) < 2 or (dim is not None and len(parts) != dim + 1):
+                skipped += 1
+                continue
+            try:
+                values = np.array(parts[1:], dtype=np.float32)
+            except ValueError:
+                values = None
+            if values is None or not np.isfinite(values).all():
+                skipped += 1
+                continue
+            dim = len(values)
             if keep is not None and parts[0] not in keep:
                 continue
-            vectors[parts[0]] = values
+            # a repeated word keeps its first row and takes the last vector
+            row = rows.setdefault(parts[0], len(rows))
+            data[row * values.nbytes : (row + 1) * values.nbytes] = values.tobytes()
     if data_lines == 0:
         raise FormatError(f"{path}: no vector records found")
     if skipped > 0.01 * data_lines:
@@ -116,9 +110,10 @@ def load_embeddings(
             f"{path}: {skipped} of {data_lines} lines skipped (wrong arity or "
             f"unparsable values), over the 1% budget"
         )
-    if not vectors:
+    if not rows:
         raise FormatError(f"{path}: no embedding vectors loaded")
-    return EmbeddingTable(int(dim), vectors, skipped)
+    matrix = np.frombuffer(data, dtype=np.float32).reshape(len(rows), dim)
+    return EmbeddingTable(tuple(rows), matrix, skipped)
 
 
 def centroid(doc, table: EmbeddingTable) -> np.ndarray:
@@ -131,12 +126,27 @@ def centroid(doc, table: EmbeddingTable) -> np.ndarray:
     tokens = getattr(doc, "tokens", doc)
     if len(tokens) == 0:
         raise DataError("centroid of a document with no tokens is undefined")
-    acc = np.zeros(table.dim, dtype=np.float64)
-    for tok in tokens:
-        vec = table.vectors.get(tok)
-        if vec is not None:
-            acc += vec
-    return acc / len(tokens)
+    return table.matrix(tokens).sum(axis=0, dtype=np.float64) / len(tokens)
+
+
+def centroids(corpus, table: EmbeddingTable) -> np.ndarray:
+    """Every document's :func:`centroid` as counts @ vectors / lengths over a
+    corpus's CSR counts, 64 documents at a time, each block dense over just
+    the terms it holds: no temporary grows with the corpus."""
+    if not corpus.lengths.all():
+        raise DataError("centroid of a document with no tokens is undefined")
+    vectors = table.matrix(corpus.terms).astype(np.float64)
+    out = np.empty((len(corpus.lengths), table.dim))
+    rows = corpus.entry_rows()
+    for start in range(0, len(out), 64):
+        stop = min(start + 64, len(out))
+        lo, hi = corpus.indptr[start], corpus.indptr[stop]
+        terms, cols = np.unique(corpus.indices[lo:hi], return_inverse=True)
+        counts = np.zeros((stop - start, len(terms)))
+        counts[rows[lo:hi] - start, cols] = corpus.counts[lo:hi]
+        out[start:stop] = counts @ vectors[terms]
+    out /= corpus.lengths[:, None]
+    return out
 
 
 def cosine(u, v) -> float:

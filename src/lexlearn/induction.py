@@ -26,7 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus, _first_non_utf8_line, corpus_fingerprint
-from .embeddings import EmbeddingTable, centroid
+# centroid stays importable from here for code that wraps it by module
+# attribute; fit_mlffn takes all document centroids at once
+from .embeddings import EmbeddingTable, centroid, centroids  # noqa: F401
 from .errors import DataError, DegenerateLabelsError, DimensionError
 from .neural import FeedForwardNet, NetConfig, forward_batch, train
 from .numerics import ridge_fit
@@ -226,14 +228,11 @@ def fit_mlffn(
     in_vocab = sorted(w for w in corpus.vocab if w in table)
     if not in_vocab:
         raise DataError("mlffn: no corpus word has an embedding vector")
-    X = np.stack([centroid(doc, table) for doc in corpus.documents])
+    X = centroids(corpus, table)
     Y = np.array([[doc.ratings[c] for c in constructs] for doc in corpus.documents])
     net, log = train(config, X, Y)
 
-    if rate_all_embedded:
-        words = sorted(set(table.vectors) | set(in_vocab))
-    else:
-        words = in_vocab
+    words = sorted(table.words) if rate_all_embedded else in_vocab
     oov: list[str] = []
     if include_oov_words:
         oov = sorted(w for w in corpus.vocab if w not in table)
@@ -376,5 +375,10 @@ def load_lexicon(path: str | Path) -> Lexicon:
     prov_path = Path(str(path) + ".prov")
     provenance = {}
     if prov_path.exists():
-        provenance = json.loads(prov_path.read_text(encoding="utf-8"))
+        try:
+            provenance = json.loads(prov_path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise DataError(f"{prov_path}: malformed sidecar: {exc}") from None
+        if not isinstance(provenance, dict):
+            raise DataError(f"{prov_path}: provenance sidecar is not a JSON object")
     return Lexicon(constructs, entries, provenance)

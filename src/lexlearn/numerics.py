@@ -137,7 +137,8 @@ def sym_eig_smallest(A, k: int):
     if not np.isfinite(A).all():
         # eigh returns NaN for such input instead of raising
         raise NumericalError("sym_eig_smallest: matrix holds a non-finite value")
-    if np.max(np.abs(A - A.T)) > 1e-8:
+    # A - A.T is antisymmetric, so its max is its largest |entry|
+    if (A - A.T).max() > 1e-8:
         raise DimensionError("sym_eig_smallest: matrix is not symmetric within 1e-8")
     try:
         vals, vecs = np.linalg.eigh(A)

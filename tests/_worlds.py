@@ -7,9 +7,23 @@ learning method recovers.
 
 import numpy as np
 
+from lexlearn.clustering import EDGE_DTYPE
 from lexlearn.corpus import Document, GoldWordLexicon, build_corpus
 from lexlearn.embeddings import EmbeddingTable
 from lexlearn.induction import Lexicon
+
+
+def embedding_table(vectors):
+    """EmbeddingTable over a word -> vector dict, one row per word in dict
+    order."""
+    return EmbeddingTable(
+        tuple(vectors), np.array(list(vectors.values()), dtype=np.float32)
+    )
+
+
+def edge_array(edges):
+    """SignedGraph edge array from (i, j, w) triples."""
+    return np.array(list(edges), dtype=EDGE_DTYPE)
 
 
 def linear_world(seed, n_words=100, dim=100, n_docs=1000, words_per_doc=10,
@@ -38,7 +52,7 @@ def linear_world(seed, n_words=100, dim=100, n_docs=1000, words_per_doc=10,
         label = float(label + rng.normal(0.0, noise))
         docs.append(Document(f"d{i:05d}", toks, {"aff": label}))
     corpus = build_corpus(docs, ["aff"])
-    table = EmbeddingTable(dim, vecs)
+    table = embedding_table(vecs)
     gold = GoldWordLexicon(("aff",), {w: (planted[w],) for w in words[:n_words]})
     return corpus, table, gold, planted, words[n_words:]
 
@@ -83,7 +97,7 @@ def planted_block_lexicon(seed, per_block=40, dim=30, jitter=0.05,
             entries[w] = np.array([rating + rng.uniform(-jitter, jitter)])
             labels[w] = block
     lex = Lexicon(("aff",), {w: entries[w] for w in words})
-    return lex, EmbeddingTable(dim, vecs), labels
+    return lex, embedding_table(vecs), labels
 
 
 def adjusted_rand_index(a, b):

@@ -505,6 +505,10 @@ BAD_TABLES = [
     ("lexicon-not-utf8", "describe", "lex.tsv", (9, b"caf\xe9\t0.5"),
      "load-lexicon", 9),
     ("users-missing", "extrinsic", "users.csv", None, "load-users", None),
+    ("lexicon-sidecar-malformed", "describe", "lex.tsv.prov", b"{bad",
+     "load-lexicon", None),
+    ("lexicon-sidecar-not-object", "cluster", "lex.tsv.prov", b"[1]\n",
+     "load-lexicon", None),
 ]
 
 

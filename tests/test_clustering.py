@@ -11,17 +11,21 @@ from lexlearn.clustering import (
     save_clusters,
     signed_laplacian,
 )
-from lexlearn.embeddings import EmbeddingTable
 from lexlearn.errors import DataError
 from lexlearn.induction import Lexicon
 from lexlearn.numerics import sym_eig_smallest
 
-from _worlds import adjusted_rand_index, planted_block_lexicon
+from _worlds import (
+    adjusted_rand_index,
+    edge_array,
+    embedding_table,
+    planted_block_lexicon,
+)
 
 
 def two_word_setup(r1, r2):
     vec = np.array([1.0, 0.0, 0.0], dtype=np.float32)
-    table = EmbeddingTable(3, {"a": vec.copy(), "b": vec.copy()})
+    table = embedding_table({"a": vec.copy(), "b": vec.copy()})
     lex = Lexicon(("aff",), {"a": np.array([r1]), "b": np.array([r2])})
     return lex, table
 
@@ -55,7 +59,7 @@ class TestSignedGraph:
                 entries[w] = np.array([rating + rng.uniform(-0.05, 0.05)])
                 group[w] = g_id
         lex = Lexicon(("aff",), entries)
-        table = EmbeddingTable(dim, vecs)
+        table = embedding_table(vecs)
         g = build_signed_graph(lex, "aff", table, knn=8, rho=2.0)
         for i, j, w in g.edges:
             same = group[g.node_words[i]] == group[g.node_words[j]]
@@ -88,16 +92,65 @@ class TestSignedGraph:
         assert g.rho == pytest.approx(2.0)
 
 
+class TestSignedGraphBruteForce:
+    @staticmethod
+    def brute_force(g, lex, table, knn, clip):
+        """{(i, j): w} from each node's knn most cosine-similar nodes."""
+        vecs = table.matrix(g.node_words).astype(np.float64)
+        unit = vecs / np.linalg.norm(vecs, axis=1)[:, None]
+        ratings = [lex.entries[w][0] for w in g.node_words]
+        n = len(unit)
+        edges = {}
+        for i in range(n):
+            cos = np.clip(unit @ unit[i], -1.0, 1.0).tolist()
+            nearest = sorted((j for j in range(n) if j != i), key=lambda j: -cos[j])
+            for j in nearest[:knn]:
+                base = max(cos[j], 0.0) if clip else cos[j]
+                w = base * (1.0 - abs(ratings[i] - ratings[j]) / g.rho)
+                if w != 0.0:
+                    edges[min(i, j), max(i, j)] = w
+        return edges
+
+    @pytest.mark.parametrize("clip", [True, False])
+    @pytest.mark.parametrize(
+        "seed,n,dim,knn",
+        [(60, 12, 3, 1), (61, 30, 4, 5), (62, 45, 2, 9), (63, 530, 5, 4)],
+    )
+    def test_edges_equal_brute_force(self, seed, n, dim, knn, clip):
+        # integer ratings and rho=2 make some weights exactly zero; n=530
+        # spans two 512-row similarity blocks
+        rng = np.random.default_rng(seed)
+        words = [f"w{i:03d}" for i in range(n)]
+        table = embedding_table(
+            {w: rng.standard_normal(dim).astype(np.float32) for w in words}
+        )
+        lex = Lexicon(
+            ("aff",), {w: np.array([float(rng.integers(1, 6))]) for w in words}
+        )
+        g = build_signed_graph(
+            lex, "aff", table, knn=knn, rho=2.0, clip_negative_cosine=clip
+        )
+        expected = self.brute_force(g, lex, table, knn, clip)
+        pairs = [(int(i), int(j)) for i, j, _ in g.edges]
+        assert all(i < j for i, j in pairs)
+        assert pairs == sorted(set(pairs))  # sorted, no duplicates
+        assert set(pairs) == set(expected)
+        for i, j, w in g.edges:
+            assert abs(w - expected[i, j]) <= 1e-12
+        assert (g.edges["w"] < 0).any()
+        assert clip or (g.edges["w"] > 0).any()
+
+
 class TestSignedLaplacian:
     def test_single_positive_edge(self):
-        g = SignedGraph(("a", "b"), ((0, 1, 1.0),), "aff", 1.0)
+        g = SignedGraph(("a", "b"), edge_array([(0, 1, 1.0)]), "aff", 1.0)
         L = signed_laplacian(g)
         assert np.array_equal(L, np.array([[1.0, -1.0], [-1.0, 1.0]]))
         vals, _ = sym_eig_smallest(L, 2)
         assert vals == pytest.approx([0.0, 2.0], abs=1e-12)
 
     def test_single_negative_edge_splits_by_sign(self):
-        g = SignedGraph(("a", "b"), ((0, 1, -1.0),), "aff", 1.0)
+        g = SignedGraph(("a", "b"), edge_array([(0, 1, -1.0)]), "aff", 1.0)
         L = signed_laplacian(g)
         assert np.array_equal(L, np.array([[1.0, 1.0], [1.0, 1.0]]))
         vals, vecs = sym_eig_smallest(L, 2)
@@ -117,7 +170,8 @@ class TestSignedLaplacian:
                         edges.append((i, j, float(rng.normal())))
             if not edges or {i for e in edges for i in e[:2]} != set(range(n)):
                 continue
-            g = SignedGraph(tuple(f"w{i}" for i in range(n)), tuple(edges), "aff", 1.0)
+            words = tuple(f"w{i}" for i in range(n))
+            g = SignedGraph(words, edge_array(edges), "aff", 1.0)
             L = signed_laplacian(g)
             x = rng.standard_normal(n)
             direct = float(x @ L @ x)
@@ -127,7 +181,7 @@ class TestSignedLaplacian:
             assert direct == pytest.approx(by_edges, abs=1e-10)
 
     def test_isolated_node_error_names_words(self):
-        g = SignedGraph(("a", "b", "lonely"), ((0, 1, 1.0),), "aff", 1.0)
+        g = SignedGraph(("a", "b", "lonely"), edge_array([(0, 1, 1.0)]), "aff", 1.0)
         with pytest.raises(DataError, match="lonely"):
             signed_laplacian(g)
 
@@ -176,7 +230,7 @@ class TestCluster:
                 entries[w] = np.array([rating + rng.uniform(-0.05, 0.05)])
                 labels.append(g_id)
         lex = Lexicon(("aff",), entries)
-        table = EmbeddingTable(dim, vecs)
+        table = embedding_table(vecs)
         result = cluster(lex, "aff", table, 2, knn=8, rho=2.0, seed=0)
         pred = [result.assignment[w] for w in words]
         assert adjusted_rand_index(labels, pred) >= 0.9
@@ -195,7 +249,7 @@ class TestCluster:
                 vecs[w] = (d + 0.01 * rng.standard_normal(dim)).astype(np.float32)
                 entries[w] = np.array([3.0])
         lex = Lexicon(("aff",), entries)
-        table = EmbeddingTable(dim, vecs)
+        table = embedding_table(vecs)
         result = cluster(lex, "aff", table, 2, knn=5, rho=1.0, seed=1)
         a_ids = {result.assignment[f"a{i}"] for i in range(10)}
         b_ids = {result.assignment[f"b{i}"] for i in range(10)}
@@ -224,7 +278,7 @@ class TestCluster:
         from lexlearn.numerics import kmeans
 
         def assignment_from(edge_set):
-            gg = SignedGraph(words, edge_set, "aff", 1.0)
+            gg = SignedGraph(words, edge_array(edge_set), "aff", 1.0)
             L = signed_laplacian(gg)
             vals, vecs = sym_eig_smallest(L, 4)
             norms = np.linalg.norm(vecs, axis=1)

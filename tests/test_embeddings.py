@@ -1,11 +1,15 @@
 """Word-vector loading, centroids, cosine."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from lexlearn.corpus import Document
-from lexlearn.embeddings import EmbeddingTable, centroid, cosine, load_embeddings
-from lexlearn.errors import DimensionError, FormatError
+from lexlearn.corpus import Document, build_corpus
+from lexlearn.embeddings import centroid, cosine, centroids, load_embeddings
+from lexlearn.errors import DataError, DimensionError, FormatError
+
+from _worlds import embedding_table
 
 
 @pytest.fixture
@@ -62,6 +66,21 @@ class TestLoad:
         with pytest.raises(FormatError):
             load_embeddings(small_vec, restrict_to={"nope"})
 
+    def test_repeated_word_keeps_first_row_and_last_vector(self, tmp_path):
+        path = tmp_path / "r.vec"
+        path.write_text("apple 1 0 0\nbanana 0 1 0\napple 0 0 2\n", encoding="utf-8")
+        table = load_embeddings(str(path))
+        assert table.words == ("apple", "banana")
+        assert table.vectors.shape == (2, 3) and table.vectors.dtype == np.float32
+        assert np.array_equal(table.lookup("apple"), [0, 0, 2])
+
+    def test_matrix_rows_with_zero_rows_for_absent_words(self, small_vec):
+        table = load_embeddings(small_vec)
+        got = table.matrix(["banana", "zzz", "apple", "banana"])
+        assert got.dtype == np.float32
+        assert np.array_equal(got, [[0, 1, 0], [0, 0, 0], [1, 0, 0], [0, 1, 0]])
+        assert table.matrix([]).shape == (0, 3)
+
 
 class TestCentroid:
     def test_two_words(self, small_vec):
@@ -81,28 +100,69 @@ class TestCentroid:
     def test_single_token_equals_vector(self):
         rng = np.random.default_rng(0)
         vec = rng.standard_normal(5).astype(np.float32)
-        table = EmbeddingTable(5, {"w": vec})
+        table = embedding_table({"w": vec})
         assert np.array_equal(centroid(["w"], table), vec.astype(np.float64))
 
     def test_norm_bounded_by_max_vector_norm(self):
         rng = np.random.default_rng(1)
         words = [f"w{i}" for i in range(30)]
-        table = EmbeddingTable(
-            4, {w: rng.standard_normal(4).astype(np.float32) for w in words}
+        table = embedding_table(
+            {w: rng.standard_normal(4).astype(np.float32) for w in words}
         )
-        max_norm = max(np.linalg.norm(v) for v in table.vectors.values())
+        max_norm = np.linalg.norm(table.vectors, axis=1).max()
         for _ in range(50):
             toks = list(rng.choice(words + ["zzz"], size=rng.integers(1, 12)))
             assert np.linalg.norm(centroid(toks, table)) <= max_norm + 1e-12
 
     def test_table_not_mutated(self, small_vec):
         table = load_embeddings(small_vec)
-        before = {w: v.copy() for w, v in table.vectors.items()}
+        before = table.vectors.copy()
         centroid(["apple", "banana", "apple"], table)
         vec = table.lookup("apple")
         vec[:] = 99.0  # lookup returns a copy
-        for w, v in table.vectors.items():
-            assert np.array_equal(v, before[w])
+        assert np.array_equal(table.vectors, before)
+
+
+class TestCorpusCentroids:
+    @staticmethod
+    def world(seed):
+        # 150 documents (three 64-row blocks) over 40 words, 30 of them
+        # embedded; short documents repeat tokens
+        rng = np.random.default_rng(seed)
+        words = [f"w{i:02d}" for i in range(40)]
+        table = embedding_table(
+            {w: rng.standard_normal(6).astype(np.float32) for w in words[:30]}
+        )
+        docs = [
+            Document(f"d{i}", tuple(rng.choice(words, rng.integers(1, 15))), {"a": 0.0})
+            for i in range(150)
+        ]
+        return rng, table, build_corpus(docs, ["a"], min_df=30)
+
+    @staticmethod
+    def assert_matches_centroid(corpus, table):
+        got = centroids(corpus, table)
+        want = np.stack([centroid(doc, table) for doc in corpus.documents])
+        assert got.shape == want.shape == (len(corpus), table.dim)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equal_stacked_centroids(self, seed):
+        rng, table, corpus = self.world(seed)
+        tokens = [t for doc in corpus.documents for t in doc.tokens]
+        assert any(t not in table for t in tokens)  # OOV tokens dilute
+        assert len(tokens) > len(corpus.entry_rows())  # repeated tokens
+        assert len(corpus.vocab) < len(corpus.terms)  # min_df masks words
+        self.assert_matches_centroid(corpus, table)
+        fold = corpus.select(rng.permutation(len(corpus))[:70])
+        self.assert_matches_centroid(fold, table)
+
+    def test_zero_token_document_is_an_error(self):
+        _, table, corpus = self.world(0)
+        lengths = corpus.lengths.copy()
+        lengths[5] = 0
+        with pytest.raises(DataError, match="no tokens"):
+            centroids(dataclasses.replace(corpus, lengths=lengths), table)
 
 
 class TestCosine:

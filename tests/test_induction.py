@@ -23,6 +23,7 @@ from lexlearn.numerics import pearson
 from _worlds import (
     brute_force_mean_binary,
     brute_force_mean_star,
+    embedding_table,
     linear_world,
     random_corpus,
 )
@@ -286,10 +287,9 @@ class TestMlffn:
         corpus, _, _, _, _ = linear_world(
             4, n_words=20, dim=6, n_docs=30, words_per_doc=4, noise=0.0
         )
-        from lexlearn.embeddings import EmbeddingTable
         from lexlearn.errors import DataError
 
-        alien = EmbeddingTable(6, {"zzz": np.ones(6, dtype=np.float32)})
+        alien = embedding_table({"zzz": np.ones(6, dtype=np.float32)})
         cfg = NetConfig(6, 1, (4,), dropout_input=0, dropout_hidden=0,
                         max_epochs=3, seed=4)
         with pytest.raises(DataError):
@@ -303,7 +303,7 @@ class TestMlffn:
         cfg = NetConfig(8, 1, (8,), dropout_input=0, dropout_hidden=0,
                         max_epochs=5, seed=3)
         lex, _ = fit_mlffn(corpus, ["aff"], table, cfg)
-        assert set(lex.entries) == set(corpus.vocab) & set(table.vectors)
+        assert set(lex.entries) == set(corpus.vocab) & set(table.words)
         assert not set(heldout) & set(lex.entries)
 
 
