@@ -110,8 +110,11 @@ def _parse_range(text: str) -> tuple[float, float]:
         lo, hi = float(lo), float(hi)
     except ValueError:
         raise _UsageFailure(f"expected LO:HI, got {text!r}") from None
-    if not lo < hi:
-        raise _UsageFailure(f"rescale range needs lo < hi, got {text!r}")
+    # hi - lo is finite only when lo and hi are
+    if not (lo < hi and np.isfinite(hi - lo)):
+        raise _UsageFailure(
+            f"rescale range needs finite lo < hi with a finite hi - lo, got {text!r}"
+        )
     return lo, hi
 
 
@@ -146,10 +149,12 @@ def _int_at_least(low: int):
 
 
 # the ranges mirror the library's own checks (NetConfig, ridge_fit,
-# eval_intrinsic, build_signed_graph, cluster); --min-df and --top count from 1
+# eval_intrinsic, build_signed_graph, cluster); --min-df and --top count from 1;
+# the comparisons are false for NaN
 _DROPOUT = _checked(float, lambda v: 0 <= v < 1, "a rate in [0, 1)")
 _FRACTION = _checked(float, lambda v: 0 < v < 1, "a fraction in (0, 1)")
-_NONNEGATIVE = _checked(float, lambda v: v >= 0, "a number >= 0")
+_NONNEGATIVE = _checked(float, lambda v: 0 <= v < np.inf, "a finite number >= 0")
+_POSITIVE = _checked(float, lambda v: 0 < v < np.inf, "a finite number > 0")
 
 
 def _net_config(args: argparse.Namespace, input_dim: int, output_dim: int) -> NetConfig:
@@ -187,6 +192,12 @@ def _constructs_from_args(args: argparse.Namespace) -> list[str]:
     return names
 
 
+def _load_corpus(args: argparse.Namespace, constructs: list[str]):
+    return _stage("load-corpus", load_corpus, args.corpus, args.text_column,
+                  constructs, id_column=args.id_column, delimiter=args.delimiter,
+                  min_df=args.min_df)
+
+
 def _merge_lexica(parts: list[Lexicon]) -> Lexicon:
     constructs = tuple(c for lex in parts for c in lex.constructs)
     words = set(parts[0].entries)
@@ -205,16 +216,8 @@ def cmd_induce(args: argparse.Namespace) -> int:
     method = METHOD_FLAGS[args.method]
     if method == "mlffn" and not args.embeddings:
         raise _UsageFailure("--embeddings is required for --method mlffn")
-    corpus = _stage(
-        "load-corpus",
-        load_corpus,
-        args.corpus,
-        args.text_column,
-        constructs,
-        id_column=args.id_column,
-        delimiter=args.delimiter,
-        min_df=args.min_df,
-    )
+    rescale = _parse_range(args.rescale) if args.rescale else None
+    corpus = _load_corpus(args, constructs)
     inputs = [args.corpus]
     parts = []
     if method == "mlffn":
@@ -248,9 +251,8 @@ def cmd_induce(args: argparse.Namespace) -> int:
                               args.ridge_lambda)
             parts.append(part)
     lex = parts[0] if len(parts) == 1 else _merge_lexica(parts)
-    if args.rescale:
-        lo, hi = _parse_range(args.rescale)
-        lex = _stage("rescale", rescale_log_minmax, lex, lo, hi)
+    if rescale:
+        lex = _stage("rescale", rescale_log_minmax, lex, *rescale)
     notes = {"method": method, "constructs": constructs, "lexicon": lex.provenance}
     _stage("write-output", save_lexicon, lex, args.out, provenance=False)
     _write_provenance(args.out, "induce", args, seed, inputs, notes)
@@ -275,16 +277,7 @@ def cmd_eval_intrinsic(args: argparse.Namespace) -> int:
                 f"unknown method(s) {unknown}; choose from {list(METHOD_FLAGS)}"
             )
     constructs = _constructs_from_args(args)
-    corpus = _stage(
-        "load-corpus",
-        load_corpus,
-        args.corpus,
-        args.text_column,
-        constructs,
-        id_column=args.id_column,
-        delimiter=args.delimiter,
-        min_df=args.min_df,
-    )
+    corpus = _load_corpus(args, constructs)
     gold = _stage(
         "load-gold",
         load_gold_lexicon,
@@ -304,26 +297,11 @@ def cmd_eval_intrinsic(args: argparse.Namespace) -> int:
     for flag in methods:
         kind = METHOD_FLAGS[flag]
         for construct in constructs:
-            if kind == "mlffn":
-                spec = MethodSpec(
-                    kind,
-                    table=table,
-                    net=_net_config(args, table.dim, 1),
-                )
-            else:
-                spec = MethodSpec(
-                    kind, ridge_lambda=args.ridge_lambda, median_ties=args.median_ties
-                )
-            report = _stage(
-                "eval",
-                eval_intrinsic,
-                corpus,
-                gold,
-                spec,
-                construct,
-                folds=args.folds,
-                seed=seed,
-            )
+            net = _net_config(args, table.dim, 1) if kind == "mlffn" else None
+            spec = MethodSpec(kind, ridge_lambda=args.ridge_lambda,
+                              median_ties=args.median_ties, net=net, table=table)
+            report = _stage("eval", eval_intrinsic, corpus, gold, spec, construct,
+                            folds=args.folds, seed=seed)
             reports.append(report)
             fold_text = ", ".join(
                 "failed" if v != v else f"{v:.4f}" for v in report.per_fold
@@ -438,11 +416,10 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _histogram_lines(values: np.ndarray, bins: int = 20, width: int = 40) -> list[str]:
-    counts, edges = np.histogram(values, bins=bins)
+def _histogram_lines(counts: np.ndarray, edges: np.ndarray, width: int = 40) -> list[str]:
     peak = max(int(counts.max()), 1)
     lines = []
-    for b in range(bins):
+    for b in range(len(counts)):
         bar = "#" * max(1 if counts[b] else 0, round(width * counts[b] / peak))
         lines.append(f"  [{edges[b]:9.4f}, {edges[b + 1]:9.4f}) {bar} {counts[b]}")
     return lines
@@ -460,9 +437,9 @@ def cmd_describe(args: argparse.Namespace) -> int:
             f"sd: {values.std(ddof=1) if len(values) > 1 else float('nan'):.4f}"
         )
         print("  histogram (20 bins):")
-        for line in _histogram_lines(values):
-            print(line)
         counts, edges = np.histogram(values, bins=20)
+        for line in _histogram_lines(counts, edges):
+            print(line)
         for b in range(20):
             plot_rows.append(
                 f"{construct}\t{b}\t{float(edges[b])!r}\t{float(edges[b + 1])!r}"
@@ -536,13 +513,13 @@ def _add_method_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--embeddings", default=None, help="word-vector file")
     parser.add_argument("--hidden", default="256,128",
                         help="comma-separated hidden layer sizes")
-    parser.add_argument("--lr", type=float, default=1e-3)
+    parser.add_argument("--lr", type=_POSITIVE, default=1e-3)
     parser.add_argument("--batch-size", type=_int_at_least(1), default=32)
     parser.add_argument("--epochs", type=_int_at_least(1), default=200)
     parser.add_argument("--patience", type=_int_at_least(1), default=20)
     parser.add_argument("--dropout-input", type=_DROPOUT, default=0.2)
     parser.add_argument("--dropout-hidden", type=_DROPOUT, default=0.5)
-    parser.add_argument("--l2", type=float, default=0.001)
+    parser.add_argument("--l2", type=_NONNEGATIVE, default=0.001)
     parser.add_argument("--val-fraction", type=_FRACTION, default=0.1)
     parser.add_argument("--monitor", choices=("mse", "pearson"), default="mse")
 
@@ -607,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--k", type=_int_at_least(2), default=50)
     p.add_argument("--knn", type=_int_at_least(1), default=20)
-    p.add_argument("--rho", type=float, default=None,
+    p.add_argument("--rho", type=_POSITIVE, default=None,
                    help="rating gap where edge signs flip "
                         "(default: half the rating range)")
     p.add_argument("--normalized", action="store_true",

@@ -101,8 +101,8 @@ def build_signed_graph(
         )
     if rho is None:
         rho = float(np.ptp(lex.values(construct))) / 2.0
-    if not rho > 0:
-        raise DataError(f"rho must be positive, got {rho}")
+    if not 0 < rho < np.inf:
+        raise DataError(f"rho must be finite and positive, got {rho}")
     unit = vectors[usable] / norms[usable][:, None]
     ratings = np.array(list(map(lex.entries.get, words)))[:, ci]
 

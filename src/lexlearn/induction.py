@@ -31,7 +31,9 @@ from .corpus import Corpus, _first_non_utf8_line, corpus_fingerprint
 from .embeddings import EmbeddingTable, centroid, centroids  # noqa: F401
 from .errors import DataError, DegenerateLabelsError, DimensionError
 from .neural import FeedForwardNet, NetConfig, forward_batch, train
-from .numerics import ridge_fit
+# ridge_fit stays importable from here for code that wraps it by module
+# attribute; fit_regression_weights passes the count arrays to the solver
+from .numerics import ridge_fit, ridge_fit_sparse  # noqa: F401
 
 __all__ = [
     "Lexicon",
@@ -181,15 +183,17 @@ def fit_regression_weights(
     col[cols] = np.arange(len(cols))
     rows, j = corpus.entry_rows(), col[corpus.indices]
     keep = j >= 0
-    X = np.zeros((len(corpus), len(words)))
-    X[rows[keep], j[keep]] = corpus.counts[keep] / corpus.lengths[rows[keep]]
-    model = ridge_fit(X, np.array(labels), ridge_lambda)
+    rows = rows[keep]
+    frequencies = corpus.counts[keep] / corpus.lengths[rows]
+    model = ridge_fit_sparse(rows, j[keep], frequencies, len(words), labels,
+                             ridge_lambda)
     entries = {w: np.array([model.coefficients[j]]) for j, w in enumerate(words)}
     prov = {
         "method": "regression_weights",
         "construct": construct,
         "ridge_lambda": ridge_lambda,
         "intercept": model.intercept,
+        "cg_iterations": model.iterations,
         "corpus_fingerprint": corpus_fingerprint(corpus),
     }
     return Lexicon((construct,), entries, prov)
@@ -290,7 +294,8 @@ def rescale_log_minmax(lex: Lexicon, lo: float, hi: float) -> Lexicon:
     Per construct: g(x) = ln(x - min + 1), then linear min-max of g onto
     [lo, hi].  Strictly monotone; the minimum maps to lo and the maximum to
     hi exactly.  A construct whose values are all equal collapses to the
-    midpoint with a warning.
+    midpoint with a warning.  A range whose ratings overflow raises
+    DataError.
     """
     if not lo < hi:
         raise ValueError(f"rescale: lo={lo} must be < hi={hi}")
@@ -306,13 +311,15 @@ def rescale_log_minmax(lex: Lexicon, lo: float, hi: float) -> Lexicon:
                 f"rescale: all {construct!r} ratings equal; assigning midpoint",
                 stacklevel=2,
             )
-            out[:, ci] = 0.5 * (lo + hi)
+            out[:, ci] = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
             continue
         g = np.log1p(col - vmin)
         scaled = lo + (hi - lo) * g / np.log1p(vmax - vmin)
         scaled[col == vmin] = lo
         scaled[col == vmax] = hi
         out[:, ci] = scaled
+    if not np.isfinite(out).all():
+        raise DataError(f"rescale: range [{lo}, {hi}] gives non-finite ratings")
     entries = {w: out[i].copy() for i, w in enumerate(words)}
     prov = dict(lex.provenance)
     prov["rescale"] = {"lo": lo, "hi": hi, "formula": RESCALE_FORMULA}

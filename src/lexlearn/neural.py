@@ -64,6 +64,8 @@ class NetConfig:
             raise ValueError("dropout rates must lie in [0, 1)")
         if not 0 < self.validation_fraction < 1:
             raise ValueError("validation_fraction must lie in (0, 1)")
+        if not (0 < self.learning_rate < np.inf and 0 <= self.l2 < np.inf):
+            raise ValueError("learning_rate must be finite and > 0, l2 finite and >= 0")
 
 
 @dataclass

@@ -1,9 +1,11 @@
-"""Dense numerical kernels: Pearson correlation, ridge regression, symmetric
+"""Numerical kernels: Pearson correlation, ridge regression, symmetric
 eigensolves, and k-means.
 
-Everything is plain numpy.  The eigensolver is one LAPACK symmetric
-eigendecomposition (``np.linalg.eigh``) sliced to the smallest pairs.  All
-stochastic routines take explicit seeds and are bit reproducible.
+Everything is plain numpy.  Ridge regression is matrix-free conjugate
+gradients over the (row, column, value) entries of the design matrix.  The
+eigensolver is one LAPACK symmetric eigendecomposition (``np.linalg.eigh``)
+sliced to the smallest pairs.  All stochastic routines take explicit seeds
+and are bit reproducible.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from .errors import (
     UndefinedCorrelationError,
 )
 
-__all__ = ["pearson", "RidgeModel", "ridge_fit", "sym_eig_smallest", "kmeans"]
+__all__ = ["pearson", "RidgeModel", "ridge_fit", "ridge_fit_sparse",
+           "sym_eig_smallest", "kmeans"]
 
 
 def pearson(x, y) -> float:
@@ -46,77 +49,93 @@ def pearson(x, y) -> float:
 
 @dataclass(frozen=True)
 class RidgeModel:
-    """Fitted linear model: intercept (unpenalized) plus one weight per feature."""
+    """Fitted linear model: intercept (unpenalized), one weight per feature,
+    and the solver's iteration count."""
 
     intercept: float
     coefficients: np.ndarray
+    iterations: int = 0
 
     def predict(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         return self.intercept + X @ self.coefficients
 
 
-def ridge_fit(X, y, lam: float) -> RidgeModel:
-    """Ridge regression via centered normal equations and a Cholesky solve.
+# CG stops at ||r|| <= CG_TOLERANCE * ||Xc'yc|| and fails after
+# CG_ITERATIONS_PER_DIM * min(n, p) iterations; in exact arithmetic it
+# converges within rank(Xc) <= min(n, p)
+CG_TOLERANCE = 1e-12
+CG_ITERATIONS_PER_DIM = 10
 
-    Minimizes sum_i (y_i - a0 - x_i . a)^2 + lam * ||a||^2 with the intercept
-    left out of the penalty (centering trick).  The system is solved in the
-    smaller of the two spaces, chosen from the shape of X: with at most as
-    many features as rows, the primal p x p system (Xc'Xc + lam I) a = Xc'yc;
-    with more features than rows, the dual n x n system
-    (Xc Xc' + lam I) d = yc, mapped back as a = Xc'd (Saunders, Gammerman &
-    Vovk 1998).  Both give the same minimizer.  The dual Gram also gets a
-    rank-one term along the ones vector, which centering leaves in its null
-    space; d is orthogonal to that vector, so the term leaves d unchanged
-    and at lam = 0 the dual gives the minimum-norm least-squares solution.
-    A numerically singular Gram matrix gets lam bumped by 1e-10 up to 3
-    times before giving up.
-    """
+
+def ridge_fit(X, y, lam: float) -> RidgeModel:
+    """Ridge regression of y on a dense X: its nonzero entries go to
+    :func:`ridge_fit_sparse`."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise DimensionError(
             f"ridge_fit: X is {X.shape}, y is {y.shape}; rows must match"
         )
-    if lam < 0:
-        raise ValueError("ridge_fit: lam must be nonnegative")
-    xm = X.mean(axis=0)
+    rows, cols = np.nonzero(X)
+    return ridge_fit_sparse(rows, cols, X[rows, cols], X.shape[1], y, lam)
+
+
+def ridge_fit_sparse(rows, cols, values, n_features: int, y, lam: float) -> RidgeModel:
+    """Ridge regression over the entries (rows, cols, values) of an
+    n x n_features X, n = len(y), summing repeated (row, col) pairs.
+
+    Minimizes sum_i (y_i - a0 - x_i . a)^2 + lam * ||a||^2, the intercept
+    unpenalized, by conjugate gradients (Hestenes & Stiefel 1952) on
+    (Xc'Xc + lam I) a = Xc'yc.  No matrix is formed: Xc a = X a - (xm . a) 1
+    is one ``np.bincount`` over the entries, and so is Xc'u = X'u for a u
+    that sums to 0, as Xc a and yc do.  Started at a = 0, CG stays in the
+    row space of Xc, so lam = 0 gives the minimum-norm least-squares
+    solution.  Not converging within the iteration cap raises NumericalError.
+    """
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    values, y = np.asarray(values, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    n, p = len(y), n_features
+    if rows.size and not (0 <= rows.min() <= rows.max() < n
+                          and 0 <= cols.min() <= cols.max() < p):
+        raise DimensionError(f"ridge_fit: an entry lies outside {n} x {p}")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError(f"ridge_fit: lam must be finite and nonnegative, got {lam}")
+    xm = np.bincount(cols, weights=values, minlength=p) / n
     ym = y.mean()
-    Xc = X - xm
     yc = y - ym
-    dual = X.shape[1] > X.shape[0]
-    if dual:
-        # s * 11' with s = trace / n^2 puts the ones direction at the mean
-        # eigenvalue, so a centred X of rank n - 1 factors even at lam = 0
-        gram = Xc @ Xc.T
-        gram += np.trace(gram) / X.shape[0] ** 2
-        rhs = yc
-    else:
-        gram, rhs = Xc.T @ Xc, Xc.T @ yc
-    diagonal = np.arange(gram.shape[0])
-    sol = None
-    for bump in range(4):
-        shifted = gram.copy()
-        shifted[diagonal, diagonal] += lam + bump * 1e-10
-        try:
-            chol = np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            continue
-        z = np.linalg.solve(chol, rhs)
-        sol = np.linalg.solve(chol.T, z)
-        break
-    if sol is None:
-        raise NumericalError(
-            "ridge_fit: Gram matrix stayed singular after 3 lambda bumps of 1e-10"
-        )
-    coef = Xc.T @ sol if dual else sol
-    intercept = float(ym - xm @ coef)
-    return RidgeModel(intercept, coef)
+    rhs = np.bincount(cols, weights=values * yc[rows], minlength=p)
+    coef = np.zeros(p)
+    resid, direction = rhs, rhs.copy()
+    rr = resid @ resid
+    stop = CG_TOLERANCE * np.sqrt(rr)
+    cap = CG_ITERATIONS_PER_DIM * min(n, p)
+    iterations = 0
+    while not np.sqrt(rr) <= stop:
+        if iterations == cap or not np.isfinite(rr):
+            raise NumericalError(
+                f"ridge_fit: conjugate gradients unconverged after {iterations} "
+                f"iterations (residual {np.sqrt(rr):.3g}, target {stop:.3g})"
+            )
+        iterations += 1
+        # q = (Xc'Xc + lam I) direction, with X' standing in for Xc' on u = Xc d
+        u = np.bincount(rows, weights=values * direction[cols], minlength=n)
+        u -= xm @ direction
+        q = np.bincount(cols, weights=values * u[rows], minlength=p) + lam * direction
+        step = rr / (direction @ q)
+        coef += step * direction
+        resid -= step * q
+        rr, rr_old = resid @ resid, rr
+        direction = resid + (rr / rr_old) * direction
+    return RidgeModel(float(ym - xm @ coef), coef, iterations)
 
 
 # ---------------------------------------------------------------------------
 # symmetric eigensolver
 # ---------------------------------------------------------------------------
+
+
+_CHECK_ROWS = 256
 
 
 def sym_eig_smallest(A, k: int):
@@ -134,11 +153,13 @@ def sym_eig_smallest(A, k: int):
     n = A.shape[0]
     if not 1 <= k <= n:
         raise DimensionError(f"sym_eig_smallest: k={k} out of range for n={n}")
-    if not np.isfinite(A).all():
+    # both checks run over row blocks, so neither builds an n x n temporary
+    blocks = [slice(i, i + _CHECK_ROWS) for i in range(0, n, _CHECK_ROWS)]
+    if not all(np.isfinite(A[b]).all() for b in blocks):
         # eigh returns NaN for such input instead of raising
         raise NumericalError("sym_eig_smallest: matrix holds a non-finite value")
     # A - A.T is antisymmetric, so its max is its largest |entry|
-    if (A - A.T).max() > 1e-8:
+    if max((A[b] - A[:, b].T).max() for b in blocks) > 1e-8:
         raise DimensionError("sym_eig_smallest: matrix is not symmetric within 1e-8")
     try:
         vals, vecs = np.linalg.eigh(A)

@@ -418,6 +418,23 @@ class TestDescribeAndRescale:
                    "--out", str(tmp_path / "o.tsv"), "--seed", "0"])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["rescale", "--range", "0:inf"],
+        ["rescale", "--range=-1e308:1e308"],  # hi - lo overflows
+        ["induce", "--method", "mean-star", "--rescale", "0:inf"],
+    ], ids=["rescale-inf", "rescale-overflow", "induce-inf"])
+    def test_non_finite_range_is_usage_error(self, toy, tmp_path, capsys, argv):
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("word\ta\nw0\t1.0\nw1\t2.0\nw2\t3.0\n", encoding="utf-8")
+        inputs = ["--corpus", str(toy), "--construct", "empathy"] \
+            if argv[0] == "induce" else ["--lexicon", str(lex)]
+        out = tmp_path / "o.tsv"
+        rc = main(argv + inputs + ["--out", str(out), "--seed", "0"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "usage:" in err and "finite" in err
+        assert not out.exists()
+
 
 BAD_FLAG_VALUES = [
     ("cluster", "--knn", "0"),
@@ -436,6 +453,19 @@ BAD_FLAG_VALUES = [
     ("induce", "--dropout-hidden", "1"),
     ("induce", "--val-fraction", "0"),
     ("induce", "--ridge-lambda", "-1"),
+    ("induce", "--ridge-lambda", "inf"),
+    ("intrinsic", "--ridge-lambda", "inf"),
+    ("induce", "--lr", "0"),
+    ("induce", "--lr", "-1"),
+    ("induce", "--lr", "inf"),
+    ("induce", "--lr", "nan"),
+    ("induce", "--l2", "-1"),
+    ("induce", "--l2", "inf"),
+    ("induce", "--l2", "nan"),
+    ("cluster", "--rho", "0"),
+    ("cluster", "--rho", "-1"),
+    ("cluster", "--rho", "inf"),
+    ("cluster", "--rho", "nan"),
 ]
 
 

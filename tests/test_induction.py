@@ -1,5 +1,6 @@
 """The four lexicon-learning methods and log min-max rescaling."""
 
+import time
 
 import numpy as np
 import pytest
@@ -240,6 +241,41 @@ class TestRegressionWeights:
                 bumped[j] += delta
                 assert loss(bumped) >= base
 
+    def test_paper_scale_fit_is_stationary(self):
+        # 10k documents of 100 Zipfian tokens over 20k words, as EmoBank
+        rng = np.random.default_rng(34)
+        n, size, length, lam = 10_000, 20_000, 100, 1.0
+        zipf = 1.0 / np.arange(1, size + 1)
+        ids = rng.choice(size, size=(n, length), p=zipf / zipf.sum())
+        names = np.array([f"w{i:05d}" for i in range(size)], dtype=object)
+        planted = rng.standard_normal(size)
+        labels = planted[ids].mean(axis=1) + 0.1 * rng.standard_normal(n)
+        docs = [Document(str(i), tuple(names[ids[i]]), {"aff": float(labels[i])})
+                for i in range(n)]
+        corpus = build_corpus(docs, ["aff"], min_df=2)
+        start = time.perf_counter()
+        lex = fit_regression_weights(corpus, "aff", ridge_lambda=lam)
+        assert time.perf_counter() - start < 10.0
+        assert len(lex) == len(corpus.vocab) > 10_000
+        assert lex.provenance["cg_iterations"] > 0
+        # gradient of the penalized loss through the CSR arrays: the residual
+        # sums to 0 and X'r = lam * a over the vocabulary columns
+        column = {t: j for j, t in enumerate(corpus.terms)}
+        coef = np.zeros(len(corpus.terms))
+        for word, rating in lex.ratings_for("aff").items():
+            coef[column[word]] = rating
+        rows = corpus.entry_rows()
+        freq = corpus.counts / corpus.lengths[rows]
+        freq[coef[corpus.indices] == 0.0] = 0.0  # words outside the vocabulary
+        fitted = np.bincount(rows, weights=freq * coef[corpus.indices], minlength=n)
+        resid = labels - lex.provenance["intercept"] - fitted
+        grad = np.bincount(corpus.indices, weights=freq * resid[rows],
+                           minlength=len(corpus.terms)) - lam * coef
+        scale = np.linalg.norm(np.bincount(
+            corpus.indices, weights=freq * (labels - labels.mean())[rows]))
+        assert abs(resid.sum()) <= 1e-9 * n
+        assert np.linalg.norm(grad[corpus.vocab_columns]) <= 1e-9 * scale
+
 
 class TestMlffn:
     def test_planted_linear_world_heldout_words(self):
@@ -343,11 +379,25 @@ class TestRescale:
         assert np.argmax(values) == np.argmax(got)
         assert np.argmin(values) == np.argmin(got)
 
+    @pytest.mark.parametrize("lo,hi", [(0.0, np.inf), (-1e308, 1e308)])
+    def test_non_finite_ratings_refused(self, lo, hi):
+        # the end points map to lo and hi exactly; the middle word overflows
+        lex = Lexicon(("v",), {w: np.array([v]) for w, v in zip("abc", (0, 1, 2))})
+        with pytest.raises(DataError, match="non-finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            rescale_log_minmax(lex, lo, hi)
+
     def test_all_equal_collapses_to_midpoint_with_warning(self):
         lex = Lexicon(("v",), {"a": np.array([2.0]), "b": np.array([2.0])})
         with pytest.warns(UserWarning, match="midpoint"):
             out = rescale_log_minmax(lex, 1.0, 7.0)
         assert out.entries["a"][0] == 4.0
+
+    def test_midpoint_of_a_wide_range_is_finite(self):
+        lex = Lexicon(("v",), {"a": np.array([2.0]), "b": np.array([2.0])})
+        with pytest.warns(UserWarning, match="midpoint"):
+            out = rescale_log_minmax(lex, 1e308, 1.7e308)
+        assert out.entries["a"][0] == 1.35e308
 
     def test_bad_range(self):
         lex = Lexicon(("v",), {"a": np.array([1.0]), "b": np.array([2.0])})

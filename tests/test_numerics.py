@@ -2,14 +2,16 @@
 
 The eigensolver wraps LAPACK (numpy.linalg.eigh), so its tests pin the
 contract around that call: the k smallest values in ascending order,
-eigen-residuals, orthonormal columns and the input checks.  Ridge is checked
-against a least-squares solve and a brute-force gradient-descent minimizer
-that knows nothing about normal equations.
+eigen-residuals, orthonormal columns and the input checks.  Ridge (conjugate
+gradients) is checked against a direct solve of the normal equations, a
+least-squares solve and a brute-force gradient-descent minimizer that knows
+nothing about normal equations.
 """
 
 import numpy as np
 import pytest
 
+from lexlearn import numerics
 from lexlearn.errors import (
     DimensionError,
     NumericalError,
@@ -20,6 +22,7 @@ from lexlearn.numerics import (
     kmeans,
     pearson,
     ridge_fit,
+    ridge_fit_sparse,
     sym_eig_smallest,
 )
 
@@ -126,8 +129,9 @@ class TestRidge:
         assert abs(grad_intercept) < 1e-6
         assert np.max(np.abs(grad_coef)) < 1e-6
 
-    def test_singular_gets_lambda_bump(self):
-        # constant column is collinear with the intercept: centered Gram is 0
+    def test_constant_column_gets_zero_weight(self):
+        # constant column is collinear with the intercept: centered Gram is 0,
+        # so is the right-hand side, and the solve returns at once
         model = ridge_fit(np.array([[1.0], [1.0]]), np.array([3.0, 5.0]), 0.0)
         assert model.coefficients[0] == pytest.approx(0.0, abs=1e-12)
         assert model.intercept == pytest.approx(4.0, abs=1e-12)
@@ -135,6 +139,11 @@ class TestRidge:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             ridge_fit(np.zeros((3, 2)), np.zeros(4), 1.0)
+
+    @pytest.mark.parametrize("lam", [-1.0, float("inf"), float("nan")])
+    def test_lambda_must_be_finite_and_nonnegative(self, lam):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ridge_fit(np.eye(3), np.arange(3.0), lam)
 
 
 def bag_of_words(rng, n, p, length=40):
@@ -146,7 +155,8 @@ def bag_of_words(rng, n, p, length=40):
 
 
 class TestRidgeDual:
-    """More features than rows: ridge_fit solves the n x n dual system."""
+    """As many or more features than rows: conjugate gradients against a
+    direct solve of the primal normal equations."""
 
     @pytest.mark.parametrize("shape", [(200, 500), (300, 301)])
     @pytest.mark.parametrize("lam", [1e-3, 1.0, 100.0])
@@ -176,6 +186,75 @@ class TestRidgeDual:
         model = ridge_fit(X, y, 0.0)
         assert np.max(np.abs(model.coefficients - ref)) <= 1e-6
         assert np.max(np.abs(model.predict(X) - y)) <= 1e-6
+
+
+def sparse_bag_of_words(rng, n, p, length=30):
+    """Entries of n random documents' relative word frequencies over p words,
+    with repeated (row, col) pairs, and the dense X they sum to."""
+    rows = np.repeat(np.arange(n), length)
+    cols = rng.integers(0, p, n * length)
+    values = np.full(n * length, 1.0 / length)
+    X = np.zeros((n, p))
+    np.add.at(X, (rows, cols), values)
+    return rows, cols, values, X
+
+
+class TestRidgeSparse:
+    @pytest.mark.parametrize("shape", [(120, 300), (300, 80)])
+    @pytest.mark.parametrize("lam", [1e-3, 1.0, 100.0])
+    def test_matches_normal_equations_on_densified_x(self, shape, lam):
+        n, p = shape
+        rng = np.random.default_rng(n * p)
+        rows, cols, values, X = sparse_bag_of_words(rng, n, p)
+        y = X @ rng.standard_normal(p) + 0.1 * rng.standard_normal(n)
+        xm, ym = X.mean(axis=0), y.mean()
+        Xc = X - xm
+        coef = np.linalg.solve(Xc.T @ Xc + lam * np.eye(p), Xc.T @ (y - ym))
+        model = ridge_fit_sparse(rows, cols, values, p, y, lam)
+        assert model.iterations > 0
+        err = np.linalg.norm(model.coefficients - coef) / np.linalg.norm(coef)
+        assert err <= 1e-9
+        assert abs(model.intercept - (ym - xm @ coef)) <= 1e-9
+
+    @pytest.mark.parametrize("shape", [(120, 300), (300, 80)])
+    def test_lambda_zero_matches_lstsq(self, shape):
+        n, p = shape
+        rng = np.random.default_rng(n + p)
+        rows, cols, values, X = sparse_bag_of_words(rng, n, p)
+        y = X @ rng.standard_normal(p) + 0.1 * rng.standard_normal(n)
+        Xc = X - X.mean(axis=0)
+        ref, *_ = np.linalg.lstsq(Xc, y - y.mean(), rcond=None)
+        model = ridge_fit_sparse(rows, cols, values, p, y, 0.0)
+        err = np.linalg.norm(model.coefficients - ref) / np.linalg.norm(ref)
+        assert err <= 1e-9
+
+    def test_constant_labels_return_zero_at_once(self):
+        rng = np.random.default_rng(5)
+        rows, cols, values, _ = sparse_bag_of_words(rng, 20, 10)
+        model = ridge_fit_sparse(rows, cols, values, 10, np.full(20, 3.0), 1.0)
+        assert model.iterations == 0
+        assert not model.coefficients.any()
+        assert model.intercept == 3.0
+
+    def test_reaching_the_cap_raises(self, monkeypatch):
+        # lam = 0 on a nearly square Gaussian X needs more CG iterations than
+        # min(n, p) = 300 in floating point (about 500)
+        rng = np.random.default_rng(7 * 300 + 301)
+        X = rng.standard_normal((300, 301))
+        y = X @ rng.standard_normal(301) + rng.standard_normal(300)
+        monkeypatch.setattr(numerics, "CG_ITERATIONS_PER_DIM", 1)
+        with pytest.raises(NumericalError, match="after 300 iterations"):
+            ridge_fit(X, y, 0.0)
+
+    def test_non_finite_entry_raises(self):
+        X = np.eye(4)
+        X[2, 1] = np.nan
+        with pytest.raises(NumericalError, match="unconverged after 0 iterations"):
+            ridge_fit(X, np.arange(4.0), 1.0)
+
+    def test_entry_outside_the_shape_is_rejected(self):
+        with pytest.raises(DimensionError, match="outside 2 x 3"):
+            ridge_fit_sparse([0, 1], [0, 3], [1.0, 1.0], 3, [1.0, 2.0], 1.0)
 
 
 class TestSymEig:
@@ -251,6 +330,20 @@ class TestSymEig:
         with pytest.raises(NumericalError, match="non-finite"):
             sym_eig_smallest(A, 1)
 
+    def test_checks_reach_the_last_row_block(self):
+        # the checks run over row blocks; put each fault in the last one
+        n = 2 * numerics._CHECK_ROWS + 7
+        A = np.eye(n)
+        A[n - 1, 3] = 1e-7
+        with pytest.raises(DimensionError, match="within 1e-8"):
+            sym_eig_smallest(A, 1)
+        A[n - 1, 3] = 0.0
+        A[n - 2, 5] = 9e-9  # within the bound
+        assert sym_eig_smallest(A, 1)[0].shape == (1,)
+        A[n - 1, n - 1] = np.inf
+        with pytest.raises(NumericalError, match="non-finite"):
+            sym_eig_smallest(A, 1)
+
 
 class TestKMeans:
     def test_planted_blobs(self):
@@ -296,3 +389,4 @@ class TestKMeans:
     def test_k_too_large(self):
         with pytest.raises(DimensionError):
             kmeans(np.zeros((3, 2)), 4, restarts=1, seed=0)
+
