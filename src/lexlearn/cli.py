@@ -14,6 +14,7 @@ import hashlib
 import json
 import secrets
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from . import __version__
 from .clustering import cluster, format_preview, save_clusters
 from .corpus import load_corpus, load_gold_lexicon
 from .embeddings import load_embeddings
-from .errors import LexlearnError
+from .errors import DataError, DimensionError, LexlearnError, UndefinedCorrelationError
 from .evaluation import (
     EVAL_TSV_HEADER,
     eval_extrinsic,
@@ -189,6 +190,8 @@ def _constructs_from_args(args: argparse.Namespace) -> list[str]:
         raise _UsageFailure("one of --construct or --constructs is required")
     if not names:
         raise _UsageFailure("no construct names given")
+    if len(set(names)) < len(names):
+        raise _UsageFailure(f"a construct is named twice: {names}")
     return names
 
 
@@ -199,15 +202,11 @@ def _load_corpus(args: argparse.Namespace, constructs: list[str]):
 
 
 def _merge_lexica(parts: list[Lexicon]) -> Lexicon:
+    # every part rates the same words: one corpus, one embedding table
     constructs = tuple(c for lex in parts for c in lex.constructs)
-    words = set(parts[0].entries)
-    for lex in parts[1:]:
-        words &= set(lex.entries)
-    entries = {
-        w: np.concatenate([lex.entries[w] for lex in parts]) for w in sorted(words)
-    }
+    ratings = np.hstack([lex.ratings for lex in parts])
     prov = {"per_construct": [lex.provenance for lex in parts]}
-    return Lexicon(constructs, entries, prov)
+    return Lexicon(constructs, parts[0].words, ratings, prov)
 
 
 def cmd_induce(args: argparse.Namespace) -> int:
@@ -381,7 +380,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     lex = _stage("load-lexicon", load_lexicon, args.lexicon)
     table = _stage("load-embeddings", load_embeddings, args.embeddings)
-    usable = np.count_nonzero(np.linalg.norm(table.matrix(list(lex.entries)), axis=1))
+    usable = np.count_nonzero(np.linalg.norm(table.matrix(lex.words), axis=1))
     if args.k > usable:
         raise _UsageFailure(
             f"--k {args.k} exceeds the {usable} lexicon words with nonzero embeddings"
@@ -425,6 +424,23 @@ def _histogram_lines(counts: np.ndarray, edges: np.ndarray, width: int = 40) -> 
     return lines
 
 
+def _histogram(construct: str, values: np.ndarray):
+    try:
+        return np.histogram(values, bins=20)
+    except ValueError as exc:  # a range too wide or too narrow for 20 bins
+        raise DataError(
+            f"construct {construct!r}: ratings from {values.min()} to "
+            f"{values.max()}: {exc}"
+        ) from None
+
+
+def _pearson_cell(a: np.ndarray, b: np.ndarray) -> str:
+    try:
+        return f"{pearson(a, b):.3f}"
+    except (DimensionError, UndefinedCorrelationError):  # one word, or a constant
+        return "n/a"
+
+
 def cmd_describe(args: argparse.Namespace) -> int:
     lex = _stage("load-lexicon", load_lexicon, args.lexicon)
     plot_rows = []
@@ -437,7 +453,7 @@ def cmd_describe(args: argparse.Namespace) -> int:
             f"sd: {values.std(ddof=1) if len(values) > 1 else float('nan'):.4f}"
         )
         print("  histogram (20 bins):")
-        counts, edges = np.histogram(values, bins=20)
+        counts, edges = _stage("histogram", _histogram, construct, values)
         for line in _histogram_lines(counts, edges):
             print(line)
         for b in range(20):
@@ -448,13 +464,13 @@ def cmd_describe(args: argparse.Namespace) -> int:
     if len(lex.constructs) > 1:
         print("pairwise pearson:")
         names = lex.constructs
-        width = max(len(n) for n in names) + 2
+        width = max(len("-1.000"), *map(len, names)) + 2
         print(" " * width + "".join(n.rjust(width) for n in names))
         for a in names:
             row = [a.ljust(width)]
             for b in names:
-                r = 1.0 if a == b else pearson(lex.values(a), lex.values(b))
-                row.append(f"{r:.3f}".rjust(width))
+                r = "1.000" if a == b else _pearson_cell(lex.values(a), lex.values(b))
+                row.append(r.rjust(width))
             print("".join(row))
     if args.plot_data:
         with open(args.plot_data, "w", encoding="utf-8", newline="\n") as handle:
@@ -676,20 +692,26 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     command = getattr(args, "command", "?")
-    try:
-        return args.func(args)
-    except _UsageFailure as exc:
-        print(f"lexlearn {command}: usage: {exc}", file=sys.stderr)
-        return 2
-    except _StageFailure as exc:
-        print(f"lexlearn {command}: stage '{exc.stage}': {exc}", file=sys.stderr)
-        return 1
-    except LexlearnError as exc:
-        print(f"lexlearn {command}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"lexlearn {command}: file error: {exc}", file=sys.stderr)
-        return 1
+
+    def show_warning(message, category, filename, lineno, file=None, line=None):
+        print(f"lexlearn {command}: warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show_warning
+        try:
+            return args.func(args)
+        except _UsageFailure as exc:
+            print(f"lexlearn {command}: usage: {exc}", file=sys.stderr)
+            return 2
+        except _StageFailure as exc:
+            print(f"lexlearn {command}: stage '{exc.stage}': {exc}", file=sys.stderr)
+            return 1
+        except LexlearnError as exc:
+            print(f"lexlearn {command}: {exc}", file=sys.stderr)
+            return 1
+        except OSError as exc:
+            print(f"lexlearn {command}: file error: {exc}", file=sys.stderr)
+            return 1
 
 
 def entry() -> None:

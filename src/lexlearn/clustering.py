@@ -88,23 +88,22 @@ def build_signed_graph(
     if knn < 1:
         raise ValueError(f"build_signed_graph: knn must be >= 1, got {knn}")
     ci = lex.construct_index(construct)
-    all_words = sorted(lex.entries)
-    vectors = table.matrix(all_words).astype(np.float64)
+    vectors = table.matrix(lex.words).astype(np.float64)
     norms = np.linalg.norm(vectors, axis=1)
     usable = norms > 0.0
-    dropped = tuple(compress(all_words, ~usable))
-    words = list(compress(all_words, usable))
+    dropped = tuple(compress(lex.words, ~usable))
+    words = list(compress(lex.words, usable))
     n = len(words)
     if n < knn + 1:
         raise DataError(
             f"only {n} words have nonzero embeddings; need at least knn+1 = {knn + 1}"
         )
     if rho is None:
-        rho = float(np.ptp(lex.values(construct))) / 2.0
+        rho = float(np.ptp(lex.ratings[:, ci])) / 2.0
     if not 0 < rho < np.inf:
         raise DataError(f"rho must be finite and positive, got {rho}")
     unit = vectors[usable] / norms[usable][:, None]
-    ratings = np.array(list(map(lex.entries.get, words)))[:, ci]
+    ratings = lex.ratings[usable, ci]
 
     # each row's knn nearest neighbours, rows in order, keyed i * n + j, i < j
     keys, weights = [], []
@@ -180,11 +179,11 @@ def cluster(
     rows = vecs / np.where(row_norms > 0, row_norms, 1.0)[:, None]
     assign = kmeans(rows, k, restarts=restarts, seed=seed)
 
-    ci = lex.construct_index(construct)
+    ratings = lex.ratings_for(construct)
     assignment = {w: int(c) for w, c in zip(graph.node_words, assign)}
     members: list[list[tuple[str, float]]] = [[] for _ in range(k)]
     for w, c in assignment.items():
-        members[c].append((w, float(lex.entries[w][ci])))
+        members[c].append((w, ratings[w]))
     means = [float(np.mean([r for _, r in m])) if m else float("nan") for m in members]
     overall = float(np.mean([r for m in members for _, r in m]))
     clusters = [

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -146,13 +147,13 @@ def eval_intrinsic(
         try:
             sub = corpus.select(train_rows)
             lex = fit_method(sub, construct, method, seed=fold_seeds[f])
-            rated = lex.ratings_for(construct)
-            common = sorted(set(rated) & set(gold.ratings))
+            known = [w in gold.ratings for w in lex.words]
+            common = list(compress(lex.words, known))
             if len(common) < 2:
                 raise UndefinedCorrelationError(
                     f"only {len(common)} rated words overlap the gold lexicon"
                 )
-            pred = [rated[w] for w in common]
+            pred = lex.values(construct)[known]
             ref = [gold.ratings[w][gci] for w in common]
             r = pearson(pred, ref)
         except LexlearnError as exc:

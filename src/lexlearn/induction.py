@@ -21,6 +21,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -52,16 +53,29 @@ __all__ = [
 METHOD_KINDS = ("mean_star", "mean_binary", "regression_weights", "mlffn")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Lexicon:
-    """Word -> per-construct rating table with provenance."""
+    """Word -> per-construct rating table with provenance.
+
+    ``words`` are sorted and distinct; ``ratings`` is one float64
+    (len(words), len(constructs)) matrix, row i for words[i].
+    """
 
     constructs: tuple[str, ...]
-    entries: dict[str, np.ndarray]
+    words: tuple[str, ...]
+    ratings: np.ndarray
     provenance: dict = field(default_factory=dict)
 
+    @cached_property
+    def rows(self) -> dict[str, int]:
+        return dict(zip(self.words, range(len(self.words))))
+
+    @cached_property
+    def entries(self) -> dict[str, np.ndarray]:
+        return dict(zip(self.words, self.ratings))
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.words)
 
     def construct_index(self, construct: str) -> int:
         if construct not in self.constructs:
@@ -71,12 +85,10 @@ class Lexicon:
         return self.constructs.index(construct)
 
     def ratings_for(self, construct: str) -> dict[str, float]:
-        ci = self.construct_index(construct)
-        return {w: float(v[ci]) for w, v in self.entries.items()}
+        return dict(zip(self.words, self.values(construct).tolist()))
 
     def values(self, construct: str) -> np.ndarray:
-        ci = self.construct_index(construct)
-        return np.array([v[ci] for v in self.entries.values()], dtype=np.float64)
+        return self.ratings[:, self.construct_index(construct)]
 
 
 @dataclass
@@ -116,27 +128,24 @@ def _require_vocab(corpus: Corpus, method: str) -> None:
         )
 
 
-def _word_means(corpus: Corpus, labels: list[float]) -> dict[str, float]:
+def _word_means(corpus: Corpus, labels: list[float]) -> np.ndarray:
     # bincount accumulates in entry order, which is ascending document order
     weights = np.asarray(labels, dtype=np.float64)[corpus.entry_rows()]
     sums = np.bincount(corpus.indices, weights=weights, minlength=len(corpus.terms))
     cols = corpus.vocab_columns
-    means = sums[cols] / corpus.document_frequency[cols]
-    return {corpus.terms[j]: float(m) for j, m in zip(cols.tolist(), means)}
+    return (sums[cols] / corpus.document_frequency[cols])[:, None]
 
 
 def fit_mean_star(corpus: Corpus, construct: str) -> Lexicon:
     """Word rating = mean gold label of the documents containing the word."""
     _require_vocab(corpus, "mean_star")
-    labels = _label_vector(corpus, construct)
-    means = _word_means(corpus, labels)
-    entries = {w: np.array([r]) for w, r in means.items()}
+    means = _word_means(corpus, _label_vector(corpus, construct))
     prov = {
         "method": "mean_star",
         "construct": construct,
         "corpus_fingerprint": corpus_fingerprint(corpus),
     }
-    return Lexicon((construct,), entries, prov)
+    return Lexicon((construct,), tuple(corpus.vocab), means, prov)
 
 
 def fit_mean_binary(corpus: Corpus, construct: str, ties: str = "high") -> Lexicon:
@@ -159,7 +168,6 @@ def fit_mean_binary(corpus: Corpus, construct: str, ties: str = "high") -> Lexic
     else:
         raise ValueError("ties must be 'high' or 'low'")
     means = _word_means(corpus, binary)
-    entries = {w: np.array([r]) for w, r in means.items()}
     prov = {
         "method": "mean_binary",
         "construct": construct,
@@ -167,7 +175,7 @@ def fit_mean_binary(corpus: Corpus, construct: str, ties: str = "high") -> Lexic
         "ties": ties,
         "corpus_fingerprint": corpus_fingerprint(corpus),
     }
-    return Lexicon((construct,), entries, prov)
+    return Lexicon((construct,), tuple(corpus.vocab), means, prov)
 
 
 def fit_regression_weights(
@@ -178,16 +186,14 @@ def fit_regression_weights(
     _require_vocab(corpus, "regression_weights")
     labels = _label_vector(corpus, construct)
     cols = corpus.vocab_columns
-    words = [corpus.terms[j] for j in cols.tolist()]
     col = np.full(len(corpus.terms), -1)
     col[cols] = np.arange(len(cols))
     rows, j = corpus.entry_rows(), col[corpus.indices]
     keep = j >= 0
     rows = rows[keep]
     frequencies = corpus.counts[keep] / corpus.lengths[rows]
-    model = ridge_fit_sparse(rows, j[keep], frequencies, len(words), labels,
+    model = ridge_fit_sparse(rows, j[keep], frequencies, len(cols), labels,
                              ridge_lambda)
-    entries = {w: np.array([model.coefficients[j]]) for j, w in enumerate(words)}
     prov = {
         "method": "regression_weights",
         "construct": construct,
@@ -196,7 +202,7 @@ def fit_regression_weights(
         "cg_iterations": model.iterations,
         "corpus_fingerprint": corpus_fingerprint(corpus),
     }
-    return Lexicon((construct,), entries, prov)
+    return Lexicon((construct,), tuple(corpus.vocab), model.coefficients[:, None], prov)
 
 
 def fit_mlffn(
@@ -243,7 +249,6 @@ def fit_mlffn(
         words = sorted(set(words) | set(oov))
     vectors = table.matrix(words).astype(np.float64)
     ratings = forward_batch(net, vectors)
-    entries = {w: ratings[i].copy() for i, w in enumerate(words)}
     prov = {
         "method": "mlffn",
         "constructs": list(constructs),
@@ -255,7 +260,7 @@ def fit_mlffn(
         "rate_all_embedded": rate_all_embedded,
         "zero_vector_words": len(oov),
     }
-    return Lexicon(tuple(constructs), entries, prov), net
+    return Lexicon(tuple(constructs), tuple(words), ratings, prov), net
 
 
 def fit_method(
@@ -299,11 +304,9 @@ def rescale_log_minmax(lex: Lexicon, lo: float, hi: float) -> Lexicon:
     """
     if not lo < hi:
         raise ValueError(f"rescale: lo={lo} must be < hi={hi}")
-    words = list(lex.entries)
-    values = np.array([lex.entries[w] for w in words], dtype=np.float64)
-    out = np.empty_like(values)
+    out = np.empty_like(lex.ratings)
     for ci, construct in enumerate(lex.constructs):
-        col = values[:, ci]
+        col = lex.ratings[:, ci]
         vmin = col.min()
         vmax = col.max()
         if vmax == vmin:
@@ -320,10 +323,9 @@ def rescale_log_minmax(lex: Lexicon, lo: float, hi: float) -> Lexicon:
         out[:, ci] = scaled
     if not np.isfinite(out).all():
         raise DataError(f"rescale: range [{lo}, {hi}] gives non-finite ratings")
-    entries = {w: out[i].copy() for i, w in enumerate(words)}
     prov = dict(lex.provenance)
     prov["rescale"] = {"lo": lo, "hi": hi, "formula": RESCALE_FORMULA}
-    return Lexicon(lex.constructs, entries, prov)
+    return Lexicon(lex.constructs, lex.words, out, prov)
 
 
 def save_lexicon(lex: Lexicon, path: str | Path, *, provenance: bool = True) -> None:
@@ -332,9 +334,8 @@ def save_lexicon(lex: Lexicon, path: str | Path, *, provenance: bool = True) -> 
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\t".join(["word", *lex.constructs]) + "\n")
-        for word in sorted(lex.entries):
-            row = [word] + [repr(float(v)) for v in lex.entries[word]]
-            handle.write("\t".join(row) + "\n")
+        for word, row in zip(lex.words, lex.ratings.tolist()):
+            handle.write("\t".join([word, *map(repr, row)]) + "\n")
     if provenance:
         with open(str(path) + ".prov", "w", encoding="utf-8", newline="\n") as handle:
             json.dump(lex.provenance, handle, indent=2, sort_keys=True)
@@ -344,11 +345,13 @@ def save_lexicon(lex: Lexicon, path: str | Path, *, provenance: bool = True) -> 
 def load_lexicon(path: str | Path) -> Lexicon:
     """Read a lexicon TSV written by :func:`save_lexicon` (or compatible).
 
-    Every rating must be a finite number; a bad line raises ``DataError``
-    naming the file and the line.
+    Every rating must be finite and every construct column named once; a bad
+    line raises ``DataError`` naming the file and the line.  A repeated word
+    keeps its last line's ratings.  Rows may come in any order; the lexicon
+    holds them sorted by word.
     """
     path = Path(path)
-    entries: dict[str, np.ndarray] = {}
+    rows: dict[str, list[float]] = {}
     try:
         with open(path, encoding="utf-8") as handle:
             header = handle.readline().rstrip("\n").split("\t")
@@ -358,6 +361,10 @@ def load_lexicon(path: str | Path) -> Lexicon:
                     f"more construct columns"
                 )
             constructs = tuple(header[1:])
+            if len(set(constructs)) < len(constructs):
+                raise DataError(
+                    f"{path}: line 1: construct columns repeat: {list(constructs)}"
+                )
             for line_no, line in enumerate(handle, start=2):
                 if not line.strip():
                     continue
@@ -365,20 +372,21 @@ def load_lexicon(path: str | Path) -> Lexicon:
                 if len(parts) != len(header):
                     raise DataError(f"{path}: line {line_no}: wrong field count")
                 try:
-                    values = [float(v) for v in parts[1:]]
+                    row = [float(v) for v in parts[1:]]
                 except ValueError:
                     raise DataError(
                         f"{path}: line {line_no}: unparsable rating value"
                     ) from None
-                if not all(map(math.isfinite, values)):
+                if not all(map(math.isfinite, row)):
                     raise DataError(f"{path}: line {line_no}: non-finite rating value")
-                entries[parts[0]] = np.array(values)
+                rows[parts[0]] = row  # a repeated word keeps its last line
     except UnicodeDecodeError:
         raise DataError(
             f"{path}: line {_first_non_utf8_line(path)}: bytes are not valid UTF-8"
         ) from None
-    if not entries:
+    if not rows:
         raise DataError(f"{path}: lexicon has no entries")
+    words = tuple(sorted(rows))
     prov_path = Path(str(path) + ".prov")
     provenance = {}
     if prov_path.exists():
@@ -388,4 +396,4 @@ def load_lexicon(path: str | Path) -> Lexicon:
             raise DataError(f"{prov_path}: malformed sidecar: {exc}") from None
         if not isinstance(provenance, dict):
             raise DataError(f"{prov_path}: provenance sidecar is not a JSON object")
-    return Lexicon(constructs, entries, provenance)
+    return Lexicon(constructs, words, np.array([rows[w] for w in words]), provenance)

@@ -21,6 +21,14 @@ def embedding_table(vectors):
     )
 
 
+def lexicon(entries, constructs=("aff",), provenance=None):
+    """Lexicon over a word -> rating (or ratings row) dict."""
+    words = sorted(entries)
+    ratings = np.array([np.atleast_1d(entries[w]) for w in words], dtype=np.float64)
+    return Lexicon(tuple(constructs), tuple(words),
+                   ratings.reshape(len(words), len(constructs)), provenance or {})
+
+
 def edge_array(edges):
     """SignedGraph edge array from (i, j, w) triples."""
     return np.array(list(edges), dtype=EDGE_DTYPE)
@@ -87,17 +95,15 @@ def planted_block_lexicon(seed, per_block=40, dim=30, jitter=0.05,
     """
     rng = np.random.default_rng(seed)
     dirs = np.linalg.qr(rng.standard_normal((dim, 2)))[0].T
-    words, vecs, entries, labels = [], {}, {}, {}
+    vecs, entries, labels = {}, {}, {}
     layout = [(0, 0, low), (1, 0, high), (2, 1, low), (3, 1, high)]
     for block, d, rating in layout:
         for i in range(per_block):
             w = f"b{block}w{i:03d}"
-            words.append(w)
             vecs[w] = (dirs[d] + jitter * rng.standard_normal(dim)).astype(np.float32)
-            entries[w] = np.array([rating + rng.uniform(-jitter, jitter)])
+            entries[w] = rating + rng.uniform(-jitter, jitter)
             labels[w] = block
-    lex = Lexicon(("aff",), {w: entries[w] for w in words})
-    return lex, embedding_table(vecs), labels
+    return lexicon(entries), embedding_table(vecs), labels
 
 
 def adjusted_rand_index(a, b):

@@ -16,7 +16,6 @@ import pytest
 from lexlearn.cli import main as cli_main
 from lexlearn.clustering import build_signed_graph, cluster, signed_laplacian
 from lexlearn.induction import (
-    Lexicon,
     MethodSpec,
     fit_mean_binary,
     fit_mean_star,
@@ -38,6 +37,7 @@ from _worlds import (
     adjusted_rand_index,
     brute_force_mean_binary,
     brute_force_mean_star,
+    lexicon,
     linear_world,
     planted_block_lexicon,
     random_corpus,
@@ -207,9 +207,7 @@ def test_criterion_8_rescaling_contract():
         for _ in range(100):
             size = int(rng.integers(2, 60))
             values = rng.normal(rng.uniform(-5, 5), rng.uniform(0.1, 4), size)
-            lex = Lexicon(
-                ("v",), {f"w{i}": np.array([v]) for i, v in enumerate(values)}
-            )
+            lex = lexicon({f"w{i}": v for i, v in enumerate(values)}, ("v",))
             out = rescale_log_minmax(lex, 1.0, 7.0)
             got = np.array([out.entries[f"w{i}"][0] for i in range(size)])
             assert abs(got.min() - 1.0) <= 1e-12

@@ -137,6 +137,24 @@ class TestInduce:
         emp = lex.values("empathy")
         dis = lex.values("distress")
         assert np.allclose(emp, -dis)  # the synth world plants distress = -empathy
+        single = tmp_path / "empathy.tsv"
+        main(["induce", "--method", "mean-star", "--corpus", str(corpus),
+              "--construct", "empathy", "--out", str(single), "--seed", "1"])
+        assert np.array_equal(emp, load_lexicon(single).values("empathy"))
+
+    @pytest.mark.parametrize("command", [
+        ["induce", "--method", "mean-star"],
+        ["eval", "intrinsic", "--gold", "gold.tsv", "--methods", "mean-star"],
+    ], ids=["induce", "eval-intrinsic"])
+    def test_repeated_construct_is_usage_error(self, synth, tmp_path, capsys,
+                                               command):
+        corpus, _ = synth
+        out = tmp_path / "out.tsv"
+        rc = main(command + ["--corpus", str(corpus), "--constructs",
+                             "empathy,empathy", "--out", str(out), "--seed", "1"])
+        assert rc == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_joint_multi_output_training(self, synth, tmp_path):
         corpus, emb = synth
@@ -382,6 +400,80 @@ class TestDescribeAndRescale:
         assert rc == 0
         assert "pairwise pearson" in out
 
+    @staticmethod
+    def pearson_table(out):
+        lines = out.split("pairwise pearson:\n")[1].splitlines()
+        return [line.split() for line in lines]
+
+    def test_pearson_columns_stay_apart_for_short_names(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        lines = ["word\tV\tA\tD"]
+        for i in range(30):
+            x = rng.normal()
+            lines.append(f"w{i}\t{x}\t{-x + rng.normal()}\t{rng.normal()}")
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["describe", "--lexicon", str(lex)]) == 0
+        header, *rows = self.pearson_table(capsys.readouterr().out)
+        assert header == ["V", "A", "D"]
+        assert [row[0] for row in rows] == header
+        matrix = np.array([[float(cell) for cell in row[1:]] for row in rows])
+        assert np.array_equal(np.diag(matrix), np.ones(3))
+        assert (matrix < 0).any()
+
+    def test_constant_construct_has_no_pearson(self, tmp_path, capsys):
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("word\tvalence\tarousal\nx\t1.0\t4.0\ny\t2.0\t4.0\n"
+                       "z\t3.0\t4.0\n", encoding="utf-8")
+        assert main(["describe", "--lexicon", str(lex)]) == 0
+        assert self.pearson_table(capsys.readouterr().out) == [
+            ["valence", "arousal"],
+            ["valence", "1.000", "n/a"],
+            ["arousal", "n/a", "1.000"],
+        ]
+
+    def test_unbinnable_range_fails_at_a_stage(self, tmp_path, capsys):
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("word\tvalence\nx\t-1.7e308\ny\t1.7e308\n",
+                       encoding="utf-8")
+        bins = tmp_path / "bins.tsv"
+        rc = main(["describe", "--lexicon", str(lex), "--plot-data", str(bins)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "stage 'histogram'" in err and "'valence'" in err
+        assert not bins.exists()
+
+    @pytest.mark.parametrize("command,ratings,warning", [
+        (["rescale", "--range", "1:7"], ("2.0", "2.0"),
+         "rescale: all 'a' ratings equal; assigning midpoint"),
+        (["describe"], ("1e308", "1.5e308"), "overflow encountered"),
+    ], ids=["rescale-midpoint", "describe-overflow"])
+    def test_warnings_print_one_line_naming_the_command(self, tmp_path, capsys,
+                                                        command, ratings, warning):
+        lex = tmp_path / "lex.tsv"
+        lex.write_text(f"word\ta\nx\t{ratings[0]}\ny\t{ratings[1]}\n",
+                       encoding="utf-8")
+        out = ["--out", str(tmp_path / "o.tsv"), "--seed", "0"] \
+            if command[0] == "rescale" else []
+        assert main(command + ["--lexicon", str(lex)] + out) == 0
+        err = capsys.readouterr().err
+        assert f"lexlearn {command[0]}: warning: {warning}" in err
+        assert "cli.py:" not in err and "return fn(" not in err
+
+    def test_row_order_does_not_change_the_rescale_output(self, tmp_path):
+        rows = [f"w{i:02d}\t{float(np.sin(i))!r}\t{float(i)!r}\n" for i in range(30)]
+        shuffled = [rows[i] for i in np.random.default_rng(5).permutation(30)]
+        outputs = []
+        for name, order in (("sorted", rows), ("shuffled", shuffled)):
+            lex = tmp_path / f"{name}.tsv"
+            lex.write_text("word\ta\tb\n" + "".join(order), encoding="utf-8")
+            assert load_lexicon(lex).words == tuple(f"w{i:02d}" for i in range(30))
+            out = tmp_path / f"{name}_out.tsv"
+            assert main(["rescale", "--lexicon", str(lex), "--range", "1:7",
+                         "--out", str(out), "--seed", "0"]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_plot_data_dump(self, tmp_path):
         lex = tmp_path / "lex.tsv"
         lex.write_text(
@@ -539,6 +631,8 @@ BAD_TABLES = [
      "load-lexicon", None),
     ("lexicon-sidecar-not-object", "cluster", "lex.tsv.prov", b"[1]\n",
      "load-lexicon", None),
+    ("lexicon-header-repeats", "describe", "lex.tsv", (1, b"word\tempathy\tempathy"),
+     "load-lexicon", 1),
 ]
 
 

@@ -12,13 +12,13 @@ from lexlearn.clustering import (
     signed_laplacian,
 )
 from lexlearn.errors import DataError
-from lexlearn.induction import Lexicon
 from lexlearn.numerics import sym_eig_smallest
 
 from _worlds import (
     adjusted_rand_index,
     edge_array,
     embedding_table,
+    lexicon,
     planted_block_lexicon,
 )
 
@@ -26,7 +26,7 @@ from _worlds import (
 def two_word_setup(r1, r2):
     vec = np.array([1.0, 0.0, 0.0], dtype=np.float32)
     table = embedding_table({"a": vec.copy(), "b": vec.copy()})
-    lex = Lexicon(("aff",), {"a": np.array([r1]), "b": np.array([r2])})
+    lex = lexicon({"a": r1, "b": r2})
     return lex, table
 
 
@@ -56,9 +56,9 @@ class TestSignedGraph:
                 w = f"g{g_id}w{i}"
                 words.append(w)
                 vecs[w] = (base + 0.03 * rng.standard_normal(dim)).astype(np.float32)
-                entries[w] = np.array([rating + rng.uniform(-0.05, 0.05)])
+                entries[w] = rating + rng.uniform(-0.05, 0.05)
                 group[w] = g_id
-        lex = Lexicon(("aff",), entries)
+        lex = lexicon(entries)
         table = embedding_table(vecs)
         g = build_signed_graph(lex, "aff", table, knn=8, rho=2.0)
         for i, j, w in g.edges:
@@ -69,8 +69,8 @@ class TestSignedGraph:
                 assert w <= 0
 
     def test_zero_embedding_words_dropped(self):
-        lex, table = two_word_setup(1.0, 2.0)
-        lex.entries["ghost"] = np.array([3.0])
+        _, table = two_word_setup(1.0, 2.0)
+        lex = lexicon({"a": 1.0, "b": 2.0, "ghost": 3.0})
         g = build_signed_graph(lex, "aff", table, knn=1, rho=2.0)
         assert g.dropped_words == ("ghost",)
         assert "ghost" not in g.node_words
@@ -124,9 +124,7 @@ class TestSignedGraphBruteForce:
         table = embedding_table(
             {w: rng.standard_normal(dim).astype(np.float32) for w in words}
         )
-        lex = Lexicon(
-            ("aff",), {w: np.array([float(rng.integers(1, 6))]) for w in words}
-        )
+        lex = lexicon({w: float(rng.integers(1, 6)) for w in words})
         g = build_signed_graph(
             lex, "aff", table, knn=knn, rho=2.0, clip_negative_cosine=clip
         )
@@ -227,9 +225,9 @@ class TestCluster:
                 w = f"g{g_id}w{i}"
                 words.append(w)
                 vecs[w] = (base + 0.03 * rng.standard_normal(dim)).astype(np.float32)
-                entries[w] = np.array([rating + rng.uniform(-0.05, 0.05)])
+                entries[w] = rating + rng.uniform(-0.05, 0.05)
                 labels.append(g_id)
-        lex = Lexicon(("aff",), entries)
+        lex = lexicon(entries)
         table = embedding_table(vecs)
         result = cluster(lex, "aff", table, 2, knn=8, rho=2.0, seed=0)
         pred = [result.assignment[w] for w in words]
@@ -247,8 +245,8 @@ class TestCluster:
             for i in range(10):
                 w = f"{tag}{i}"
                 vecs[w] = (d + 0.01 * rng.standard_normal(dim)).astype(np.float32)
-                entries[w] = np.array([3.0])
-        lex = Lexicon(("aff",), entries)
+                entries[w] = 3.0
+        lex = lexicon(entries)
         table = embedding_table(vecs)
         result = cluster(lex, "aff", table, 2, knn=5, rho=1.0, seed=1)
         a_ids = {result.assignment[f"a{i}"] for i in range(10)}
@@ -293,7 +291,7 @@ class TestCluster:
 
     def test_no_silent_word_loss(self):
         lex, table, _ = planted_block_lexicon(9, per_block=10)
-        lex.entries["ghost"] = np.array([2.0])
+        lex = lexicon({**lex.ratings_for("aff"), "ghost": 2.0})
         result = cluster(lex, "aff", table, 4, knn=6, seed=2)
         assert set(result.assignment) | set(result.dropped_words) == set(lex.entries)
         assert "ghost" in result.dropped_words

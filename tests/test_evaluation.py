@@ -11,11 +11,11 @@ from lexlearn.evaluation import (
     eval_intrinsic,
     load_user_corpora,
 )
-from lexlearn.induction import Lexicon, MethodSpec, fit_method, rescale_log_minmax
+from lexlearn.induction import MethodSpec, fit_method, rescale_log_minmax
 from lexlearn.neural import NetConfig
 from lexlearn.numerics import pearson
 
-from _worlds import linear_world
+from _worlds import lexicon, linear_world
 
 
 def exact_world(seed=0, n_words=100, n_docs=500, wpd=10):
@@ -160,10 +160,7 @@ def monotone_users():
 
 
 def three_word_lexicon(hi=7.0, mid=4.0, lo=1.0):
-    return Lexicon(
-        ("aff",),
-        {"great": np.array([hi]), "meh": np.array([mid]), "awful": np.array([lo])},
-    )
+    return lexicon({"great": hi, "meh": mid, "awful": lo})
 
 
 class TestExtrinsic:
@@ -181,7 +178,7 @@ class TestExtrinsic:
         rng = np.random.default_rng(41)
         words = [f"w{i:03d}" for i in range(80)]
         ratings = {w: float(rng.normal(4.0, 1.5)) for w in words}
-        lex = Lexicon(("aff",), {w: np.array([ratings[w]]) for w in words})
+        lex = lexicon(ratings)
         users = []
         true_scores = []
         noise_sd = 0.5
@@ -220,9 +217,7 @@ class TestExtrinsic:
     def test_scores_are_convex_combinations(self):
         rng = np.random.default_rng(42)
         words = [f"w{i}" for i in range(30)]
-        lex = Lexicon(
-            ("aff",), {w: np.array([float(rng.uniform(1, 7))]) for w in words}
-        )
+        lex = lexicon({w: float(rng.uniform(1, 7)) for w in words})
         lo = min(float(v[0]) for v in lex.entries.values())
         hi = max(float(v[0]) for v in lex.entries.values())
         users = [
@@ -242,9 +237,7 @@ class TestExtrinsic:
         # several words do not commute with the nonlinear transform
         rng = np.random.default_rng(43)
         words = [f"w{i}" for i in range(25)]
-        lex = Lexicon(
-            ("aff",), {w: np.array([float(rng.normal(0, 2))]) for w in words}
-        )
+        lex = lexicon({w: float(rng.normal(0, 2)) for w in words})
         users = [
             UserCorpus(f"u{i}", {words[i]: int(rng.integers(1, 5))},
                        float(lex.entries[words[i]][0] + rng.normal(0, 0.5)))
@@ -261,9 +254,7 @@ class TestExtrinsic:
     def test_monotone_rescale_preserves_sign_on_multiword_population(self):
         rng = np.random.default_rng(44)
         words = [f"w{i}" for i in range(40)]
-        lex = Lexicon(
-            ("aff",), {w: np.array([float(rng.normal(0, 2))]) for w in words}
-        )
+        lex = lexicon({w: float(rng.normal(0, 2)) for w in words})
         users = []
         for u in range(30):
             counts = {words[j]: int(rng.integers(1, 4)) for j in rng.integers(0, 40, 8)}

@@ -1,5 +1,6 @@
 """The four lexicon-learning methods and log min-max rescaling."""
 
+import dataclasses
 import time
 
 import numpy as np
@@ -9,7 +10,6 @@ from lexlearn.corpus import Document, build_corpus
 from lexlearn.embeddings import centroid
 from lexlearn.errors import DataError, DegenerateLabelsError
 from lexlearn.induction import (
-    Lexicon,
     fit_mean_binary,
     fit_mean_star,
     fit_mlffn,
@@ -25,6 +25,7 @@ from _worlds import (
     brute_force_mean_binary,
     brute_force_mean_star,
     embedding_table,
+    lexicon,
     linear_world,
     random_corpus,
 )
@@ -345,7 +346,7 @@ class TestMlffn:
 
 class TestRescale:
     def test_forced_endpoints(self):
-        lex = Lexicon(("v",), {"a": np.array([0.0]), "b": np.array([np.e - 1.0])})
+        lex = lexicon({"a": 0.0, "b": np.e - 1.0}, ("v",))
         out = rescale_log_minmax(lex, 1.0, 7.0)
         assert out.entries["a"][0] == 1.0
         assert out.entries["b"][0] == 7.0
@@ -354,9 +355,7 @@ class TestRescale:
         rng = np.random.default_rng(27)
         for _ in range(20):
             values = rng.normal(0, 5, size=rng.integers(2, 40))
-            lex = Lexicon(
-                ("v",), {f"w{i}": np.array([v]) for i, v in enumerate(values)}
-            )
+            lex = lexicon({f"w{i}": v for i, v in enumerate(values)}, ("v",))
             out = rescale_log_minmax(lex, 1.0, 7.0)
             got = out.values("v")
             assert got.min() == 1.0
@@ -365,7 +364,7 @@ class TestRescale:
     def test_rank_preserved(self):
         rng = np.random.default_rng(28)
         values = rng.normal(0, 3, size=60)
-        lex = Lexicon(("v",), {f"w{i}": np.array([v]) for i, v in enumerate(values)})
+        lex = lexicon({f"w{i}": v for i, v in enumerate(values)}, ("v",))
         out = rescale_log_minmax(lex, 1.0, 7.0)
         got = np.array([out.entries[f"w{i}"][0] for i in range(60)])
         assert np.array_equal(np.argsort(values), np.argsort(got))
@@ -373,7 +372,7 @@ class TestRescale:
     def test_argmax_argmin_preserved(self):
         rng = np.random.default_rng(29)
         values = rng.normal(0, 2, size=30)
-        lex = Lexicon(("v",), {f"w{i}": np.array([v]) for i, v in enumerate(values)})
+        lex = lexicon({f"w{i}": v for i, v in enumerate(values)}, ("v",))
         out = rescale_log_minmax(lex, 1.0, 7.0)
         got = np.array([out.entries[f"w{i}"][0] for i in range(30)])
         assert np.argmax(values) == np.argmax(got)
@@ -382,25 +381,25 @@ class TestRescale:
     @pytest.mark.parametrize("lo,hi", [(0.0, np.inf), (-1e308, 1e308)])
     def test_non_finite_ratings_refused(self, lo, hi):
         # the end points map to lo and hi exactly; the middle word overflows
-        lex = Lexicon(("v",), {w: np.array([v]) for w, v in zip("abc", (0, 1, 2))})
+        lex = lexicon(dict(zip("abc", (0.0, 1.0, 2.0))), ("v",))
         with pytest.raises(DataError, match="non-finite"), \
                 np.errstate(over="ignore", invalid="ignore"):
             rescale_log_minmax(lex, lo, hi)
 
     def test_all_equal_collapses_to_midpoint_with_warning(self):
-        lex = Lexicon(("v",), {"a": np.array([2.0]), "b": np.array([2.0])})
+        lex = lexicon({"a": 2.0, "b": 2.0}, ("v",))
         with pytest.warns(UserWarning, match="midpoint"):
             out = rescale_log_minmax(lex, 1.0, 7.0)
         assert out.entries["a"][0] == 4.0
 
     def test_midpoint_of_a_wide_range_is_finite(self):
-        lex = Lexicon(("v",), {"a": np.array([2.0]), "b": np.array([2.0])})
+        lex = lexicon({"a": 2.0, "b": 2.0}, ("v",))
         with pytest.warns(UserWarning, match="midpoint"):
             out = rescale_log_minmax(lex, 1e308, 1.7e308)
         assert out.entries["a"][0] == 1.35e308
 
     def test_bad_range(self):
-        lex = Lexicon(("v",), {"a": np.array([1.0]), "b": np.array([2.0])})
+        lex = lexicon({"a": 1.0, "b": 2.0}, ("v",))
         with pytest.raises(ValueError):
             rescale_log_minmax(lex, 7.0, 1.0)
 
@@ -408,12 +407,9 @@ class TestRescale:
 class TestLexiconIO:
     def test_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(30)
-        lex = Lexicon(
+        lex = lexicon(
+            {f"w{i}": [rng.normal(), rng.normal()] for i in range(50)},
             ("empathy", "distress"),
-            {
-                f"w{i}": np.array([rng.normal(), rng.normal()])
-                for i in range(50)
-            },
             {"method": "mean_star"},
         )
         path = tmp_path / "lex.tsv"
@@ -424,6 +420,23 @@ class TestLexiconIO:
         for w in lex.entries:
             assert np.array_equal(back.entries[w], lex.entries[w])
         assert back.provenance == {"method": "mean_star"}
+
+    def test_repeated_word_keeps_its_last_line(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_text("word\ta\tb\nx\t1\t2\ny\t3\t4\nx\t5\t6\n",
+                        encoding="utf-8")
+        lex = load_lexicon(path)
+        assert lex.words == ("x", "y")
+        assert lex.ratings.tolist() == [[5.0, 6.0], [3.0, 4.0]]
+
+    def test_entries_are_cached_and_the_lexicon_is_frozen(self):
+        lex = lexicon({"b": 2.0, "a": 1.0})
+        assert lex.entries is lex.entries
+        assert lex.words == ("a", "b") and lex.rows == {"a": 0, "b": 1}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lex.words = ("c",)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lex.ratings = np.zeros((2, 1))
 
     def test_deterministic_refit(self):
         rng = np.random.default_rng(31)
