@@ -6,10 +6,8 @@ __version__ = "0.1.0"
 from .corpus import (  # noqa: F401
     Corpus,
     Document,
-    GoldWordLexicon,
     build_corpus,
     load_corpus,
-    load_gold_lexicon,
     save_corpus,
     tokenize,
 )
@@ -34,6 +32,7 @@ from .evaluation import (  # noqa: F401
     UserCorpus,
     eval_extrinsic,
     eval_intrinsic,
+    load_gold_lexicon,
     load_user_corpora,
 )
 from .clustering import (  # noqa: F401

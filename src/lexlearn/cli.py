@@ -21,13 +21,14 @@ import numpy as np
 
 from . import __version__
 from .clustering import cluster, format_preview, save_clusters
-from .corpus import load_corpus, load_gold_lexicon
+from .corpus import load_corpus
 from .embeddings import load_embeddings
 from .errors import DataError, DimensionError, LexlearnError, UndefinedCorrelationError
 from .evaluation import (
     EVAL_TSV_HEADER,
     eval_extrinsic,
     eval_intrinsic,
+    load_gold_lexicon,
     load_user_corpora,
     report_tsv_row,
 )
@@ -427,11 +428,15 @@ def _histogram_lines(counts: np.ndarray, edges: np.ndarray, width: int = 40) -> 
 def _histogram(construct: str, values: np.ndarray):
     try:
         return np.histogram(values, bins=20)
-    except ValueError as exc:  # a range too wide or too narrow for 20 bins
-        raise DataError(
-            f"construct {construct!r}: ratings from {values.min()} to "
-            f"{values.max()}: {exc}"
-        ) from None
+    except ValueError:  # 20 bins narrower than the floats at this magnitude
+        low = values.min()
+    try:
+        with np.errstate(over="ignore"):
+            counts, edges = np.histogram(values - low, bins=20)
+    except ValueError as exc:  # a range too wide for 20 bins
+        raise DataError(f"construct {construct!r}: ratings from {low} to "
+                        f"{values.max()}: {exc}") from None
+    return counts, edges + low
 
 
 def _pearson_cell(a: np.ndarray, b: np.ndarray) -> str:

@@ -160,7 +160,6 @@ def cluster(
     rho: float | None = None,
     seed: int = 0,
     *,
-    restarts: int = 10,
     normalized: bool = False,
     clip_negative_cosine: bool = True,
 ) -> ClusterResult:
@@ -177,7 +176,7 @@ def cluster(
     _, vecs = sym_eig_smallest(L, k)
     row_norms = np.linalg.norm(vecs, axis=1)
     rows = vecs / np.where(row_norms > 0, row_norms, 1.0)[:, None]
-    assign = kmeans(rows, k, restarts=restarts, seed=seed)
+    assign = kmeans(rows, k, restarts=10, seed=seed)
 
     ratings = lex.ratings_for(construct)
     assignment = {w: int(c) for w, c in zip(graph.node_words, assign)}

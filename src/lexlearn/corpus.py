@@ -1,11 +1,11 @@
-"""Corpus and gold-lexicon ingestion, and the delimited-table reader.
+"""Corpus ingestion and the delimited-table reader.
 
 Input files are delimiter-separated values with a header row (UTF-8).  The
 delimiter is inferred from the extension (``.tsv`` -> tab, anything else ->
 comma) and can be overridden.  ``_read_table`` reads every such table,
-including the users and traits files of :mod:`lexlearn.evaluation`.
-Documents are tokenized at load time; rows whose text tokenizes to nothing
-are dropped and counted in the load report.
+including the gold-lexicon, users and traits files of
+:mod:`lexlearn.evaluation`.  Documents are tokenized at load time; rows
+whose text tokenizes to nothing are dropped and counted in the load report.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,13 +25,11 @@ from .errors import DataError, EmptyCorpusError, RowError, SchemaError
 __all__ = [
     "Document",
     "Corpus",
-    "GoldWordLexicon",
     "LoadReport",
     "tokenize",
     "load_corpus",
     "save_corpus",
     "build_corpus",
-    "load_gold_lexicon",
     "corpus_fingerprint",
 ]
 
@@ -66,7 +64,6 @@ class LoadReport:
 
     rows_read: int = 0
     dropped_empty: int = 0
-    duplicates: int = 0
 
 
 @dataclass(frozen=True)
@@ -147,18 +144,6 @@ class Corpus:
             self.min_df,
             LoadReport(rows_read=len(rows)),
         )
-
-
-@dataclass(frozen=True)
-class GoldWordLexicon:
-    """Reference word ratings used as the intrinsic evaluation target."""
-
-    constructs: tuple[str, ...]
-    ratings: dict[str, tuple[float, ...]]
-    report: LoadReport = field(default_factory=LoadReport)
-
-    def __len__(self) -> int:
-        return len(self.ratings)
 
 
 def _infer_delimiter(path: str | Path, delimiter: str | None) -> str:
@@ -312,7 +297,6 @@ def load_corpus(
     *,
     id_column: str | None = None,
     delimiter: str | None = None,
-    tokenizer: Callable[[str], list[str]] = tokenize,
     min_df: int = 1,
 ) -> Corpus:
     """Load a document corpus from a delimited file.
@@ -323,7 +307,6 @@ def load_corpus(
         rating_columns: numeric gold-label columns; their names become the
             corpus constructs, in order.
         id_column: optional id column; the data row index is used if absent.
-        tokenizer: pluggable tokenizer (defaults to :func:`tokenize`).
         min_df: minimum document frequency for vocabulary inclusion.
 
     Raises:
@@ -347,7 +330,7 @@ def load_corpus(
         }
         doc_id = cells[-1] if id_column is not None else str(rows)
         rows += 1
-        tokens = tuple(tokenizer(cells[0]))
+        tokens = tuple(tokenize(cells[0]))
         if not tokens:
             dropped += 1
             continue
@@ -372,43 +355,6 @@ def save_corpus(corpus: Corpus, path: str | Path, *, delimiter: str | None = Non
                 [doc.id, " ".join(doc.tokens)]
                 + [repr(float(doc.ratings[c])) for c in corpus.constructs]
             )
-
-
-def load_gold_lexicon(
-    path: str | Path,
-    word_column: str,
-    rating_columns: list[str],
-    *,
-    delimiter: str | None = None,
-    lowercase: bool = True,
-) -> GoldWordLexicon:
-    """Load a gold word-rating table.
-
-    Words are lowercased by default so they intersect the corpus vocabulary.
-    Duplicate words keep the last occurrence; the duplicate count lands in
-    the load report.
-    """
-    if not rating_columns:
-        raise SchemaError(f"{path}: at least one rating column is required")
-    ratings: dict[str, tuple[float, ...]] = {}
-    duplicates = 0
-    rows = 0
-    for line, (word, *cells) in _read_table(
-        path, delimiter, [word_column, *rating_columns]
-    ):
-        rows += 1
-        values = tuple(
-            _parse_number(cell, c, path, line) for c, cell in zip(rating_columns, cells)
-        )
-        if lowercase:
-            word = word.lower()
-        if word in ratings:
-            duplicates += 1
-        ratings[word] = values
-    if not ratings:
-        raise EmptyCorpusError(f"{path}: no word entries found")
-    report = LoadReport(rows_read=rows, duplicates=duplicates)
-    return GoldWordLexicon(tuple(rating_columns), ratings, report)
 
 
 def corpus_fingerprint(corpus: Corpus) -> str:

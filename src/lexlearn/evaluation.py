@@ -1,8 +1,10 @@
-"""Intrinsic and extrinsic lexicon evaluation.
+"""Intrinsic and extrinsic lexicon evaluation, and their input loaders.
 
 Intrinsic: k-fold cross-validation over documents; each fold's model is
 fit on the remaining folds and its word ratings are correlated (Pearson)
-against a gold word lexicon over the words both sides cover.  Extrinsic:
+against a gold word lexicon over the words both sides cover.  The gold
+lexicon is a :class:`~lexlearn.induction.Lexicon` read from a delimited
+table, so a fold joins it to the learned lexicon by row index.  Extrinsic:
 score each user by the relative-frequency-weighted average rating of their
 lexicon words and correlate the scores with a user-level trait.
 """
@@ -10,10 +12,11 @@ lexicon words and correlate the scores with a user-level trait.
 from __future__ import annotations
 
 import warnings
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import repeat
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,13 +24,13 @@ import numpy as np
 # attribute; folds themselves are row selections of one Corpus
 from .corpus import (  # noqa: F401
     Corpus,
-    GoldWordLexicon,
     _parse_number,
     _read_table,
     build_corpus,
     tokenize,
 )
-from .errors import DataError, LexlearnError, RowError, UndefinedCorrelationError
+from .errors import (DataError, EmptyCorpusError, LexlearnError, RowError,
+                     SchemaError, UndefinedCorrelationError)
 from .induction import Lexicon, MethodSpec, fit_method
 from .numerics import pearson
 
@@ -36,6 +39,7 @@ __all__ = [
     "UserCorpus",
     "eval_intrinsic",
     "eval_extrinsic",
+    "load_gold_lexicon",
     "load_user_corpora",
     "EVAL_TSV_HEADER",
 ]
@@ -92,7 +96,7 @@ def _canonical_order(corpus: Corpus) -> list[int]:
 
 def eval_intrinsic(
     corpus: Corpus,
-    gold: GoldWordLexicon,
+    gold: Lexicon,
     method: MethodSpec,
     construct: str,
     folds: int = 10,
@@ -118,13 +122,11 @@ def eval_intrinsic(
         raise DataError(
             f"construct {construct!r} not in corpus {list(corpus.constructs)}"
         )
-    overlap = set(corpus.vocab) & set(gold.ratings)
-    if len(overlap) < 30:
+    overlap = sum(map(gold.rows.__contains__, corpus.vocab))
+    if overlap < 30:
         raise DataError(
-            f"corpus and gold lexicon share only {len(overlap)} words; "
-            f"need at least 30"
+            f"corpus and gold lexicon share only {overlap} words; need at least 30"
         )
-    gci = gold.constructs.index(construct)
     order = _canonical_order(corpus)
     if folds > len(order):
         raise ValueError(
@@ -140,29 +142,26 @@ def eval_intrinsic(
     per_fold: list[float] = []
     failures: dict[int, str] = {}
     coverages: list[float] = []
-    seen_words: set[str] = set()
+    evaluated = np.zeros(len(gold), dtype=bool)  # gold rows some fold rated
     for f, group in enumerate(groups):
-        held_out = set(int(i) for i in group)
-        train_rows = [order[i] for i in range(len(order)) if i not in held_out]
         try:
-            sub = corpus.select(train_rows)
+            sub = corpus.select(np.delete(order, group))
             lex = fit_method(sub, construct, method, seed=fold_seeds[f])
-            known = [w in gold.ratings for w in lex.words]
-            common = list(compress(lex.words, known))
-            if len(common) < 2:
+            idx = np.fromiter(map(gold.rows.get, lex.words, repeat(-1)), np.intp,
+                              len(lex.words))
+            known = idx >= 0
+            if known.sum() < 2:
                 raise UndefinedCorrelationError(
-                    f"only {len(common)} rated words overlap the gold lexicon"
+                    f"only {known.sum()} rated words overlap the gold lexicon"
                 )
-            pred = lex.values(construct)[known]
-            ref = [gold.ratings[w][gci] for w in common]
-            r = pearson(pred, ref)
+            r = pearson(lex.values(construct)[known], gold.values(construct)[idx[known]])
         except LexlearnError as exc:
             per_fold.append(float("nan"))
             failures[f] = str(exc)
             continue
         per_fold.append(r)
-        coverages.append(len(common) / len(gold.ratings))
-        seen_words.update(common)
+        coverages.append(known.sum() / len(gold))
+        evaluated[idx[known]] = True
     good = [v for v in per_fold if v == v]
     report = EvalReport(
         method=method.kind,
@@ -170,7 +169,7 @@ def eval_intrinsic(
         folds=folds,
         per_fold=per_fold,
         fold_failures=failures,
-        evaluated_vocab_size=len(seen_words),
+        evaluated_vocab_size=int(evaluated.sum()),
     )
     if good:
         report.mean_r = float(np.mean(good))
@@ -228,13 +227,45 @@ def eval_extrinsic(
     return r, scores
 
 
+def load_gold_lexicon(
+    path: str | Path,
+    word_column: str,
+    rating_columns: list[str],
+    *,
+    delimiter: str | None = None,
+) -> Lexicon:
+    """Load a gold word-rating table as a lexicon whose constructs are the
+    rating columns.
+
+    Words are lowercased so they meet the corpus vocabulary, and a word
+    listed twice keeps its last row; the provenance counts the rows read and
+    the repeats.  Bad input raises as in :func:`~lexlearn.corpus.load_corpus`.
+    """
+    if not rating_columns:
+        raise SchemaError(f"{path}: at least one rating column is required")
+    rows: dict[str, list[float]] = {}
+    read = 0
+    for line, (word, *cells) in _read_table(
+        path, delimiter, [word_column, *rating_columns]
+    ):
+        read += 1
+        rows[word.lower()] = [
+            _parse_number(cell, c, path, line) for c, cell in zip(rating_columns, cells)
+        ]
+    if not rows:
+        raise EmptyCorpusError(f"{path}: no word entries found")
+    words = tuple(sorted(rows))
+    ratings = np.array([rows[w] for w in words], dtype=np.float64)
+    prov = {"rows_read": read, "duplicates": read - len(rows)}
+    return Lexicon(tuple(rating_columns), words, ratings, prov)
+
+
 def load_user_corpora(
     usage_path: str | Path,
     traits_path: str | Path,
     trait_column: str,
     *,
     delimiter: str | None = None,
-    tokenizer: Callable[[str], list[str]] = tokenize,
 ) -> list[UserCorpus]:
     """Load per-user word counts plus trait scores from two delimited files.
 
@@ -245,19 +276,18 @@ def load_user_corpora(
     UTF-8 raise ``RowError`` naming the file and line.  Users missing a
     trait row are dropped with a warning.
     """
-    counts: dict[str, dict[str, int]] = {}
+    counts: defaultdict[str, Counter] = defaultdict(Counter)
     for line, cells in _read_table(
         usage_path, delimiter, ("user_id", "text"), ("user_id", "word", "count")
     ):
-        user = counts.setdefault(cells[0], {})
+        user = counts[cells[0]]
         if len(cells) == 2:  # the (user_id, text) layout
-            for tok in tokenizer(cells[1]):
-                user[tok] = user.get(tok, 0) + 1
+            user.update(tokenize(cells[1]))
             continue
         value = int(_parse_number(cells[2], "count", usage_path, line))
         if value <= 0:
             raise RowError(f"{usage_path}: line {line}: count must be positive")
-        user[cells[1]] = user.get(cells[1], 0) + value
+        user[cells[1]] += value
     if not counts:
         raise DataError(f"{usage_path}: no user rows found")
 

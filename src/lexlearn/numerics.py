@@ -28,7 +28,9 @@ def pearson(x, y) -> float:
     """Product-moment correlation of two equal-length vectors.
 
     Raises UndefinedCorrelationError when either argument has zero variance
-    or holds a non-finite value; callers decide how to report that.
+    or holds a non-finite value; callers decide how to report that.  Finite
+    values of any magnitude are accepted: when the sums of squares overflow
+    or underflow, they are recomputed on the vectors scaled into [-1, 1].
     """
     a = np.asarray(x, dtype=np.float64)
     b = np.asarray(y, dtype=np.float64)
@@ -38,13 +40,25 @@ def pearson(x, y) -> float:
         raise DimensionError("pearson: need at least 2 observations")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise UndefinedCorrelationError("pearson: an argument holds a non-finite value")
+    with np.errstate(all="ignore"):  # overflow and underflow are checked below
+        cov, ssa, ssb = _centred_sums(a, b)
+        scale = np.sqrt(ssa) * np.sqrt(ssb)
+        if not np.finfo(np.float64).tiny <= scale < np.inf:
+            if a.min() == a.max() or b.min() == b.max():
+                raise UndefinedCorrelationError("pearson: an argument has zero variance")
+            # the sums overflowed or underflowed: redo them on each vector
+            # divided by its largest magnitude, where neither they nor their
+            # product can
+            cov, ssa, ssb = _centred_sums(a / np.abs(a).max(), b / np.abs(b).max())
+            scale = np.sqrt(ssa * ssb)
+    return float(np.clip(cov / scale, -1.0, 1.0))
+
+
+def _centred_sums(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
+    """Sums of cross products and of squares of the centred vectors."""
     ac = a - a.mean()
     bc = b - b.mean()
-    sa = np.sqrt(np.sum(ac * ac))
-    sb = np.sqrt(np.sum(bc * bc))
-    if sa == 0.0 or sb == 0.0:
-        raise UndefinedCorrelationError("pearson: an argument has zero variance")
-    return float(np.clip(np.sum(ac * bc) / (sa * sb), -1.0, 1.0))
+    return np.sum(ac * bc), np.sum(ac * ac), np.sum(bc * bc)
 
 
 @dataclass(frozen=True)

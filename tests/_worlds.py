@@ -8,7 +8,7 @@ learning method recovers.
 import numpy as np
 
 from lexlearn.clustering import EDGE_DTYPE
-from lexlearn.corpus import Document, GoldWordLexicon, build_corpus
+from lexlearn.corpus import Document, build_corpus
 from lexlearn.embeddings import EmbeddingTable
 from lexlearn.induction import Lexicon
 
@@ -61,7 +61,7 @@ def linear_world(seed, n_words=100, dim=100, n_docs=1000, words_per_doc=10,
         docs.append(Document(f"d{i:05d}", toks, {"aff": label}))
     corpus = build_corpus(docs, ["aff"])
     table = embedding_table(vecs)
-    gold = GoldWordLexicon(("aff",), {w: (planted[w],) for w in words[:n_words]})
+    gold = lexicon({w: planted[w] for w in words[:n_words]})
     return corpus, table, gold, planted, words[n_words:]
 
 

@@ -443,6 +443,23 @@ class TestDescribeAndRescale:
         assert "stage 'histogram'" in err and "'valence'" in err
         assert not bins.exists()
 
+    @pytest.mark.parametrize("ratings", [
+        ("281474976710656.0",), ("-1.7e308",), ("1.0", "1.0000000000000002"),
+    ], ids=["constant-2**48", "constant-min", "one-ulp"])
+    def test_ranges_too_narrow_for_their_magnitude_still_bin(self, tmp_path, ratings):
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("word\tvalence\n" + "".join(
+            f"w{i}\t{r}\n" for i, r in enumerate(ratings)), encoding="utf-8")
+        bins = tmp_path / "bins.tsv"
+        assert main(["describe", "--lexicon", str(lex), "--plot-data", str(bins)]) == 0
+        rows = [r.split("\t") for r in bins.read_text(encoding="utf-8").splitlines()[1:]]
+        assert len(rows) == 20
+        assert sum(int(r[4]) for r in rows) == len(ratings)
+        edges = [float(r[2]) for r in rows] + [float(rows[-1][3])]
+        assert edges == sorted(edges)
+        values = [float(r) for r in ratings]
+        assert edges[0] <= min(values) <= max(values) <= edges[-1]
+
     @pytest.mark.parametrize("command,ratings,warning", [
         (["rescale", "--range", "1:7"], ("2.0", "2.0"),
          "rescale: all 'a' ratings equal; assigning midpoint"),

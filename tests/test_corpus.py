@@ -8,11 +8,11 @@ from lexlearn.corpus import (
     build_corpus,
     corpus_fingerprint,
     load_corpus,
-    load_gold_lexicon,
     save_corpus,
     tokenize,
 )
 from lexlearn.errors import EmptyCorpusError, RowError, SchemaError
+from lexlearn.evaluation import load_gold_lexicon
 
 from _worlds import random_corpus
 
@@ -179,8 +179,10 @@ class TestGoldLexicon:
     def test_basic_load(self, tmp_path):
         path = write(tmp_path / "g.tsv", "word\tvalence\nsad\t2.10\nhappy\t8.47\n")
         gold = load_gold_lexicon(path, "word", ["valence"])
-        assert len(gold) == 2
-        assert gold.ratings["sad"] == (2.10,)
+        assert gold.words == ("happy", "sad")
+        assert gold.constructs == ("valence",)
+        assert gold.ratings.dtype == np.float64
+        assert gold.ratings.tolist() == [[8.47], [2.10]]
 
     def test_header_only_is_empty(self, tmp_path):
         path = write(tmp_path / "g.tsv", "word\tvalence\n")
@@ -190,11 +192,12 @@ class TestGoldLexicon:
     def test_duplicates_last_wins_and_counted(self, tmp_path):
         path = write(tmp_path / "g.tsv", "word\tv\nsad\t1.0\nsad\t3.0\n")
         gold = load_gold_lexicon(path, "word", ["v"])
-        assert len(gold) == 1
-        assert gold.ratings["sad"] == (3.0,)
-        assert gold.report.duplicates == 1
+        assert gold.words == ("sad",)
+        assert gold.values("v").tolist() == [3.0]
+        assert gold.provenance == {"rows_read": 2, "duplicates": 1}
 
     def test_words_lowercased(self, tmp_path):
-        path = write(tmp_path / "g.tsv", "word\tv\nSAD\t1.0\n")
+        path = write(tmp_path / "g.tsv", "word\tv\nSAD\t1.0\nHappy\t2.0\nsad\t3.0\n")
         gold = load_gold_lexicon(path, "word", ["v"])
-        assert "sad" in gold.ratings
+        assert gold.words == ("happy", "sad")
+        assert gold.values("v").tolist() == [2.0, 3.0]

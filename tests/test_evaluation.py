@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lexlearn.corpus import Document, GoldWordLexicon, build_corpus
+from lexlearn.corpus import Document, build_corpus
 from lexlearn.errors import DataError, UndefinedCorrelationError
 from lexlearn.evaluation import (
     UserCorpus,
@@ -29,7 +29,7 @@ def exact_world(seed=0, n_words=100, n_docs=500, wpd=10):
         label = float(np.mean([planted[t] for t in toks]))
         docs.append(Document(f"d{i:04d}", toks, {"aff": label}))
     corpus = build_corpus(docs, ["aff"])
-    gold = GoldWordLexicon(("aff",), {w: (planted[w],) for w in words})
+    gold = lexicon(planted)
     return corpus, gold
 
 
@@ -69,9 +69,8 @@ class TestIntrinsic:
             Document("d2", words_b + ("shared",) * 11, {"aff": 2.0}),
         ]
         corpus = build_corpus(docs, ["aff"])
-        gold = GoldWordLexicon(
-            ("aff",),
-            {w: (float(i),) for i, w in enumerate(words_a + words_b + ("shared",))},
+        gold = lexicon(
+            {w: float(i) for i, w in enumerate(words_a + words_b + ("shared",))}
         )
         report = eval_intrinsic(corpus, gold, MethodSpec("mean_star"), "aff",
                                 folds=2, seed=0)
@@ -85,7 +84,7 @@ class TestIntrinsic:
             Document("d2", ("x", "z"), {"aff": 2.0}),
         ]
         corpus = build_corpus(docs, ["aff"])
-        gold = GoldWordLexicon(("aff",), {"x": (1.0,)})
+        gold = lexicon({"x": 1.0})
         with pytest.raises(DataError, match="30"):
             eval_intrinsic(corpus, gold, MethodSpec("mean_star"), "aff")
 
@@ -120,8 +119,9 @@ class TestIntrinsic:
             train = [docs[i] for i in range(len(docs)) if i not in held_out]
             sub = build_corpus(train, min_df=min_df)
             rated = fit_method(sub, "aff", spec).ratings_for("aff")
-            common = sorted(set(rated) & set(gold.ratings))
-            ref = [gold.ratings[w][0] for w in common]
+            gold_rated = gold.ratings_for("aff")
+            common = sorted(set(rated) & set(gold_rated))
+            ref = [gold_rated[w] for w in common]
             expected.append(pearson([rated[w] for w in common], ref))
         assert report.per_fold == expected
         unfiltered = eval_intrinsic(world, gold, spec, "aff", folds=folds, seed=seed)
@@ -139,14 +139,14 @@ class TestIntrinsic:
             6, n_words=60, dim=12, n_docs=120, words_per_doc=5, noise=0.05,
             n_heldout=40,
         )
-        gold = GoldWordLexicon(("aff",), {w: (r,) for w, r in planted.items()})
+        gold = lexicon(planted)
         star = eval_intrinsic(corpus, gold, MethodSpec("mean_star"), "aff",
                               folds=3, seed=6)
         cfg = NetConfig(12, 1, (16,), dropout_input=0, dropout_hidden=0,
                         max_epochs=30, seed=6)
         spec = MethodSpec("mlffn", net=cfg, table=table, rate_all_embedded=True)
         net = eval_intrinsic(corpus, gold, spec, "aff", folds=3, seed=6)
-        assert star.coverage <= len(corpus.vocab) / len(gold.ratings) + 1e-12
+        assert star.coverage <= len(corpus.vocab) / len(gold) + 1e-12
         assert net.coverage == 1.0
         assert net.coverage > star.coverage
 

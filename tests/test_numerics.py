@@ -55,6 +55,21 @@ class TestPearson:
         with pytest.raises(DimensionError):
             pearson([1, 2], [1, 2, 3])
 
+    @pytest.mark.parametrize("x,y", [
+        ([1e200, -1e200, 0], [1, -1, 0]),
+        ([1e200, -1e200, 0], [1e200, -1e200, 0]),
+        ([1e-170, 0, 2e-170], [1, 0, 2]),
+    ], ids=["overflow-one", "overflow-both", "underflow"])
+    def test_sums_that_overflow_or_underflow_are_rescaled(self, x, y):
+        assert pearson(x, y) == 1.0
+        assert pearson(y, x) == 1.0
+        assert pearson(x, [-v for v in y]) == -1.0
+
+    @pytest.mark.parametrize("value", [1e200, 1e-170, -1.7e308, 0.0])
+    def test_constant_at_any_magnitude_has_zero_variance(self, value):
+        with pytest.raises(UndefinedCorrelationError, match="zero variance"):
+            pearson([value] * 3, [1e200, -1e200, 0])
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(UndefinedCorrelationError, match="non-finite"):

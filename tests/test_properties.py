@@ -1,10 +1,15 @@
-"""Property test of the lexicon round trip through the CLI.
+"""Property tests of the CLI on drawn word-rating tables.
 
 Hypothesis draws lexicon files: header constructs and row words may repeat,
 and rating cells include extreme floats, ``nan`` and junk text.  ``describe``
 and ``rescale`` must end each one with exit 0, 1 or 2, never an exception;
 an exit 1 names the failing stage; and every lexicon ``rescale`` writes must
 load back, carry a ``.prov`` sidecar and pass ``describe``.
+
+It also draws gold tables for ``eval intrinsic`` on one fixed corpus: words
+repeat and change case, cells are drawn as above, and the word or rating
+column may be missing.  Each run ends with exit 0, 1 or 2 and no traceback,
+and an exit-0 report has its header and one row per method.
 """
 
 import contextlib
@@ -19,6 +24,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from lexlearn.cli import main  # noqa: E402
+from lexlearn.evaluation import EVAL_TSV_HEADER  # noqa: E402
 from lexlearn.induction import load_lexicon  # noqa: E402
 
 CELLS = st.one_of(
@@ -46,6 +52,7 @@ def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         rc = main(list(argv))
     assert rc in (0, 1, 2), rc
+    assert "Traceback" not in err.getvalue(), err.getvalue()
     if rc == 1:
         assert "stage '" in err.getvalue(), err.getvalue()
     return rc
@@ -63,3 +70,55 @@ def test_describe_and_rescale_end_cleanly_and_round_trip(text):
             assert len(load_lexicon(out))
             assert Path(str(out) + ".prov").is_file()
             assert run("describe", "--lexicon", str(out)) == 0
+
+
+# 60 documents over 40 words: each label is the mean of its words' indices
+# plus an offset of d % 5
+GOLD_WORDS = [f"w{i:02d}" for i in range(40)]
+CORPUS = "text\taff\n" + "".join(
+    f"{' '.join(GOLD_WORDS[(7 * d + 3 * k * k) % 40] for k in range(6))}\t"
+    f"{sum((7 * d + 3 * k * k) % 40 for k in range(6)) / 6 + d % 5}\n"
+    for d in range(60)
+)
+METHODS = ["mean-star", "mean-binary", "regression-weights"]
+FINITE = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+
+
+@st.composite
+def gold_files(draw):
+    header = draw(st.one_of(
+        st.just(["word", "aff"]),
+        st.lists(st.sampled_from(["word", "aff", "Word", "other"]),
+                 min_size=1, max_size=4),
+    ))
+    size = draw(st.one_of(st.just(40), st.integers(0, 40)))
+    words = draw(st.permutations(GOLD_WORDS))[:size]
+    words += draw(st.lists(st.sampled_from(GOLD_WORDS + ["", "zz", "é"]), max_size=5))
+    cases = st.sampled_from([str.lower, str.upper, str.title])
+    # a column draws finite floats (most often), cells from CELLS, or one
+    # repeated cell
+    column = st.one_of(st.sampled_from([FINITE, FINITE, CELLS]), CELLS.map(st.just))
+    columns = {name: draw(column) for name in header}
+    lines = ["\t".join(header)]
+    for w in words:
+        w = draw(cases)(w)
+        lines.append("\t".join(w if name == "word" else draw(columns[name])
+                               for name in header))
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(gold_files())
+def test_eval_intrinsic_ends_cleanly_on_any_gold_table(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, gold, out = (Path(tmp) / name for name in
+                             ("corpus.tsv", "gold.tsv", "report.tsv"))
+        corpus.write_text(CORPUS, encoding="utf-8")
+        gold.write_text(text, encoding="utf-8")
+        if run("eval", "intrinsic", "--corpus", str(corpus), "--gold", str(gold),
+               "--construct", "aff", "--methods", ",".join(METHODS), "--folds", "3",
+               "--seed", "0", "--out", str(out)) == 0:
+            lines = out.read_text(encoding="utf-8").splitlines()
+            assert lines[0] == EVAL_TSV_HEADER
+            assert [line.split("\t")[0] for line in lines[1:]] == [
+                m.replace("-", "_") for m in METHODS]

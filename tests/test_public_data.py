@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lexlearn.corpus import load_corpus, load_gold_lexicon
+from lexlearn.corpus import load_corpus
 from lexlearn.embeddings import load_embeddings
-from lexlearn.evaluation import eval_intrinsic
-from lexlearn.induction import MethodSpec, load_lexicon
+from lexlearn.evaluation import eval_intrinsic, load_gold_lexicon
+from lexlearn.induction import Lexicon, MethodSpec, load_lexicon
 from lexlearn.neural import NetConfig
 from lexlearn.numerics import pearson
 
@@ -48,7 +48,9 @@ def test_criterion_9_intrinsic_valence_brackets():
     gold = load_gold_lexicon(
         warriner, "Word", ["V.Mean.Sum", "A.Mean.Sum", "D.Mean.Sum"]
     )
-    keep = set(corpus.vocab) | set(gold.ratings)
+    # the same three norms under the corpus's construct names V, A and D
+    gold = Lexicon(corpus.constructs, gold.words, gold.ratings)
+    keep = set(corpus.vocab) | set(gold.words)
     table = load_embeddings(vec_file, restrict_to=keep)
 
     star = eval_intrinsic(corpus, gold, MethodSpec("mean_star"), "V",
