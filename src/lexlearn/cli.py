@@ -79,6 +79,11 @@ def _file_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+def _vector_metrics(table) -> dict:
+    """The loader's deterministic counters, for ``notes.metrics`` in ``.prov``."""
+    return {"vectors_loaded": len(table), "skipped_vector_lines": table.skipped_lines}
+
+
 def _write_provenance(out_path: str, command: str, args: argparse.Namespace,
                       seed: int, inputs: list[str], notes: dict | None = None) -> None:
     flags = {
@@ -220,9 +225,11 @@ def cmd_induce(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args, constructs)
     inputs = [args.corpus]
     parts = []
+    notes = {"method": method, "constructs": constructs}
     if method == "mlffn":
         table = _stage("load-embeddings", load_embeddings, args.embeddings)
         inputs.append(args.embeddings)
+        notes["metrics"] = _vector_metrics(table)
         # one net for all constructs, or one per construct seeded seed + i
         groups = [constructs] if args.joint else [[c] for c in constructs]
         for i, group in enumerate(groups):
@@ -253,7 +260,7 @@ def cmd_induce(args: argparse.Namespace) -> int:
     lex = parts[0] if len(parts) == 1 else _merge_lexica(parts)
     if rescale:
         lex = _stage("rescale", rescale_log_minmax, lex, *rescale)
-    notes = {"method": method, "constructs": constructs, "lexicon": lex.provenance}
+    notes["lexicon"] = lex.provenance
     _stage("write-output", save_lexicon, lex, args.out, provenance=False)
     _write_provenance(args.out, "induce", args, seed, inputs, notes)
     print(f"wrote {len(lex)} words x {len(lex.constructs)} construct(s) to {args.out}")
@@ -288,11 +295,13 @@ def cmd_eval_intrinsic(args: argparse.Namespace) -> int:
     )
     inputs = [args.corpus, args.gold]
     table = None
+    notes = {}
     if any(METHOD_FLAGS[m] == "mlffn" for m in methods):
         if not args.embeddings:
             raise _UsageFailure("--embeddings is required to evaluate mlffn")
         table = _stage("load-embeddings", load_embeddings, args.embeddings)
         inputs.append(args.embeddings)
+        notes["metrics"] = _vector_metrics(table)
     reports = []
     for flag in methods:
         kind = METHOD_FLAGS[flag]
@@ -323,7 +332,7 @@ def cmd_eval_intrinsic(args: argparse.Namespace) -> int:
             handle.write(EVAL_TSV_HEADER + "\n")
             for report in reports:
                 handle.write(report_tsv_row(report) + "\n")
-        _write_provenance(args.out, "eval-intrinsic", args, seed, inputs, {})
+        _write_provenance(args.out, "eval-intrinsic", args, seed, inputs, notes)
         print(f"wrote report to {args.out}")
     return 0
 
@@ -380,7 +389,9 @@ def cmd_eval_extrinsic(args: argparse.Namespace) -> int:
 def cmd_cluster(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     lex = _stage("load-lexicon", load_lexicon, args.lexicon)
-    table = _stage("load-embeddings", load_embeddings, args.embeddings)
+    # clustering reads only the lexicon words' rows
+    table = _stage("load-embeddings", load_embeddings, args.embeddings,
+                   restrict_to=lex.words)
     usable = np.count_nonzero(np.linalg.norm(table.matrix(lex.words), axis=1))
     if args.k > usable:
         raise _UsageFailure(
@@ -402,7 +413,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     _stage("write-output", save_clusters, result, args.out)
     _write_provenance(
         args.out, "cluster", args, seed, [args.lexicon, args.embeddings],
-        result.provenance,
+        {**result.provenance, "metrics": _vector_metrics(table)},
     )
     print(format_preview(result, args.top))
     if result.dropped_words:
@@ -416,12 +427,30 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _number(x: float, width: int = 0) -> str:
+    """Four decimals in fixed point, or in an exponent from 1e16 on, where a
+    float64 has no fractional digits left and fixed point prints up to 309
+    digits."""
+    return f"{x:{width}.4{'e' if abs(x) >= 1e16 else 'f'}}"
+
+
+def _mean(values: np.ndarray) -> float:
+    """Mean of finite values, also when their sum overflows."""
+    with np.errstate(over="ignore"):
+        mean = values.mean()
+    if np.isfinite(mean):
+        return mean
+    scale = np.abs(values).max()
+    return (values / scale).mean() * scale
+
+
 def _histogram_lines(counts: np.ndarray, edges: np.ndarray, width: int = 40) -> list[str]:
     peak = max(int(counts.max()), 1)
     lines = []
     for b in range(len(counts)):
         bar = "#" * max(1 if counts[b] else 0, round(width * counts[b] / peak))
-        lines.append(f"  [{edges[b]:9.4f}, {edges[b + 1]:9.4f}) {bar} {counts[b]}")
+        lines.append(f"  [{_number(edges[b], 9)}, {_number(edges[b + 1], 9)}) "
+                     f"{bar} {counts[b]}")
     return lines
 
 
@@ -452,10 +481,11 @@ def cmd_describe(args: argparse.Namespace) -> int:
     for construct in lex.constructs:
         values = lex.values(construct)
         print(f"construct: {construct}")
+        sd = values.std(ddof=1) if len(values) > 1 else float("nan")
         print(
-            f"  count: {len(values)}  min: {values.min():.4f}  "
-            f"max: {values.max():.4f}  mean: {values.mean():.4f}  "
-            f"sd: {values.std(ddof=1) if len(values) > 1 else float('nan'):.4f}"
+            f"  count: {len(values)}  min: {_number(values.min())}  "
+            f"max: {_number(values.max())}  mean: {_number(_mean(values))}  "
+            f"sd: {_number(sd)}"
         )
         print("  histogram (20 bins):")
         counts, edges = _stage("histogram", _histogram, construct, values)

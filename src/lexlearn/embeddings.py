@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -59,50 +59,58 @@ class EmbeddingTable:
         return out
 
 
+_BLOCK_LINES = 1024  # lines whose values one np.loadtxt call parses
+
+
 def load_embeddings(
     path: str | Path, restrict_to: Iterable[str] | None = None
 ) -> EmbeddingTable:
     """Load a text word-vector file.
 
-    Lines with the wrong number of fields or unparsable values are skipped
-    and counted; more than 1% skipped lines is treated as a broken file.
-    ``restrict_to`` keeps only the named words (memory control for large
-    files).
+    Lines with the wrong number of fields or unparsable or non-finite values
+    are skipped and counted; more than 1% skipped lines is treated as a
+    broken file.  A repeated word keeps its first row and takes its last
+    vector.  ``restrict_to`` keeps only the named words (memory control for
+    large files); every line is still checked.
+
+    The first valid record fixes the dimension.  After it, the values of
+    each block of lines are parsed by one call of numpy's C reader
+    (``np.loadtxt``); a block it rejects is checked again line by line under
+    the same skip rules, so the table and the counts do not depend on the
+    path taken.  A value beyond the float32 range reads as infinite, so its
+    line is skipped, with no overflow warning.
     """
     keep = set(restrict_to) if restrict_to is not None else None
-    rows: dict[str, int] = {}
-    data = bytearray()  # the float32 rows, appended in place
+    words: list[str] = []  # the kept records in file order, repeats included
+    data = bytearray()  # their float32 rows
     dim: int | None = None
     data_lines = 0
     skipped = 0
-    with open(path, encoding="utf-8", errors="replace") as handle:
-        for line_no, line in enumerate(handle):
-            parts = line.rstrip("\n").split()
-            if not parts:
-                continue
-            if line_no == 0 and len(parts) == 2:
-                try:
-                    int(parts[0]), int(parts[1])
-                    continue  # "count dim" header
-                except ValueError:
-                    pass
+    with open(path, encoding="utf-8", errors="replace") as handle, \
+            np.errstate(over="ignore"):
+        first = handle.readline()
+        lines = chain([] if _is_header(first) else [first], handle)
+        # line by line until the first valid record fixes dim
+        for word, values in _check_lines(lines, None):
             data_lines += 1
-            if len(parts) < 2 or (dim is not None and len(parts) != dim + 1):
-                skipped += 1
-                continue
-            try:
-                values = np.array(parts[1:], dtype=np.float32)
-            except ValueError:
-                values = None
-            if values is None or not np.isfinite(values).all():
+            if values is None:
                 skipped += 1
                 continue
             dim = len(values)
-            if keep is not None and parts[0] not in keep:
-                continue
-            # a repeated word keeps its first row and takes the last vector
-            row = rows.setdefault(parts[0], len(rows))
-            data[row * values.nbytes : (row + 1) * values.nbytes] = values.tobytes()
+            if keep is None or word in keep:
+                words.append(word)
+                data += values.tobytes()
+            break
+        while dim is not None and (block := list(islice(handle, _BLOCK_LINES))):
+            block_words, vectors, records = _parse_block(block, dim)
+            data_lines += records
+            skipped += records - len(block_words)
+            if keep is not None:
+                kept = [w in keep for w in block_words]
+                block_words = list(compress(block_words, kept))
+                vectors = vectors[np.array(kept, dtype=bool)]
+            words += block_words
+            data += vectors.tobytes()
     if data_lines == 0:
         raise FormatError(f"{path}: no vector records found")
     if skipped > 0.01 * data_lines:
@@ -110,10 +118,64 @@ def load_embeddings(
             f"{path}: {skipped} of {data_lines} lines skipped (wrong arity or "
             f"unparsable values), over the 1% budget"
         )
-    if not rows:
+    if not words:
         raise FormatError(f"{path}: no embedding vectors loaded")
-    matrix = np.frombuffer(data, dtype=np.float32).reshape(len(rows), dim)
-    return EmbeddingTable(tuple(rows), matrix, skipped)
+    matrix = np.frombuffer(data, dtype=np.float32).reshape(len(words), dim)
+    # first-seen order, each word's last record
+    last = dict(zip(words, range(len(words))))
+    if len(last) < len(words):
+        matrix = matrix[np.fromiter(last.values(), np.intp, len(last))]
+    return EmbeddingTable(tuple(last), matrix, skipped)
+
+
+def _is_header(line: str) -> bool:
+    """``count dim``: two integers, allowed only as the first line."""
+    parts = line.split()
+    if len(parts) != 2:
+        return False
+    try:
+        int(parts[0]), int(parts[1])
+    except ValueError:
+        return False
+    return True
+
+
+def _check_lines(lines: Iterable[str], dim: int | None):
+    """The skip rule, one line at a time: yield ``(word, values)`` for each
+    line that is not blank, ``values`` being None when the line is skipped
+    (fewer than two fields, other than ``dim`` values, or a value that does
+    not parse or is not finite).  With ``dim`` None any count passes."""
+    for line in lines:
+        parts = line.split()
+        if not parts:
+            continue
+        values = None
+        if len(parts) >= 2 and (dim is None or len(parts) == dim + 1):
+            try:
+                values = np.array(parts[1:], dtype=np.float32)
+            except ValueError:
+                pass
+        if values is not None and not np.isfinite(values).all():
+            values = None
+        yield parts[0], values
+
+
+def _parse_block(lines: list[str], dim: int) -> tuple[list[str], np.ndarray, int]:
+    """The words and (n, dim) float32 values of the valid records in
+    ``lines``, and the number of lines that are not blank."""
+    heads = [h for h in (line.split(None, 1) for line in lines) if h]
+    records = [h for h in heads if len(h) == 2]  # a lone word is skipped
+    try:
+        values = np.loadtxt([h[1] for h in records], dtype=np.float32,
+                            comments=None, ndmin=2) if records else None
+    except ValueError:  # a token it does not parse, or rows of unequal length
+        values = None
+    if values is None or values.shape != (len(records), dim):
+        valid = [(w, v) for w, v in _check_lines(lines, dim) if v is not None]
+        vectors = np.array([v for _, v in valid], dtype=np.float32)
+        return [w for w, _ in valid], vectors.reshape(len(valid), dim), len(heads)
+    ok = np.isfinite(values).all(axis=1)
+    return list(compress((h[0] for h in records), ok)), values[ok], len(heads)
 
 
 def centroid(doc, table: EmbeddingTable) -> np.ndarray:

@@ -40,12 +40,13 @@ def pearson(x, y) -> float:
         raise DimensionError("pearson: need at least 2 observations")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise UndefinedCorrelationError("pearson: an argument holds a non-finite value")
+    # before the sums: a constant's mean can round away from its value
+    if a.min() == a.max() or b.min() == b.max():
+        raise UndefinedCorrelationError("pearson: an argument has zero variance")
     with np.errstate(all="ignore"):  # overflow and underflow are checked below
         cov, ssa, ssb = _centred_sums(a, b)
         scale = np.sqrt(ssa) * np.sqrt(ssb)
         if not np.finfo(np.float64).tiny <= scale < np.inf:
-            if a.min() == a.max() or b.min() == b.max():
-                raise UndefinedCorrelationError("pearson: an argument has zero variance")
             # the sums overflowed or underflowed: redo them on each vector
             # divided by its largest magnitude, where neither they nor their
             # product can

@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from lexlearn import cli
 from lexlearn.cli import main
+from lexlearn.embeddings import load_embeddings
 from lexlearn.induction import load_lexicon
 
 
@@ -370,6 +372,94 @@ class TestClusterCommand:
         assert "empathy" in err
 
 
+class TestVectorCounters:
+    """The loader's counters go into ``.prov`` under ``notes.metrics``."""
+
+    @pytest.fixture
+    def world(self, synth, tmp_path):
+        # the synth vectors, 120 words no lexicon holds and one short line
+        corpus, emb = synth
+        lines = emb.read_text(encoding="utf-8").splitlines()[1:]
+        vec = tmp_path / "big.vec"
+        vec.write_text("\n".join(
+            lines + [f"f{i} " + " ".join(["0.5"] * 8) for i in range(120)]
+            + ["short 1 2"]) + "\n", encoding="utf-8")
+        lex = tmp_path / "lex.tsv"
+        assert main(["induce", "--method", "mean-star", "--corpus", str(corpus),
+                     "--construct", "empathy", "--out", str(lex), "--seed", "0"]) == 0
+        return corpus, vec, lex
+
+    @staticmethod
+    def cluster(vec, lex, out, capsys):
+        capsys.readouterr()
+        assert main(["cluster", "--lexicon", str(lex), "--embeddings", str(vec),
+                     "--construct", "empathy", "--k", "2", "--knn", "5",
+                     "--seed", "4", "--out", str(out)]) == 0
+        return capsys.readouterr().out.replace(str(out), "OUT")
+
+    def test_cluster_loads_only_lexicon_words(self, world, tmp_path, monkeypatch,
+                                              capsys):
+        _, vec, lex = world
+        restricted = self.cluster(vec, lex, tmp_path / "r.tsv", capsys)
+        monkeypatch.setattr(cli, "load_embeddings",
+                            lambda path, restrict_to=None: load_embeddings(path))
+        full = self.cluster(vec, lex, tmp_path / "f.tsv", capsys)
+        assert restricted == full
+        assert (tmp_path / "r.tsv").read_bytes() == (tmp_path / "f.tsv").read_bytes()
+        provs = [json.loads((tmp_path / f"{n}.tsv.prov").read_text(encoding="utf-8"))
+                 for n in "rf"]
+        # every line is checked either way; only the kept rows differ
+        assert [p["notes"].pop("metrics") for p in provs] == [
+            {"vectors_loaded": 30, "skipped_vector_lines": 1},
+            {"vectors_loaded": 150, "skipped_vector_lines": 1},
+        ]
+        for p in provs:
+            p["flags"].pop("out")
+        assert provs[0] == provs[1]
+
+    def test_lexicon_without_vectors_fails_at_load_embeddings(self, world, tmp_path,
+                                                              capsys):
+        _, vec, _ = world
+        lex = tmp_path / "other.tsv"
+        lex.write_text("word\tempathy\nzz\t1.0\nyy\t2.0\n", encoding="utf-8")
+        rc = main(["cluster", "--lexicon", str(lex), "--embeddings", str(vec),
+                   "--construct", "empathy", "--k", "2",
+                   "--out", str(tmp_path / "c.tsv")])
+        assert rc == 1
+        assert "stage 'load-embeddings'" in capsys.readouterr().err
+
+    def test_counters_recorded_and_reruns_byte_identical(self, world, tmp_path,
+                                                         capsys):
+        corpus, vec, lex = world
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("word\tempathy\n" + "".join(
+            f"{w}\t{r}\n" for w, r in load_lexicon(lex).ratings_for("empathy").items()
+        ), encoding="utf-8")
+        net = ["--embeddings", str(vec), "--hidden", "8", "--epochs", "5",
+               "--seed", "3"]
+        outs = {
+            "induce": (["induce", "--method", "mlffn", "--corpus", str(corpus),
+                        "--construct", "empathy", *net], 150),
+            "eval": (["eval", "intrinsic", "--corpus", str(corpus), "--gold",
+                      str(gold), "--construct", "empathy", "--methods", "mlffn",
+                      "--folds", "3", *net], 150),
+        }
+        runs = []
+        for _ in range(2):
+            digests = {}
+            for name, (argv, loaded) in outs.items():
+                out = tmp_path / f"{name}.tsv"
+                assert main(argv + ["--out", str(out)]) == 0
+                prov = json.loads((tmp_path / f"{name}.tsv.prov").read_text())
+                assert prov["notes"]["metrics"] == {
+                    "vectors_loaded": loaded, "skipped_vector_lines": 1}
+                digests[name] = sha(tmp_path / f"{name}.tsv.prov")
+            self.cluster(vec, lex, tmp_path / "c.tsv", capsys)
+            digests["cluster"] = sha(tmp_path / "c.tsv.prov")
+            runs.append(digests)
+        assert runs[0] == runs[1]
+
+
 class TestDescribeAndRescale:
     def test_describe_rescaled_lexicon(self, tmp_path, capsys):
         lex = tmp_path / "lex.tsv"
@@ -432,6 +522,17 @@ class TestDescribeAndRescale:
             ["arousal", "n/a", "1.000"],
         ]
 
+    def test_constant_whose_mean_rounds_away_has_no_pearson(self, tmp_path, capsys):
+        # the mean of three 0.1 is 0.1 + 1.4e-17; the cell read 0.000
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("word\tvalence\tarousal\nx\t1.0\t0.1\ny\t2.0\t0.1\n"
+                       "z\t3.0\t0.1\n", encoding="utf-8")
+        assert main(["describe", "--lexicon", str(lex)]) == 0
+        assert self.pearson_table(capsys.readouterr().out)[1:] == [
+            ["valence", "1.000", "n/a"],
+            ["arousal", "n/a", "1.000"],
+        ]
+
     def test_unbinnable_range_fails_at_a_stage(self, tmp_path, capsys):
         lex = tmp_path / "lex.tsv"
         lex.write_text("word\tvalence\nx\t-1.7e308\ny\t1.7e308\n",
@@ -459,6 +560,22 @@ class TestDescribeAndRescale:
         assert edges == sorted(edges)
         values = [float(r) for r in ratings]
         assert edges[0] <= min(values) <= max(values) <= edges[-1]
+
+    @pytest.mark.parametrize("ratings,stats", [
+        (("1e308", "1.5e308"), "min: 1.0000e+308  max: 1.5000e+308  mean: 1.2500e+308"),
+        (("-1.7e308",), "min: -1.7000e+308  max: -1.7000e+308  mean: -1.7000e+308"),
+        (("-1e15", "1e15"), "min: -1000000000000000.0000  max: 1000000000000000.0000"
+                            "  mean: 0.0000"),
+    ], ids=["sum-overflows", "one-word-min", "fixed-point-below-1e16"])
+    def test_huge_ratings_print_finite_short_stats(self, tmp_path, capsys, ratings,
+                                                   stats):
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("word\ta\n" + "".join(
+            f"w{i}\t{r}\n" for i, r in enumerate(ratings)), encoding="utf-8")
+        assert main(["describe", "--lexicon", str(lex)]) == 0
+        out = capsys.readouterr().out
+        assert f"  count: {len(ratings)}  {stats}  sd: " in out
+        assert max(map(len, out.splitlines())) < 120  # was 986 at -1.7e308
 
     @pytest.mark.parametrize("command,ratings,warning", [
         (["rescale", "--range", "1:7"], ("2.0", "2.0"),

@@ -1,10 +1,12 @@
 """Word-vector loading, centroids, cosine."""
 
 import dataclasses
+import random
 
 import numpy as np
 import pytest
 
+from lexlearn import embeddings
 from lexlearn.corpus import Document, build_corpus
 from lexlearn.embeddings import centroid, cosine, centroids, load_embeddings
 from lexlearn.errors import DataError, DimensionError, FormatError
@@ -80,6 +82,156 @@ class TestLoad:
         assert got.dtype == np.float32
         assert np.array_equal(got, [[0, 1, 0], [0, 0, 0], [1, 0, 0], [0, 1, 0]])
         assert table.matrix([]).shape == (0, 3)
+
+
+def reference_load(path, restrict_to=None):
+    """The skip rule applied one line at a time: ``(words, float32 matrix,
+    skipped)``, or FormatError."""
+    keep = set(restrict_to) if restrict_to is not None else None
+    rows, dim, data_lines, skipped = {}, None, 0, 0
+    with open(path, encoding="utf-8", errors="replace") as handle:
+        for line_no, line in enumerate(handle):
+            parts = line.split()
+            if not parts:
+                continue
+            if line_no == 0 and len(parts) == 2:
+                try:
+                    int(parts[0]), int(parts[1])
+                    continue
+                except ValueError:
+                    pass
+            data_lines += 1
+            if len(parts) < 2 or (dim is not None and len(parts) != dim + 1):
+                skipped += 1
+                continue
+            try:
+                with np.errstate(over="ignore"):
+                    values = np.array(parts[1:], dtype=np.float32)
+            except ValueError:
+                skipped += 1
+                continue
+            if not np.isfinite(values).all():
+                skipped += 1
+                continue
+            dim = len(values)
+            if keep is None or parts[0] in keep:
+                rows.setdefault(parts[0], []).append(values)
+    if data_lines == 0:
+        raise FormatError(f"{path}: no vector records found")
+    if skipped > 0.01 * data_lines:
+        raise FormatError(
+            f"{path}: {skipped} of {data_lines} lines skipped (wrong arity or "
+            f"unparsable values), over the 1% budget"
+        )
+    if not rows:
+        raise FormatError(f"{path}: no embedding vectors loaded")
+    return tuple(rows), np.array([v[-1] for v in rows.values()]), skipped
+
+
+# tokens the skip rule rejects: non-finite once parsed (float32 range), or
+# refused by one parser or both
+BAD_TOKENS = ["nan", "-inf", "Infinity", "1e40", "-3.5e39", "1_0", "x", "١",
+              "1e", "0x10", "1,5", "--1"]
+
+
+def random_vec_file(rng, path, lines, dim, bad_share):
+    """A ``.vec`` file of ``lines`` lines in the formats found in the wild,
+    with a ``bad_share`` of lines the skip rule rejects; ``rng`` is a
+    ``random.Random``.  Returns the word pool."""
+    pool = [f"w{i}" for i in range(lines // 3)] + ["café", "дом", "a�b"]
+    formats = [
+        lambda v: repr(float(v)),
+        lambda v: f"{v:.4f}",
+        lambda v: f"{v:.3e}",
+        # just past a float32 rounding midpoint
+        lambda v: f"{(float(v) + float(np.nextafter(v, np.float32(9)))) / 2:.25e}1",
+        lambda v: str(int(v * 3)),
+    ]
+    out = [f"{lines} {dim}"] if rng.random() < 0.5 else []
+    for _ in range(lines):
+        if rng.random() < 0.03:
+            out.append(rng.choice(["", "   ", "\t"]))  # blank
+            continue
+        word = rng.choice(pool)
+        fmt = rng.choice(formats)
+        vals = [fmt(np.float32(rng.gauss(0, 1))) for _ in range(dim)]
+        if rng.random() < bad_share:
+            kind = rng.randrange(4)
+            if kind == 0:
+                vals[rng.randrange(dim)] = rng.choice(BAD_TOKENS)
+            elif kind == 1:
+                vals = vals[: rng.randrange(dim)]  # short, maybe a lone word
+            elif kind == 2:
+                vals.append("0.5")  # long
+            else:
+                word, vals = "5", [str(dim)]  # a header-like line past line 0
+        sep = rng.choice([" ", " ", "\t", "  "])
+        out.append(word + sep + sep.join(vals) + rng.choice(["", "", " ", "\t"]))
+    path.write_bytes("".join(
+        line + rng.choice(["\n", "\r\n"]) for line in out).encode("utf-8"))
+    return pool
+
+
+class TestLoaderMatchesPerLineRule:
+    """The block loader returns the per-line reference's table, skipped count
+    and error text, on files that cross block boundaries."""
+
+    @staticmethod
+    def assert_same(path, restrict_to):
+        try:
+            want = reference_load(path, restrict_to)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as got:
+                load_embeddings(path, restrict_to)
+            assert str(got.value) == str(exc)
+            return
+        table = load_embeddings(path, restrict_to)
+        assert table.words == want[0]
+        assert table.vectors.dtype == np.float32
+        assert table.vectors.tobytes() == want[1].tobytes()
+        assert table.skipped_lines == want[2]
+
+    @pytest.mark.parametrize("block,seed", [
+        *((None, seed) for seed in range(4)), *((5, seed) for seed in range(12)),
+    ])
+    def test_random_files(self, tmp_path, monkeypatch, block, seed):
+        if block is not None:
+            monkeypatch.setattr(embeddings, "_BLOCK_LINES", block)
+        rng = random.Random(seed)
+        lines = max(2 * embeddings._BLOCK_LINES, 1000) + rng.randrange(1, 300)
+        bad_share = [0.0, 0.003, 0.008, 0.05][seed % 4]
+        path = tmp_path / "v.vec"
+        pool = random_vec_file(rng, path, lines, rng.randrange(1, 6), bad_share)
+        self.assert_same(path, None)
+        self.assert_same(path, set(rng.sample(pool, len(pool) // 4)))
+        self.assert_same(path, {"absent"})
+
+    def test_clean_blocks_take_the_c_reader(self, tmp_path, monkeypatch):
+        # only the lines up to the first record are checked one at a time
+        calls = []
+        check = embeddings._check_lines
+        monkeypatch.setattr(embeddings, "_check_lines",
+                            lambda lines, dim: calls.append(dim) or check(lines, dim))
+        path = tmp_path / "v.vec"
+        random_vec_file(random.Random(0), path, 3 * embeddings._BLOCK_LINES, 4, 0.0)
+        assert len(load_embeddings(path)) > 0
+        assert calls == [None]
+
+    @pytest.mark.parametrize("text", [
+        "\n\n",
+        "3 2\n",
+        "x 1_0 2\na 1 2\n" + "b 3 4\n" * 150,
+        "a 1\n" + "b 1 2\n" * 150,
+        "a 1 nan\n" + "b 1 2\n" * 150,
+        "lone\n" + "b 1 2\n" * 150,
+        "4 2\r\n\r\nw 1 2\r\n" + "v 1 1e40\r\nu 3 4\r\n" * 3,
+    ], ids=["blank", "header-only", "first-line-bad", "first-record-sets-dim",
+            "first-line-nan", "first-line-lone-word", "crlf-overflow"])
+    def test_edge_files(self, tmp_path, text):
+        path = tmp_path / "e.vec"
+        path.write_bytes(text.encode("utf-8"))
+        self.assert_same(path, None)
+        self.assert_same(path, {"b", "u"})
 
 
 class TestCentroid:

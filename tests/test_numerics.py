@@ -70,6 +70,13 @@ class TestPearson:
         with pytest.raises(UndefinedCorrelationError, match="zero variance"):
             pearson([value] * 3, [1e200, -1e200, 0])
 
+    def test_constant_whose_mean_rounds_away_has_zero_variance(self):
+        # the mean of three 0.1 is 0.1 + 1.4e-17, so the centred sums are not 0
+        with pytest.raises(UndefinedCorrelationError, match="zero variance"):
+            pearson([0.1] * 3, [0, 1, 2])
+        with pytest.raises(UndefinedCorrelationError, match="zero variance"):
+            pearson([0, 1, 2], [0.1] * 3)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(UndefinedCorrelationError, match="non-finite"):
