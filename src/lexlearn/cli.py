@@ -32,13 +32,16 @@ from .evaluation import (
     load_user_corpora,
     report_tsv_row,
 )
-from .induction import (
-    Lexicon,
+# the fit_* names stay importable for code that wraps them by module attribute
+from .induction import (  # noqa: F401
+    METHOD_KINDS,
     MethodSpec,
     fit_mean_binary,
     fit_mean_star,
+    fit_method,
     fit_mlffn,
     fit_regression_weights,
+    join_lexica,
     load_lexicon,
     rescale_log_minmax,
     save_lexicon,
@@ -46,12 +49,7 @@ from .induction import (
 from .neural import NetConfig
 from .numerics import pearson
 
-METHOD_FLAGS = {
-    "mean-star": "mean_star",
-    "mean-binary": "mean_binary",
-    "regression-weights": "regression_weights",
-    "mlffn": "mlffn",
-}
+METHOD_FLAGS = {kind.replace("_", "-"): kind for kind in METHOD_KINDS}
 
 
 class _StageFailure(Exception):
@@ -125,13 +123,10 @@ def _parse_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _parse_hidden(text: str) -> tuple[int, ...]:
-    try:
-        sizes = tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise _UsageFailure(f"bad --hidden value {text!r}") from None
-    if not sizes or any(s < 1 for s in sizes):
-        raise _UsageFailure(f"bad --hidden value {text!r}")
+def _hidden_sizes(text: str) -> tuple[int, ...]:
+    sizes = tuple(int(p) for p in text.split(",") if p.strip())
+    if not sizes or min(sizes) < 1:
+        raise ValueError(f"bad layer sizes {text!r}")
     return sizes
 
 
@@ -142,9 +137,10 @@ def _checked(kind, ok, expected: str):
     def parse(text: str):
         try:
             value = kind(text)
+            good = ok(value)
         except ValueError:
-            value = None
-        if value is None or not ok(value):
+            good = False
+        if not good:
             raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
         return value
 
@@ -162,24 +158,34 @@ _DROPOUT = _checked(float, lambda v: 0 <= v < 1, "a rate in [0, 1)")
 _FRACTION = _checked(float, lambda v: 0 < v < 1, "a fraction in (0, 1)")
 _NONNEGATIVE = _checked(float, lambda v: 0 <= v < np.inf, "a finite number >= 0")
 _POSITIVE = _checked(float, lambda v: 0 < v < np.inf, "a finite number > 0")
+# checked at parse time, kept as text: .prov echoes the flag as given
+_HIDDEN = _checked(str, _hidden_sizes, "comma-separated layer sizes >= 1")
 
 
-def _net_config(args: argparse.Namespace, input_dim: int, output_dim: int) -> NetConfig:
-    return NetConfig(
-        input_dim=input_dim,
-        output_dim=output_dim,
-        hidden_sizes=_parse_hidden(args.hidden),
-        learning_rate=args.lr,
-        batch_size=args.batch_size,
-        max_epochs=args.epochs,
-        patience=args.patience,
-        dropout_input=args.dropout_input,
-        dropout_hidden=args.dropout_hidden,
-        l2=args.l2,
-        validation_fraction=args.val_fraction,
-        seed=args.seed,
-        monitor=args.monitor,
-    )
+def _method_spec(args: argparse.Namespace, kind: str, table) -> MethodSpec:
+    """The spec of method ``kind`` from the method flags; ``fit_method`` sets
+    the net's output count and seed."""
+    net = None
+    if kind == "mlffn":
+        net = NetConfig(
+            input_dim=table.dim,
+            hidden_sizes=_hidden_sizes(args.hidden),
+            learning_rate=args.lr,
+            batch_size=args.batch_size,
+            max_epochs=args.epochs,
+            patience=args.patience,
+            dropout_input=args.dropout_input,
+            dropout_hidden=args.dropout_hidden,
+            l2=args.l2,
+            validation_fraction=args.val_fraction,
+            seed=args.seed,
+            monitor=args.monitor,
+        )
+    # eval intrinsic has no flags for the rated word set
+    return MethodSpec(kind, ridge_lambda=args.ridge_lambda,
+                      median_ties=args.median_ties, net=net, table=table,
+                      rate_all_embedded=getattr(args, "rate_all_embedded", False),
+                      include_oov_words=getattr(args, "include_oov", False))
 
 
 # ---------------------------------------------------------------------------
@@ -187,18 +193,22 @@ def _net_config(args: argparse.Namespace, input_dim: int, output_dim: int) -> Ne
 # ---------------------------------------------------------------------------
 
 
+def _names(text: str, what: str) -> list[str]:
+    """A comma-separated list of distinct, non-empty names."""
+    names = [n.strip() for n in text.split(",") if n.strip()]
+    if not names:
+        raise _UsageFailure(f"no {what} names given")
+    if len(set(names)) < len(names):
+        raise _UsageFailure(f"a {what} is named twice: {names}")
+    return names
+
+
 def _constructs_from_args(args: argparse.Namespace) -> list[str]:
     if args.constructs:
-        names = [c.strip() for c in args.constructs.split(",") if c.strip()]
-    elif args.construct:
-        names = [args.construct]
-    else:
-        raise _UsageFailure("one of --construct or --constructs is required")
-    if not names:
-        raise _UsageFailure("no construct names given")
-    if len(set(names)) < len(names):
-        raise _UsageFailure(f"a construct is named twice: {names}")
-    return names
+        return _names(args.constructs, "construct")
+    if args.construct:
+        return [args.construct]
+    raise _UsageFailure("one of --construct or --constructs is required")
 
 
 def _load_corpus(args: argparse.Namespace, constructs: list[str]):
@@ -207,57 +217,29 @@ def _load_corpus(args: argparse.Namespace, constructs: list[str]):
                   min_df=args.min_df)
 
 
-def _merge_lexica(parts: list[Lexicon]) -> Lexicon:
-    # every part rates the same words: one corpus, one embedding table
-    constructs = tuple(c for lex in parts for c in lex.constructs)
-    ratings = np.hstack([lex.ratings for lex in parts])
-    prov = {"per_construct": [lex.provenance for lex in parts]}
-    return Lexicon(constructs, parts[0].words, ratings, prov)
-
-
 def cmd_induce(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     constructs = _constructs_from_args(args)
-    method = METHOD_FLAGS[args.method]
-    if method == "mlffn" and not args.embeddings:
+    kind = METHOD_FLAGS[args.method]
+    if kind == "mlffn" and not args.embeddings:
         raise _UsageFailure("--embeddings is required for --method mlffn")
     rescale = _parse_range(args.rescale) if args.rescale else None
     corpus = _load_corpus(args, constructs)
     inputs = [args.corpus]
-    parts = []
-    notes = {"method": method, "constructs": constructs}
-    if method == "mlffn":
-        table = _stage("load-embeddings", load_embeddings, args.embeddings)
+    notes = {"method": kind, "constructs": constructs}
+    table = None
+    if kind == "mlffn":
+        # centroids read every token: load the vectors of the corpus terms
+        keep = None if args.rate_all_embedded else set(corpus.terms)
+        table = _stage("load-embeddings", load_embeddings, args.embeddings,
+                       restrict_to=keep)
         inputs.append(args.embeddings)
         notes["metrics"] = _vector_metrics(table)
-        # one net for all constructs, or one per construct seeded seed + i
-        groups = [constructs] if args.joint else [[c] for c in constructs]
-        for i, group in enumerate(groups):
-            config = _net_config(args, table.dim, len(group))
-            config.seed = seed + i
-            part, _ = _stage(
-                "fit",
-                fit_mlffn,
-                corpus,
-                group,
-                table,
-                config,
-                rate_all_embedded=args.rate_all_embedded,
-                include_oov_words=args.include_oov,
-            )
-            parts.append(part)
-    else:
-        for construct in constructs:
-            if method == "mean_star":
-                part = _stage("fit", fit_mean_star, corpus, construct)
-            elif method == "mean_binary":
-                part = _stage("fit", fit_mean_binary, corpus, construct,
-                              args.median_ties)
-            else:
-                part = _stage("fit", fit_regression_weights, corpus, construct,
-                              args.ridge_lambda)
-            parts.append(part)
-    lex = parts[0] if len(parts) == 1 else _merge_lexica(parts)
+    spec = _method_spec(args, kind, table)
+    # one net for all constructs, or one per construct seeded seed + i
+    groups = [constructs] if args.joint or kind != "mlffn" else [[c] for c in constructs]
+    lex = join_lexica([_stage("fit", fit_method, corpus, group, spec, seed + i)
+                       for i, group in enumerate(groups)])
     if rescale:
         lex = _stage("rescale", rescale_log_minmax, lex, *rescale)
     notes["lexicon"] = lex.provenance
@@ -277,12 +259,14 @@ def cmd_eval_intrinsic(args: argparse.Namespace) -> int:
     if args.methods == "all":
         methods = list(METHOD_FLAGS)
     else:
-        methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+        methods = _names(args.methods, "method")
         unknown = [m for m in methods if m not in METHOD_FLAGS]
         if unknown:
             raise _UsageFailure(
                 f"unknown method(s) {unknown}; choose from {list(METHOD_FLAGS)}"
             )
+    if "mlffn" in methods and not args.embeddings:
+        raise _UsageFailure("--embeddings is required to evaluate mlffn")
     constructs = _constructs_from_args(args)
     corpus = _load_corpus(args, constructs)
     gold = _stage(
@@ -296,19 +280,15 @@ def cmd_eval_intrinsic(args: argparse.Namespace) -> int:
     inputs = [args.corpus, args.gold]
     table = None
     notes = {}
-    if any(METHOD_FLAGS[m] == "mlffn" for m in methods):
-        if not args.embeddings:
-            raise _UsageFailure("--embeddings is required to evaluate mlffn")
-        table = _stage("load-embeddings", load_embeddings, args.embeddings)
+    if "mlffn" in methods:
+        table = _stage("load-embeddings", load_embeddings, args.embeddings,
+                       restrict_to=set(corpus.terms))
         inputs.append(args.embeddings)
         notes["metrics"] = _vector_metrics(table)
     reports = []
     for flag in methods:
-        kind = METHOD_FLAGS[flag]
+        spec = _method_spec(args, METHOD_FLAGS[flag], table)
         for construct in constructs:
-            net = _net_config(args, table.dim, 1) if kind == "mlffn" else None
-            spec = MethodSpec(kind, ridge_lambda=args.ridge_lambda,
-                              median_ties=args.median_ties, net=net, table=table)
             report = _stage("eval", eval_intrinsic, corpus, gold, spec, construct,
                             folds=args.folds, seed=seed)
             reports.append(report)
@@ -434,14 +414,15 @@ def _number(x: float, width: int = 0) -> str:
     return f"{x:{width}.4{'e' if abs(x) >= 1e16 else 'f'}}"
 
 
-def _mean(values: np.ndarray) -> float:
-    """Mean of finite values, also when their sum overflows."""
-    with np.errstate(over="ignore"):
-        mean = values.mean()
-    if np.isfinite(mean):
-        return mean
-    scale = np.abs(values).max()
-    return (values / scale).mean() * scale
+def _scale_safe(stat, values: np.ndarray) -> float:
+    """``stat(values)`` of finite values, also when a sum inside overflows:
+    then taken of the values scaled by their largest magnitude."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = stat(values)
+        if np.isfinite(result):
+            return result
+        scale = np.abs(values).max()
+        return stat(values / scale) * scale
 
 
 def _histogram_lines(counts: np.ndarray, edges: np.ndarray, width: int = 40) -> list[str]:
@@ -481,10 +462,12 @@ def cmd_describe(args: argparse.Namespace) -> int:
     for construct in lex.constructs:
         values = lex.values(construct)
         print(f"construct: {construct}")
-        sd = values.std(ddof=1) if len(values) > 1 else float("nan")
+        sd = _scale_safe(lambda v: v.std(ddof=1), values) \
+            if len(values) > 1 else float("nan")
         print(
             f"  count: {len(values)}  min: {_number(values.min())}  "
-            f"max: {_number(values.max())}  mean: {_number(_mean(values))}  "
+            f"max: {_number(values.max())}  "
+            f"mean: {_number(_scale_safe(np.mean, values))}  "
             f"sd: {_number(sd)}"
         )
         print("  histogram (20 bins):")
@@ -562,7 +545,7 @@ def _add_method_flags(parser: argparse.ArgumentParser) -> None:
                         type=_NONNEGATIVE, default=1.0)
     parser.add_argument("--median-ties", choices=("high", "low"), default="high")
     parser.add_argument("--embeddings", default=None, help="word-vector file")
-    parser.add_argument("--hidden", default="256,128",
+    parser.add_argument("--hidden", type=_HIDDEN, default="256,128",
                         help="comma-separated hidden layer sizes")
     parser.add_argument("--lr", type=_POSITIVE, default=1e-3)
     parser.add_argument("--batch-size", type=_int_at_least(1), default=32)

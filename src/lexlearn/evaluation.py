@@ -129,7 +129,7 @@ def eval_intrinsic(
         )
     order = _canonical_order(corpus)
     if folds > len(order):
-        raise ValueError(
+        raise DataError(
             f"eval_intrinsic: folds={folds} exceeds document count {len(order)}"
         )
     rng = np.random.default_rng(seed)
@@ -146,7 +146,7 @@ def eval_intrinsic(
     for f, group in enumerate(groups):
         try:
             sub = corpus.select(np.delete(order, group))
-            lex = fit_method(sub, construct, method, seed=fold_seeds[f])
+            lex = fit_method(sub, [construct], method, seed=fold_seeds[f])
             idx = np.fromiter(map(gold.rows.get, lex.words, repeat(-1)), np.intp,
                               len(lex.words))
             known = idx >= 0

@@ -45,6 +45,7 @@ __all__ = [
     "fit_regression_weights",
     "fit_mlffn",
     "fit_method",
+    "join_lexica",
     "rescale_log_minmax",
     "save_lexicon",
     "load_lexicon",
@@ -263,25 +264,38 @@ def fit_mlffn(
     return Lexicon(tuple(constructs), tuple(words), ratings, prov), net
 
 
+def join_lexica(parts: list[Lexicon]) -> Lexicon:
+    """Put the construct columns of lexica over the same words side by side;
+    a single part comes back as is."""
+    if len(parts) == 1:
+        return parts[0]
+    constructs = tuple(c for lex in parts for c in lex.constructs)
+    ratings = np.hstack([lex.ratings for lex in parts])
+    prov = {"per_construct": [lex.provenance for lex in parts]}
+    return Lexicon(constructs, parts[0].words, ratings, prov)
+
+
 def fit_method(
-    corpus: Corpus, construct: str, spec: MethodSpec, seed: int | None = None
+    corpus: Corpus, constructs: list[str], spec: MethodSpec, seed: int | None = None
 ) -> Lexicon:
-    """Uniform single-construct dispatch used by evaluation and the CLI."""
+    """The one fit entry point: a counting method fits each construct and
+    joins the columns with :func:`join_lexica`; ``mlffn`` trains one net with
+    an output per construct, seeded ``seed`` when it is given."""
     if spec.kind == "mean_star":
-        return fit_mean_star(corpus, construct)
+        return join_lexica([fit_mean_star(corpus, c) for c in constructs])
     if spec.kind == "mean_binary":
-        return fit_mean_binary(corpus, construct, spec.median_ties)
+        return join_lexica([fit_mean_binary(corpus, c, spec.median_ties)
+                            for c in constructs])
     if spec.kind == "regression_weights":
-        return fit_regression_weights(corpus, construct, spec.ridge_lambda)
-    config = spec.net
-    if config is None:
-        config = NetConfig(input_dim=spec.table.dim, output_dim=1)
+        return join_lexica([fit_regression_weights(corpus, c, spec.ridge_lambda)
+                            for c in constructs])
+    config = spec.net or NetConfig(input_dim=spec.table.dim)
+    config = dataclasses.replace(config, output_dim=len(constructs))
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
-    config = dataclasses.replace(config, output_dim=1)
     lex, _ = fit_mlffn(
         corpus,
-        [construct],
+        list(constructs),
         spec.table,
         config,
         rate_all_embedded=spec.rate_all_embedded,
@@ -309,6 +323,11 @@ def rescale_log_minmax(lex: Lexicon, lo: float, hi: float) -> Lexicon:
         col = lex.ratings[:, ci]
         vmin = col.min()
         vmax = col.max()
+        with np.errstate(over="ignore"):
+            span = vmax - vmin
+        if not np.isfinite(span):
+            raise DataError(f"rescale: {construct!r} ratings from {vmin} to "
+                            f"{vmax} span more than a float64 holds")
         if vmax == vmin:
             warnings.warn(
                 f"rescale: all {construct!r} ratings equal; assigning midpoint",
@@ -317,7 +336,7 @@ def rescale_log_minmax(lex: Lexicon, lo: float, hi: float) -> Lexicon:
             out[:, ci] = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
             continue
         g = np.log1p(col - vmin)
-        scaled = lo + (hi - lo) * g / np.log1p(vmax - vmin)
+        scaled = lo + (hi - lo) * g / np.log1p(span)
         scaled[col == vmin] = lo
         scaled[col == vmax] = hi
         out[:, ci] = scaled

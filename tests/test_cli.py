@@ -257,6 +257,20 @@ class TestEval:
         for flag in ("mean-star", "mean-binary", "regression-weights", "mlffn"):
             assert flag in out
 
+    def test_more_folds_than_documents_fails_at_eval(self, synth, tmp_path, capsys):
+        corpus, _ = synth
+        gold = tmp_path / "gold.tsv"
+        assert main(["induce", "--method", "mean-star", "--corpus", str(corpus),
+                     "--construct", "empathy", "--out", str(gold), "--seed", "0"]) == 0
+        out = tmp_path / "report.tsv"
+        rc = main(["eval", "intrinsic", "--corpus", str(corpus), "--gold", str(gold),
+                   "--construct", "empathy", "--methods", "mean-star",
+                   "--folds", "81", "--seed", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "stage 'eval'" in err and "exceeds document count 80" in err
+        assert not out.exists()
+
     def test_extrinsic_monotone_toy(self, tmp_path, capsys):
         lex = tmp_path / "lex.tsv"
         lex.write_text(
@@ -417,6 +431,51 @@ class TestVectorCounters:
             p["flags"].pop("out")
         assert provs[0] == provs[1]
 
+    @pytest.mark.parametrize("command", ["induce", "intrinsic"])
+    def test_corpus_commands_load_only_corpus_terms(self, world, tmp_path,
+                                                    monkeypatch, capsys, command):
+        corpus, vec, lex = world
+        net = ["--embeddings", str(vec), "--hidden", "8", "--epochs", "5",
+               "--seed", "3"]
+        argv = {
+            "induce": ["induce", "--method", "mlffn", "--corpus", str(corpus),
+                       "--construct", "empathy", *net],
+            "intrinsic": ["eval", "intrinsic", "--corpus", str(corpus), "--gold",
+                          str(lex), "--construct", "empathy", "--methods", "all",
+                          "--folds", "3", *net],
+        }[command]
+
+        def run(name):
+            out = tmp_path / f"{name}.tsv"
+            capsys.readouterr()
+            assert main(argv + ["--out", str(out)]) == 0
+            prov = json.loads((tmp_path / f"{name}.tsv.prov").read_text())
+            prov["flags"].pop("out")
+            stdout = capsys.readouterr().out.replace(str(out), "OUT")
+            return out.read_bytes(), stdout, prov
+
+        restricted = run("r")
+        monkeypatch.setattr(cli, "load_embeddings",
+                            lambda path, restrict_to=None: load_embeddings(path))
+        full = run("f")
+        # only the count of loaded vectors differs
+        assert [r[2]["notes"].pop("metrics") for r in (restricted, full)] == [
+            {"vectors_loaded": 30, "skipped_vector_lines": 1},
+            {"vectors_loaded": 150, "skipped_vector_lines": 1},
+        ]
+        assert restricted == full
+
+    def test_corpus_without_vectors_fails_at_load_embeddings(self, world, tmp_path,
+                                                             capsys):
+        corpus, vec, _ = world
+        other = tmp_path / "other.csv"
+        other.write_text("text,empathy\nzz yy,1.0\nyy xx,2.0\n", encoding="utf-8")
+        rc = main(["induce", "--method", "mlffn", "--corpus", str(other),
+                   "--construct", "empathy", "--embeddings", str(vec),
+                   "--seed", "1", "--out", str(tmp_path / "o.tsv")])
+        assert rc == 1
+        assert "stage 'load-embeddings'" in capsys.readouterr().err
+
     def test_lexicon_without_vectors_fails_at_load_embeddings(self, world, tmp_path,
                                                               capsys):
         _, vec, _ = world
@@ -439,10 +498,10 @@ class TestVectorCounters:
                "--seed", "3"]
         outs = {
             "induce": (["induce", "--method", "mlffn", "--corpus", str(corpus),
-                        "--construct", "empathy", *net], 150),
+                        "--construct", "empathy", *net], 30),
             "eval": (["eval", "intrinsic", "--corpus", str(corpus), "--gold",
                       str(gold), "--construct", "empathy", "--methods", "mlffn",
-                      "--folds", "3", *net], 150),
+                      "--folds", "3", *net], 30),
         }
         runs = []
         for _ in range(2):
@@ -583,7 +642,16 @@ class TestDescribeAndRescale:
         (["describe"], ("1e308", "1.5e308"), "overflow encountered"),
     ], ids=["rescale-midpoint", "describe-overflow"])
     def test_warnings_print_one_line_naming_the_command(self, tmp_path, capsys,
-                                                        command, ratings, warning):
+                                                        monkeypatch, command,
+                                                        ratings, warning):
+        if command[0] == "describe":
+            # describe's own statistics no longer overflow; a numpy warning
+            # raised inside its load stage takes the same path to stderr
+            def load_overflowing(path):
+                np.float64(1e308) * 10
+                return load_lexicon(path)
+
+            monkeypatch.setattr(cli, "load_lexicon", load_overflowing)
         lex = tmp_path / "lex.tsv"
         lex.write_text(f"word\ta\nx\t{ratings[0]}\ny\t{ratings[1]}\n",
                        encoding="utf-8")
@@ -593,6 +661,38 @@ class TestDescribeAndRescale:
         err = capsys.readouterr().err
         assert f"lexlearn {command[0]}: warning: {warning}" in err
         assert "cli.py:" not in err and "return fn(" not in err
+
+    def test_sd_whose_sum_of_squares_overflows_is_finite(self, tmp_path, capsys):
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("word\ta\nx\t1e308\ny\t1.5e308\n", encoding="utf-8")
+        assert main(["describe", "--lexicon", str(lex)]) == 0
+        captured = capsys.readouterr()
+        assert "mean: 1.2500e+308  sd: 3.5355e+307\n" in captured.out
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["rescale", "--range", "1:7"],
+        ["induce", "--method", "mean-star", "--rescale", "1:7"],
+    ], ids=["rescale", "induce"])
+    def test_ratings_spanning_past_float64_fail_at_rescale(self, tmp_path, capsys,
+                                                           argv):
+        # the middle word came out rated 1.0, after three numpy warnings
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("word\ta\nx\t-1.7e308\ny\t0\nz\t1.7e308\n",
+                       encoding="utf-8")
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("text,a\nx,-1.7e308\ny,0\nz,1.7e308\n", encoding="utf-8")
+        inputs = ["--corpus", str(corpus), "--construct", "a"] \
+            if argv[0] == "induce" else ["--lexicon", str(lex)]
+        out = tmp_path / "o.tsv"
+        rc = main(argv + inputs + ["--out", str(out), "--seed", "0"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines() == [
+            f"lexlearn {argv[0]}: stage 'rescale': rescale: 'a' ratings from "
+            f"-1.7e+308 to 1.7e+308 span more than a float64 holds"
+        ]
+        assert not out.exists()
 
     def test_row_order_does_not_change_the_rescale_output(self, tmp_path):
         rows = [f"w{i:02d}\t{float(np.sin(i))!r}\t{float(i)!r}\n" for i in range(30)]
@@ -663,6 +763,9 @@ class TestDescribeAndRescale:
 
 
 BAD_FLAG_VALUES = [
+    ("induce", "--hidden", "0"),
+    ("induce", "--hidden", "x"),
+    ("induce", "--hidden", ","),
     ("cluster", "--knn", "0"),
     ("cluster", "--knn", "-1"),
     ("cluster", "--k", "1"),
@@ -733,6 +836,32 @@ class TestFlagRanges:
         assert f"argument {flag}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "o.tsv").exists()
+
+    @pytest.mark.parametrize("command,flags", [
+        ("intrinsic", ["--methods", ","]),
+        ("intrinsic", ["--methods", "mean-star,mean-star"]),
+        ("intrinsic", ["--methods", "mlffn"]),  # without --embeddings
+        ("intrinsic", ["--hidden", "x"]),
+        ("induce", ["--hidden", "0"]),
+        ("induce", ["--hidden", ","]),
+    ], ids=["methods-empty", "methods-repeat", "mlffn-no-vectors", "intrinsic-hidden",
+            "induce-hidden-zero", "induce-hidden-empty"])
+    def test_usage_error_exits_2_before_reading_inputs(self, tmp_path, capsys,
+                                                       command, flags):
+        # no input file exists: a usage error must come first
+        out = tmp_path / "o.tsv"
+        argv = {
+            "intrinsic": ["eval", "intrinsic", "--gold", str(tmp_path / "nope.tsv"),
+                          "--methods", "mean-star"],
+            "induce": ["induce", "--method", "mean-star"],
+        }[command]
+        rc = main(argv + ["--corpus", str(tmp_path / "nope.csv"),
+                          "--construct", "empathy", "--seed", "1",
+                          "--out", str(out), *flags])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "usage:" in err and "stage" not in err
+        assert not out.exists()
 
 
 # (case id, command, file, fault, stage, line named in the message or None);

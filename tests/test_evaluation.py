@@ -118,7 +118,7 @@ class TestIntrinsic:
             held_out = set(group.tolist())
             train = [docs[i] for i in range(len(docs)) if i not in held_out]
             sub = build_corpus(train, min_df=min_df)
-            rated = fit_method(sub, "aff", spec).ratings_for("aff")
+            rated = fit_method(sub, ["aff"], spec).ratings_for("aff")
             gold_rated = gold.ratings_for("aff")
             common = sorted(set(rated) & set(gold_rated))
             ref = [gold_rated[w] for w in common]
