@@ -29,7 +29,7 @@ from .neural import FeedForwardNet, NetConfig, forward, gradient_check, train  #
 from .numerics import RidgeModel, kmeans, pearson, ridge_fit, sym_eig_smallest  # noqa: F401
 from .evaluation import (  # noqa: F401
     EvalReport,
-    UserCorpus,
+    Users,
     eval_extrinsic,
     eval_intrinsic,
     load_gold_lexicon,

@@ -10,6 +10,7 @@ failure.  Diagnostics name the failing stage on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import secrets
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .clustering import cluster, format_preview, save_clusters
-from .corpus import load_corpus
+from .corpus import Corpus, corpus_fingerprint, load_corpus
 from .embeddings import load_embeddings
 from .errors import DataError, DimensionError, LexlearnError, UndefinedCorrelationError
 from .evaluation import (
@@ -35,6 +36,7 @@ from .evaluation import (
 # the fit_* names stay importable for code that wraps them by module attribute
 from .induction import (  # noqa: F401
     METHOD_KINDS,
+    Lexicon,
     MethodSpec,
     fit_mean_binary,
     fit_mean_star,
@@ -217,6 +219,16 @@ def _load_corpus(args: argparse.Namespace, constructs: list[str]):
                   min_df=args.min_df)
 
 
+def _fingerprinted(lex: Lexicon, corpus: Corpus) -> Lexicon:
+    """The lexicon with the corpus fingerprint in each fit's provenance (one
+    sha256 pass over the corpus, made only for a lexicon that is written)."""
+    mark = {"corpus_fingerprint": corpus_fingerprint(corpus)}
+    parts = lex.provenance.get("per_construct")
+    prov = ({**lex.provenance, "per_construct": [{**p, **mark} for p in parts]}
+            if parts else {**lex.provenance, **mark})
+    return dataclasses.replace(lex, provenance=prov)
+
+
 def cmd_induce(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     constructs = _constructs_from_args(args)
@@ -240,6 +252,7 @@ def cmd_induce(args: argparse.Namespace) -> int:
     groups = [constructs] if args.joint or kind != "mlffn" else [[c] for c in constructs]
     lex = join_lexica([_stage("fit", fit_method, corpus, group, spec, seed + i)
                        for i, group in enumerate(groups)])
+    lex = _fingerprinted(lex, corpus)
     if rescale:
         lex = _stage("rescale", rescale_log_minmax, lex, *rescale)
     notes["lexicon"] = lex.provenance

@@ -13,8 +13,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import count
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -43,6 +46,14 @@ def _strip_edges(token: str) -> str:
     return token[start:end]
 
 
+class _TokenForms(dict):
+    """Raw lowercased token -> its :func:`tokenize` form, each computed once."""
+
+    def __missing__(self, raw: str) -> str:
+        self[raw] = form = raw if raw.isalnum() else _strip_edges(raw) or raw
+        return form
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, strip edge punctuation per token.
 
@@ -51,11 +62,7 @@ def tokenize(text: str) -> list[str]:
     loses leading and trailing non-alphanumeric characters.  The function
     is idempotent on its own output joined by spaces.
     """
-    out = []
-    for raw in text.lower().split():
-        core = _strip_edges(raw)
-        out.append(core if core else raw)
-    return out
+    return list(map(_TokenForms().__getitem__, text.lower().split()))
 
 
 @dataclass(frozen=True)
@@ -249,8 +256,8 @@ def build_corpus(
     else:
         constructs = tuple(constructs)
     ckeys = set(constructs)
-    first_seen: dict[str, int] = {}
-    token_ids: list[int] = []
+    first_seen = defaultdict(count().__next__)  # term -> id, first seen first
+    token_ids = array("q")
     for doc in docs:
         if not doc.tokens:
             raise DataError(f"document {doc.id!r} has no tokens")
@@ -262,9 +269,7 @@ def build_corpus(
         for value in doc.ratings.values():
             if value != value or value in (float("inf"), float("-inf")):
                 raise DataError(f"document {doc.id!r} carries a non-finite rating")
-        token_ids.extend(
-            first_seen.setdefault(tok, len(first_seen)) for tok in doc.tokens
-        )
+        token_ids.extend(map(first_seen.__getitem__, doc.tokens))
     terms = tuple(sorted(first_seen))
     column = np.empty(len(terms), dtype=np.int64)
     column[[first_seen[t] for t in terms]] = np.arange(len(terms))
@@ -272,7 +277,7 @@ def build_corpus(
     rows = np.repeat(np.arange(len(docs), dtype=np.int64), lengths)
     # one key per (document, term) pair; sorting them gives CSR order
     keys, counts = np.unique(
-        rows * len(terms) + column[np.array(token_ids, dtype=np.int64)],
+        rows * len(terms) + column[np.frombuffer(token_ids, dtype=np.int64)],
         return_counts=True,
     )
     indptr = np.zeros(len(docs) + 1, dtype=np.int64)
@@ -323,6 +328,7 @@ def load_corpus(
     docs: list[Document] = []
     dropped = 0
     rows = 0
+    forms = _TokenForms()
     for line, cells in _read_table(path, delimiter, columns):
         ratings = {
             c: _parse_number(cell, c, path, line)
@@ -330,7 +336,7 @@ def load_corpus(
         }
         doc_id = cells[-1] if id_column is not None else str(rows)
         rows += 1
-        tokens = tuple(tokenize(cells[0]))
+        tokens = tuple(map(forms.__getitem__, cells[0].lower().split()))
         if not tokens:
             dropped += 1
             continue

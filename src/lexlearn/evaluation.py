@@ -12,11 +12,11 @@ lexicon words and correlate the scores with a user-level trait.
 from __future__ import annotations
 
 import warnings
-from collections import Counter, defaultdict
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, count, repeat
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from .corpus import (  # noqa: F401
     Corpus,
     _parse_number,
     _read_table,
+    _TokenForms,
     build_corpus,
-    tokenize,
 )
 from .errors import (DataError, EmptyCorpusError, LexlearnError, RowError,
                      SchemaError, UndefinedCorrelationError)
@@ -36,7 +36,7 @@ from .numerics import pearson
 
 __all__ = [
     "EvalReport",
-    "UserCorpus",
+    "Users",
     "eval_intrinsic",
     "eval_extrinsic",
     "load_gold_lexicon",
@@ -178,17 +178,25 @@ def eval_intrinsic(
     return report
 
 
-@dataclass(frozen=True)
-class UserCorpus:
-    """One user's aggregated word usage plus their trait score."""
+@dataclass(frozen=True, eq=False)
+class Users:
+    """Users and their word counts, held as entry arrays.
 
-    user_id: str
-    counts: dict[str, int]
-    trait_score: float
+    ``ids`` are the users in first-seen order and ``traits`` their float64
+    trait scores.  Entry ``k``: user ``user[k]`` used ``terms[term[k]]``
+    ``count[k]`` times (a whole float64); each user's entries come in the
+    order the user first used the words."""
+
+    ids: tuple[str, ...]
+    traits: np.ndarray
+    terms: tuple[str, ...]
+    user: np.ndarray
+    term: np.ndarray
+    count: np.ndarray
 
 
 def eval_extrinsic(
-    lexicon: Lexicon, construct: str, users: Sequence[UserCorpus]
+    lexicon: Lexicon, construct: str, users: Users
 ) -> tuple[float, dict[str, float]]:
     """Correlate lexicon-based user scores with user trait scores.
 
@@ -196,35 +204,33 @@ def eval_extrinsic(
     words they share with the lexicon; users with no overlap are excluded
     with a warning.  Returns (Pearson r, user_id -> score).
     """
-    ratings = lexicon.ratings_for(construct)
-    scores: dict[str, float] = {}
-    traits: list[float] = []
-    excluded: list[str] = []
-    for user in users:
-        total = 0
-        weighted = 0.0
-        for word, count in user.counts.items():
-            rating = ratings.get(word)
-            if rating is not None:
-                total += count
-                weighted += rating * count
-        if total == 0:
-            excluded.append(user.user_id)
-            continue
-        scores[user.user_id] = weighted / total
-        traits.append(user.trait_score)
+    column = lexicon.values(construct)
+    row = np.fromiter(map(lexicon.rows.get, users.terms, repeat(-1)), np.intp,
+                      len(users.terms))
+    known = row >= 0
+    # a word outside the lexicon weighs and rates 0.0; bincount adds each
+    # user's products in entry order starting from +0.0, so adding those
+    # zeros changes no sum
+    rating = np.where(known, column[row], 0.0)[users.term]
+    n = len(users.ids)
+    total = np.bincount(users.user, known[users.term] * users.count, minlength=n)
+    with np.errstate(over="ignore"):  # a huge rating times a count is inf
+        weighted = np.bincount(users.user, rating * users.count, minlength=n)
+    scorable = total > 0
+    excluded = list(compress(users.ids, (~scorable).tolist()))
     if excluded:
         warnings.warn(
             f"{len(excluded)} user(s) share no word with the lexicon and were "
             f"excluded: {excluded[:10]}",
             stacklevel=2,
         )
-    if len(scores) < 3:
+    score = weighted[scorable] / total[scorable]
+    if len(score) < 3:
         raise DataError(
-            f"extrinsic evaluation needs at least 3 scorable users, got {len(scores)}"
+            f"extrinsic evaluation needs at least 3 scorable users, got {len(score)}"
         )
-    r = pearson(list(scores.values()), traits)
-    return r, scores
+    r = pearson(score, users.traits[scorable])
+    return r, dict(zip(compress(users.ids, scorable.tolist()), score.tolist()))
 
 
 def load_gold_lexicon(
@@ -266,29 +272,46 @@ def load_user_corpora(
     trait_column: str,
     *,
     delimiter: str | None = None,
-) -> list[UserCorpus]:
+) -> Users:
     """Load per-user word counts plus trait scores from two delimited files.
 
     The usage file carries either (user_id, text) rows, repeatable per user
     and tokenized here, or pre-counted (user_id, word, count) rows.  The
     traits file maps user_id to numeric trait columns.  Counts and traits
-    must be finite numbers; a short row, a bad cell or bytes that are not
-    UTF-8 raise ``RowError`` naming the file and line.  Users missing a
-    trait row are dropped with a warning.
+    must be finite numbers, and one user's counts may sum to at most 2**53
+    (so float64 holds every sum exactly); a short row, a bad cell or bytes
+    that are not UTF-8 raise ``RowError`` naming the file and line.  Users
+    whose rows hold no word are left out; users missing a trait row are
+    dropped with a warning.
     """
-    counts: defaultdict[str, Counter] = defaultdict(Counter)
+    # user id -> index and term -> id, first seen first
+    owners, terms = defaultdict(count().__next__), defaultdict(count().__next__)
+    forms = _TokenForms()
+    # one term id per token (or per count row), the user and size of each row
+    tokens, owner, sizes = array("i"), array("i"), array("q")
+    counts, totals = array("d"), {}
     for line, cells in _read_table(
         usage_path, delimiter, ("user_id", "text"), ("user_id", "word", "count")
     ):
-        user = counts[cells[0]]
+        u = owners[cells[0]]
+        owner.append(u)
         if len(cells) == 2:  # the (user_id, text) layout
-            user.update(tokenize(cells[1]))
+            row = list(map(terms.__getitem__,
+                           map(forms.__getitem__, cells[1].lower().split())))
+            tokens.fromlist(row)
+            sizes.append(len(row))
             continue
         value = int(_parse_number(cells[2], "count", usage_path, line))
         if value <= 0:
             raise RowError(f"{usage_path}: line {line}: count must be positive")
-        user[cells[1]] += value
-    if not counts:
+        totals[u] = total = totals.get(u, 0) + value
+        if total > 2**53:
+            raise RowError(f"{usage_path}: line {line}: the counts of user "
+                           f"{cells[0]!r} sum past 2**53")
+        tokens.append(terms[cells[1]])
+        sizes.append(1)
+        counts.append(value)
+    if not owners:
         raise DataError(f"{usage_path}: no user rows found")
 
     traits = {
@@ -297,21 +320,37 @@ def load_user_corpora(
             traits_path, delimiter, ("user_id", trait_column)
         )
     }
-    users = []
-    missing = []
-    for uid, words in counts.items():
-        if not words:
-            continue
-        if uid not in traits:
-            missing.append(uid)
-            continue
-        users.append(UserCorpus(uid, words, traits[uid]))
+    uids = list(owners)
+    row_user, row_size = np.frombuffer(owner, np.intc), np.frombuffer(sizes, np.int64)
+    used = np.bincount(row_user, row_size, minlength=len(uids)) > 0
+    missing = [uid for uid in compress(uids, used.tolist()) if uid not in traits]
     if missing:
         warnings.warn(
             f"{len(missing)} user(s) have no trait score and were dropped: "
             f"{missing[:10]}",
             stacklevel=2,
         )
-    if not users:
+    keep = used & np.fromiter(map(traits.__contains__, uids), bool, len(uids))
+    if not keep.any():
         raise DataError("no user has both word counts and a trait score")
-    return users
+    ids = tuple(compress(uids, keep.tolist()))
+    # key the kept users' tokens by (user, term); a stable sort groups them
+    # by key with each group in file order
+    kept_rows = keep[row_user]
+    kept = np.repeat(kept_rows, row_size)
+    index = np.cumsum(keep, dtype=np.int64) - 1  # user -> kept user
+    keys = np.repeat(index[row_user], row_size * kept_rows)
+    keys *= len(terms)
+    keys += np.frombuffer(tokens, np.intc)[kept]
+    perm = np.argsort(keys, kind="stable")
+    keys = keys[perm]
+    start = np.flatnonzero(np.diff(keys, prepend=-1))
+    if counts:
+        sums = np.add.reduceat(np.frombuffer(counts, np.float64)[kept][perm], start)
+    else:
+        sums = np.diff(start, append=len(keys)).astype(np.float64)
+    # one entry per (user, term), ordered by its first token
+    order = np.argsort(perm[start])
+    user, term = np.divmod(keys[start[order]], len(terms))
+    return Users(ids, np.fromiter(map(traits.__getitem__, ids), np.float64, len(ids)),
+                 tuple(terms), user, term, sums[order])

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, _first_non_utf8_line, corpus_fingerprint
+from .corpus import Corpus, _first_non_utf8_line
 # centroid stays importable from here for code that wraps it by module
 # attribute; fit_mlffn takes all document centroids at once
 from .embeddings import EmbeddingTable, centroid, centroids  # noqa: F401
@@ -141,11 +141,7 @@ def fit_mean_star(corpus: Corpus, construct: str) -> Lexicon:
     """Word rating = mean gold label of the documents containing the word."""
     _require_vocab(corpus, "mean_star")
     means = _word_means(corpus, _label_vector(corpus, construct))
-    prov = {
-        "method": "mean_star",
-        "construct": construct,
-        "corpus_fingerprint": corpus_fingerprint(corpus),
-    }
+    prov = {"method": "mean_star", "construct": construct}
     return Lexicon((construct,), tuple(corpus.vocab), means, prov)
 
 
@@ -174,7 +170,6 @@ def fit_mean_binary(corpus: Corpus, construct: str, ties: str = "high") -> Lexic
         "construct": construct,
         "median": med,
         "ties": ties,
-        "corpus_fingerprint": corpus_fingerprint(corpus),
     }
     return Lexicon((construct,), tuple(corpus.vocab), means, prov)
 
@@ -201,7 +196,6 @@ def fit_regression_weights(
         "ridge_lambda": ridge_lambda,
         "intercept": model.intercept,
         "cg_iterations": model.iterations,
-        "corpus_fingerprint": corpus_fingerprint(corpus),
     }
     return Lexicon((construct,), tuple(corpus.vocab), model.coefficients[:, None], prov)
 
@@ -254,7 +248,6 @@ def fit_mlffn(
         "method": "mlffn",
         "constructs": list(constructs),
         "config": dataclasses.asdict(config),
-        "corpus_fingerprint": corpus_fingerprint(corpus),
         "best_epoch": log.best_epoch,
         "stopped_epoch": log.stopped_epoch,
         "best_val_mse": log.best_val,

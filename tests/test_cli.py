@@ -8,6 +8,7 @@ import pytest
 
 from lexlearn import cli
 from lexlearn.cli import main
+from lexlearn.corpus import corpus_fingerprint, load_corpus
 from lexlearn.embeddings import load_embeddings
 from lexlearn.induction import load_lexicon
 
@@ -168,6 +169,23 @@ class TestInduce:
                    "--out", str(out)])
         assert rc == 0
         assert load_lexicon(out).constructs == ("empathy", "distress")
+
+    @pytest.mark.parametrize("constructs,argv", [
+        (["empathy", "distress"], ["--method", "mean-star"]),
+        (["empathy"], ["--method", "mlffn", "--hidden", "8", "--epochs", "3"]),
+    ], ids=["per-construct", "one-fit"])
+    def test_each_fit_provenance_holds_the_corpus_fingerprint(self, synth, tmp_path,
+                                                              constructs, argv):
+        corpus, emb = synth
+        out = tmp_path / "lex.tsv"
+        assert main(["induce", *argv, "--constructs", ",".join(constructs),
+                     "--corpus", str(corpus), "--embeddings", str(emb),
+                     "--seed", "1", "--out", str(out)]) == 0
+        prov = json.loads((tmp_path / "lex.tsv.prov").read_text())
+        lexicon = prov["notes"]["lexicon"]
+        fingerprint = corpus_fingerprint(load_corpus(corpus, "text", constructs))
+        parts = lexicon.get("per_construct", [lexicon])
+        assert [p["corpus_fingerprint"] for p in parts] == [fingerprint] * len(parts)
 
     def test_rate_all_embedded_extends_vocabulary(self, synth, tmp_path):
         corpus, emb = synth

@@ -1,12 +1,20 @@
 """Intrinsic cross-validation and extrinsic user-level evaluation."""
 
+import random
+import warnings
+from collections import Counter, defaultdict
+from dataclasses import dataclass
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from lexlearn.corpus import Document, build_corpus
-from lexlearn.errors import DataError, UndefinedCorrelationError
+from lexlearn import corpus as corpus_module
+from lexlearn.corpus import Document, _parse_number, _read_table, build_corpus
+from lexlearn.errors import (DataError, LexlearnError, RowError,
+                             UndefinedCorrelationError)
 from lexlearn.evaluation import (
-    UserCorpus,
+    Users,
     eval_extrinsic,
     eval_intrinsic,
     load_user_corpora,
@@ -127,6 +135,17 @@ class TestIntrinsic:
         unfiltered = eval_intrinsic(world, gold, spec, "aff", folds=folds, seed=seed)
         assert unfiltered.evaluated_vocab_size > report.evaluated_vocab_size
 
+    def test_folds_hash_no_corpus(self, monkeypatch):
+        # a fold's lexicon is never written, so nothing needs its corpus
+        # fingerprint
+        hashed = []
+        monkeypatch.setattr(corpus_module, "hashlib",
+                            SimpleNamespace(sha256=lambda: hashed.append(1)))
+        corpus, gold = exact_world(seed=4, n_docs=60)
+        for kind in ("mean_star", "mean_binary", "regression_weights"):
+            eval_intrinsic(corpus, gold, MethodSpec(kind), "aff", folds=3)
+        assert hashed == []
+
     def test_bad_fold_count(self):
         corpus, gold = exact_world(seed=4, n_docs=60)
         with pytest.raises(ValueError):
@@ -151,6 +170,42 @@ class TestIntrinsic:
         assert net.coverage > star.coverage
 
 
+@dataclass(frozen=True)
+class UserCorpus:
+    """One user's word counts (in first-use order) plus their trait score."""
+
+    user_id: str
+    counts: dict
+    trait_score: float
+
+
+def users_of(records):
+    """The Users structure of UserCorpus records, entries in counts order."""
+    terms, user, term, count = {}, [], [], []
+    for u, record in enumerate(records):
+        for word, c in record.counts.items():
+            user.append(u)
+            term.append(terms.setdefault(word, len(terms)))
+            count.append(c)
+    return Users(
+        tuple(r.user_id for r in records),
+        np.array([r.trait_score for r in records], dtype=np.float64),
+        tuple(terms),
+        np.array(user, dtype=np.intp),
+        np.array(term, dtype=np.intp),
+        np.array(count, dtype=np.float64),
+    )
+
+
+def records_of(users):
+    """UserCorpus records of a Users structure, counts as ints."""
+    counts = [{} for _ in users.ids]
+    for u, t, c in zip(users.user.tolist(), users.term.tolist(), users.count.tolist()):
+        counts[u][users.terms[t]] = int(c)
+    return [UserCorpus(uid, words, float(trait))
+            for uid, words, trait in zip(users.ids, counts, users.traits.tolist())]
+
+
 def monotone_users():
     return [
         UserCorpus("u_hi", {"great": 3}, 7.0),
@@ -165,14 +220,15 @@ def three_word_lexicon(hi=7.0, mid=4.0, lo=1.0):
 
 class TestExtrinsic:
     def test_monotone_three_users(self):
-        r, scores = eval_extrinsic(three_word_lexicon(), "aff", monotone_users())
+        r, scores = eval_extrinsic(three_word_lexicon(), "aff",
+                                   users_of(monotone_users()))
         assert r == pytest.approx(1.0)
         assert scores["u_hi"] == 7.0
 
     def test_equal_ratings_undefined(self):
         lex = three_word_lexicon(4.0, 4.0, 4.0)
         with pytest.raises(UndefinedCorrelationError):
-            eval_extrinsic(lex, "aff", monotone_users())
+            eval_extrinsic(lex, "aff", users_of(monotone_users()))
 
     def test_monte_carlo_population(self):
         rng = np.random.default_rng(41)
@@ -191,7 +247,7 @@ class TestExtrinsic:
             trait = score + float(rng.normal(0.0, noise_sd))
             users.append(UserCorpus(f"u{u:03d}", counts, trait))
             true_scores.append(score)
-        r, scores = eval_extrinsic(lex, "aff", users)
+        r, scores = eval_extrinsic(lex, "aff", users_of(users))
         sd_s = float(np.std(true_scores))
         analytic = sd_s / np.sqrt(sd_s**2 + noise_sd**2)
         assert abs(r - analytic) <= 0.05
@@ -201,7 +257,7 @@ class TestExtrinsic:
     def test_zero_overlap_user_excluded_with_warning(self):
         users = monotone_users() + [UserCorpus("u_none", {"unknown": 4}, 3.0)]
         with pytest.warns(UserWarning, match="u_none"):
-            r, scores = eval_extrinsic(three_word_lexicon(), "aff", users)
+            r, scores = eval_extrinsic(three_word_lexicon(), "aff", users_of(users))
         assert "u_none" not in scores
 
     def test_too_few_scorable_users(self):
@@ -212,7 +268,7 @@ class TestExtrinsic:
         ]
         with pytest.raises(DataError):
             with pytest.warns(UserWarning):
-                eval_extrinsic(three_word_lexicon(), "aff", users)
+                eval_extrinsic(three_word_lexicon(), "aff", users_of(users))
 
     def test_scores_are_convex_combinations(self):
         rng = np.random.default_rng(42)
@@ -228,7 +284,7 @@ class TestExtrinsic:
             )
             for u in range(10)
         ]
-        _, scores = eval_extrinsic(lex, "aff", users)
+        _, scores = eval_extrinsic(lex, "aff", users_of(users))
         assert all(lo - 1e-12 <= s <= hi + 1e-12 for s in scores.values())
 
     def test_monotone_rescale_preserves_ranks_for_single_word_users(self):
@@ -243,8 +299,8 @@ class TestExtrinsic:
                        float(lex.entries[words[i]][0] + rng.normal(0, 0.5)))
             for i in range(25)
         ]
-        r1, s1 = eval_extrinsic(lex, "aff", users)
-        r2, s2 = eval_extrinsic(rescale_log_minmax(lex, 1, 7), "aff", users)
+        r1, s1 = eval_extrinsic(lex, "aff", users_of(users))
+        r2, s2 = eval_extrinsic(rescale_log_minmax(lex, 1, 7), "aff", users_of(users))
         ids = sorted(s1)
         a = np.array([s1[u] for u in ids])
         b = np.array([s2[u] for u in ids])
@@ -262,8 +318,8 @@ class TestExtrinsic:
                 counts.values()
             )
             users.append(UserCorpus(f"u{u}", counts, float(score + rng.normal(0, 1.0))))
-        r1, _ = eval_extrinsic(lex, "aff", users)
-        r2, _ = eval_extrinsic(rescale_log_minmax(lex, 1, 7), "aff", users)
+        r1, _ = eval_extrinsic(lex, "aff", users_of(users))
+        r2, _ = eval_extrinsic(rescale_log_minmax(lex, 1, 7), "aff", users_of(users))
         assert np.sign(r1) == np.sign(r2)
 
 
@@ -276,7 +332,7 @@ class TestUserCorpusLoading:
         )
         traits = tmp_path / "traits.csv"
         traits.write_text("user_id,empathy\nu1,5.5\nu2,2.5\n", encoding="utf-8")
-        users = load_user_corpora(str(usage), str(traits), "empathy")
+        users = records_of(load_user_corpora(str(usage), str(traits), "empathy"))
         by_id = {u.user_id: u for u in users}
         assert by_id["u1"].counts == {"happy": 2, "day": 2, "another": 1}
         assert by_id["u2"].trait_score == 2.5
@@ -288,7 +344,7 @@ class TestUserCorpusLoading:
         )
         traits = tmp_path / "traits.csv"
         traits.write_text("user_id,t\nu1,1.0\nu2,2.0\n", encoding="utf-8")
-        users = load_user_corpora(str(usage), str(traits), "t")
+        users = records_of(load_user_corpora(str(usage), str(traits), "t"))
         by_id = {u.user_id: u for u in users}
         assert by_id["u1"].counts == {"happy": 3, "day": 1}
 
@@ -298,5 +354,186 @@ class TestUserCorpusLoading:
         traits = tmp_path / "traits.csv"
         traits.write_text("user_id,t\nu1,1.0\n", encoding="utf-8")
         with pytest.warns(UserWarning, match="u2"):
-            users = load_user_corpora(str(usage), str(traits), "t")
+            users = records_of(load_user_corpora(str(usage), str(traits), "t"))
         assert [u.user_id for u in users] == ["u1"]
+
+    def test_count_past_float_range_is_a_row_error(self, tmp_path):
+        usage = tmp_path / "usage.csv"
+        usage.write_text("user_id,word,count\na,great,1e308\na,meh,1e308\n",
+                         encoding="utf-8")
+        traits = tmp_path / "traits.csv"
+        traits.write_text("user_id,t\na,1.0\n", encoding="utf-8")
+        with pytest.raises(RowError, match=r"usage.csv: line 2: .* 2\*\*53"):
+            load_user_corpora(str(usage), str(traits), "t")
+
+    def test_one_users_counts_sum_to_at_most_2_53(self, tmp_path):
+        traits = tmp_path / "traits.csv"
+        traits.write_text("user_id,t\na,1.0\nb,2.0\n", encoding="utf-8")
+        usage = tmp_path / "usage.csv"
+        usage.write_text(f"user_id,word,count\na,great,{2**52}\nb,meh,{2**53}\n"
+                         f"a,meh,{2**52}\n", encoding="utf-8")
+        users = records_of(load_user_corpora(str(usage), str(traits), "t"))
+        assert [u.counts for u in users] == [{"great": 2**52, "meh": 2**52},
+                                             {"meh": 2**53}]
+        usage.write_text(f"user_id,word,count\na,great,{2**52}\nb,meh,1\n"
+                         f"a,great,{2**52 + 1}\n", encoding="utf-8")
+        with pytest.raises(RowError, match=r"line 4: .*'a'.* 2\*\*53"):
+            load_user_corpora(str(usage), str(traits), "t")
+
+
+def reference_tokenize(text):
+    """Lowercase, split, strip edge punctuation unless nothing would remain."""
+    out = []
+    for raw in text.lower().split():
+        start, end = 0, len(raw)
+        while start < end and not raw[start].isalnum():
+            start += 1
+        while end > start and not raw[end - 1].isalnum():
+            end -= 1
+        out.append(raw[start:end] or raw)
+    return out
+
+
+def reference_load_users(usage_path, traits_path, trait_column):
+    """One Counter per user, filled row by row: UserCorpus records."""
+    counts = defaultdict(Counter)
+    for line, cells in _read_table(
+        usage_path, None, ("user_id", "text"), ("user_id", "word", "count")
+    ):
+        user = counts[cells[0]]
+        if len(cells) == 2:
+            user.update(reference_tokenize(cells[1]))
+            continue
+        value = int(_parse_number(cells[2], "count", usage_path, line))
+        if value <= 0:
+            raise RowError(f"{usage_path}: line {line}: count must be positive")
+        user[cells[1]] += value
+    if not counts:
+        raise DataError(f"{usage_path}: no user rows found")
+    traits = {
+        uid: _parse_number(cell, trait_column, traits_path, line)
+        for line, (uid, cell) in _read_table(
+            traits_path, None, ("user_id", trait_column)
+        )
+    }
+    users, missing = [], []
+    for uid, words in counts.items():
+        if not words:
+            continue
+        if uid not in traits:
+            missing.append(uid)
+            continue
+        users.append(UserCorpus(uid, dict(words), traits[uid]))
+    if missing:
+        warnings.warn(
+            f"{len(missing)} user(s) have no trait score and were dropped: "
+            f"{missing[:10]}",
+            stacklevel=2,
+        )
+    if not users:
+        raise DataError("no user has both word counts and a trait score")
+    return users
+
+
+def reference_eval_extrinsic(lexicon, construct, users):
+    """The weighted mean rating of each user, one (user, word) at a time."""
+    ratings = lexicon.ratings_for(construct)
+    scores, traits, excluded = {}, [], []
+    for user in users:
+        total = 0
+        weighted = 0.0
+        for word, count in user.counts.items():
+            rating = ratings.get(word)
+            if rating is not None:
+                total += count
+                weighted += rating * count
+        if total == 0:
+            excluded.append(user.user_id)
+            continue
+        scores[user.user_id] = weighted / total
+        traits.append(user.trait_score)
+    if excluded:
+        warnings.warn(
+            f"{len(excluded)} user(s) share no word with the lexicon and were "
+            f"excluded: {excluded[:10]}",
+            stacklevel=2,
+        )
+    if len(scores) < 3:
+        raise DataError(
+            f"extrinsic evaluation needs at least 3 scorable users, got {len(scores)}"
+        )
+    return pearson(list(scores.values()), traits), scores
+
+
+def outcome(call, *args):
+    """(result or None, error type and text or None, warning texts)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result, error = call(*args), None
+        except LexlearnError as exc:
+            result, error = None, (type(exc), str(exc))
+    return result, error, [str(w.message) for w in caught]
+
+
+LEXICON_WORDS = ["great", "meh", "awful", "café", "naïve", "!!", "x2", "straße"]
+TOKENS = LEXICON_WORDS + [
+    "Great!", "(meh)", "AWFUL...", "Café", "--", "?!", "—", "…", "zzz", "ok",
+    "a-b", "'quoted'", "ÉCOLE", "İstanbul", "ﬁne", "日本", "٣", "x2,",
+]
+
+
+def random_users_files(rng, tmp_path):
+    """A users file (either layout) and a traits file, both perhaps CRLF."""
+    uids = [f"u{i}" for i in range(rng.randrange(2, 12))] + ["ü", "user 1"]
+    text_layout = rng.random() < 0.5
+    rows = []
+    for _ in range(rng.randrange(60)):
+        uid = rng.choice(uids)
+        if text_layout:
+            n = rng.choice([0, 0, 1, 2, 5, 12])
+            text = " ".join(rng.choice(TOKENS + ["", " ", "!!!"]) for _ in range(n))
+            rows.append(f"{uid},\"{text}\"")
+        else:
+            count = rng.choice(["1", "2", "3", "7", "2.5", "1e3", "12345678901"])
+            rows.append(f"{uid},\"{rng.choice(TOKENS)}\",{count}")
+    if rows and not text_layout and rng.random() < 0.3:
+        bad = rng.choice(["0", "-1", "x", "nan", "0.5", ""])
+        rows[rng.randrange(len(rows))] = f"{rng.choice(uids)},great,{bad}"
+    header = "user_id,text" if text_layout else "user_id,word,count"
+    end = rng.choice(["\n", "\r\n"])
+    usage = tmp_path / "usage.csv"
+    usage.write_bytes((end.join([header, *rows]) + end).encode("utf-8"))
+    traits = tmp_path / "traits.csv"
+    scored = [uid for uid in uids if rng.random() < 0.85]
+    traits.write_bytes(end.join(
+        ["user_id,t", *(f"{uid},{rng.uniform(-3, 3)!r}" for uid in scored)]
+    ).encode("utf-8") + end.encode())
+    return str(usage), str(traits)
+
+
+class TestUsersAgainstReference:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_users_files(self, tmp_path, seed):
+        rng = random.Random(seed)
+        usage, traits = random_users_files(rng, tmp_path)
+        want, want_error, want_warnings = outcome(
+            reference_load_users, usage, traits, "t")
+        got, got_error, got_warnings = outcome(load_user_corpora, usage, traits, "t")
+        assert got_error == want_error
+        assert got_warnings == want_warnings
+        if want is None:
+            return
+        assert [(u.user_id, list(u.counts.items()), u.trait_score)
+                for u in records_of(got)] == [
+            (u.user_id, list(u.counts.items()), u.trait_score) for u in want]
+        lex = lexicon({w: rng.uniform(-2, 2) for w in rng.sample(LEXICON_WORDS, 5)})
+        want, want_error, want_warnings = outcome(
+            reference_eval_extrinsic, lex, "aff", want)
+        got, got_error, got_warnings = outcome(eval_extrinsic, lex, "aff", got)
+        assert got_error == want_error
+        assert got_warnings == want_warnings
+        if want is not None:
+            assert repr(got[0]) == repr(want[0])
+            assert [(u, repr(v)) for u, v in got[1].items()] == [
+                (u, repr(v)) for u, v in want[1].items()]

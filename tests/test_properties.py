@@ -10,6 +10,11 @@ It also draws gold tables for ``eval intrinsic`` on one fixed corpus: words
 repeat and change case, cells are drawn as above, and the word or rating
 column may be missing.  Each run ends with exit 0, 1 or 2 and no traceback,
 and an exit-0 report has its header and one row per method.
+
+Users and traits tables for ``eval extrinsic`` are drawn in either users
+layout, with counts that are fractional, non-positive, past the float range
+or not numbers; each run ends the same clean way.  Drawn Unicode text
+tokenizes the same through the loaders' memo as through ``tokenize``.
 """
 
 import contextlib
@@ -21,9 +26,10 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from lexlearn.cli import main  # noqa: E402
+from lexlearn.corpus import _strip_edges, _TokenForms, tokenize  # noqa: E402
 from lexlearn.evaluation import EVAL_TSV_HEADER  # noqa: E402
 from lexlearn.induction import load_lexicon  # noqa: E402
 
@@ -122,3 +128,65 @@ def test_eval_intrinsic_ends_cleanly_on_any_gold_table(text):
             assert lines[0] == EVAL_TSV_HEADER
             assert [line.split("\t")[0] for line in lines[1:]] == [
                 m.replace("-", "_") for m in METHODS]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.text(), st.text())
+def test_memoized_tokens_equal_tokenize(text, more):
+    # one memo across two texts, as a loader shares it across rows; the
+    # reference strips every token, with no isalnum() shortcut
+    forms = _TokenForms()
+    for t in (text, more, text):
+        want = [_strip_edges(raw) or raw for raw in t.lower().split()]
+        assert list(map(forms.__getitem__, t.lower().split())) == want
+        assert tokenize(t) == want
+
+
+USER_WORDS = ["great", "meh", "awful", "Great!", "!!", "zzz", "é"]
+USERS = ["u1", "u2", "u3", "u4"]
+
+
+def with_one_bad(draw, cells, bad):
+    """The cells, one of them replaced by a drawn bad cell half the time."""
+    if cells and draw(st.booleans()):
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(bad))
+    return cells
+
+
+@st.composite
+def users_files(draw):
+    rows = draw(st.lists(st.tuples(st.sampled_from(USERS), st.sampled_from(USER_WORDS)),
+                         min_size=4, max_size=16))
+    counts = with_one_bad(
+        draw, draw(st.lists(st.sampled_from(["1", "3", "2.5", "2", "1e308"]),
+                            min_size=len(rows), max_size=len(rows))),
+        ["0", "-1", "0.5", "nan", "inf", "x", "", "9007199254740993"])
+    if draw(st.booleans()):
+        usage = ["user_id,word,count",
+                 *(f"{uid},{word},{count}" for (uid, word), count in zip(rows, counts))]
+    else:
+        usage = ["user_id,text", *(f"{uid},{word} {word}" for uid, word in rows)]
+    scored = draw(st.one_of(st.just(USERS),
+                            st.lists(st.sampled_from(USERS), unique=True)))
+    traits = with_one_bad(draw, [str(i - 1.5) for i in range(len(scored))],
+                          ["nan", "x", ""])
+    return ("\n".join(usage) + "\n",
+            "\n".join(["user_id,t", *map(",".join, zip(scored, traits))]) + "\n")
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(users_files())
+# counts that sum past the float range once crashed the scoring
+@example(("user_id,word,count\nu1,great,1e308\nu1,meh,1e308\nu2,meh,1\n"
+          "u3,awful,1\n", "user_id,t\nu1,1\nu2,2\nu3,3\n"))
+def test_eval_extrinsic_ends_cleanly_on_any_users_table(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        lex, users, traits = (Path(tmp) / name for name in
+                              ("lex.tsv", "users.csv", "traits.csv"))
+        lex.write_text("word\taff\ngreat\t7\nmeh\t4\nawful\t1e308\n!!\t-2\n",
+                       encoding="utf-8")
+        users.write_text(files[0], encoding="utf-8")
+        traits.write_text(files[1], encoding="utf-8")
+        run("eval", "extrinsic", "--lexicon", str(lex), "--construct", "aff",
+            "--users", str(users), "--traits", str(traits), "--trait-column", "t",
+            "--seed", "0", "--out", str(Path(tmp) / "scores.tsv"))
