@@ -70,15 +70,17 @@ def load_embeddings(
     Lines with the wrong number of fields or unparsable or non-finite values
     are skipped and counted; more than 1% skipped lines is treated as a
     broken file.  A repeated word keeps its first row and takes its last
-    vector.  ``restrict_to`` keeps only the named words (memory control for
-    large files); every line is still checked.
+    vector.  ``restrict_to`` keeps only the named words.
 
-    The first valid record fixes the dimension.  After it, the values of
-    each block of lines are parsed by one call of numpy's C reader
-    (``np.loadtxt``); a block it rejects is checked again line by line under
-    the same skip rules, so the table and the counts do not depend on the
-    path taken.  A value beyond the float32 range reads as infinite, so its
-    line is skipped, with no overflow warning.
+    Every line up to and including the first valid record is checked and
+    counted, whatever its word; that record fixes the dimension.  After it,
+    a line whose word ``restrict_to`` does not keep is neither parsed nor
+    counted, so the skips and the 1% budget are those of the kept lines.
+    The values of each block's kept lines are parsed by one call of numpy's
+    C reader (``np.loadtxt``); a block it rejects is checked again line by
+    line under the same skip rules, so the table and the counts do not
+    depend on the path taken.  A value beyond the float32 range reads as
+    infinite, so its line is skipped, with no overflow warning.
     """
     keep = set(restrict_to) if restrict_to is not None else None
     words: list[str] = []  # the kept records in file order, repeats included
@@ -102,13 +104,9 @@ def load_embeddings(
                 data += values.tobytes()
             break
         while dim is not None and (block := list(islice(handle, _BLOCK_LINES))):
-            block_words, vectors, records = _parse_block(block, dim)
+            block_words, vectors, records = _parse_block(block, dim, keep)
             data_lines += records
             skipped += records - len(block_words)
-            if keep is not None:
-                kept = [w in keep for w in block_words]
-                block_words = list(compress(block_words, kept))
-                vectors = vectors[np.array(kept, dtype=bool)]
             words += block_words
             data += vectors.tobytes()
     if data_lines == 0:
@@ -160,10 +158,13 @@ def _check_lines(lines: Iterable[str], dim: int | None):
         yield parts[0], values
 
 
-def _parse_block(lines: list[str], dim: int) -> tuple[list[str], np.ndarray, int]:
-    """The words and (n, dim) float32 values of the valid records in
-    ``lines``, and the number of lines that are not blank."""
-    heads = [h for h in (line.split(None, 1) for line in lines) if h]
+def _parse_block(lines: list[str], dim: int,
+                 keep: set[str] | None) -> tuple[list[str], np.ndarray, int]:
+    """The words and (n, dim) float32 values of the valid records among the
+    kept lines of ``lines``, and the number of kept lines: those that are
+    not blank and whose word is in ``keep`` (any word when it is None)."""
+    heads = [h for h in (line.split(None, 1) for line in lines)
+             if h and (keep is None or h[0] in keep)]
     records = [h for h in heads if len(h) == 2]  # a lone word is skipped
     try:
         values = np.loadtxt([h[1] for h in records], dtype=np.float32,
@@ -171,7 +172,8 @@ def _parse_block(lines: list[str], dim: int) -> tuple[list[str], np.ndarray, int
     except ValueError:  # a token it does not parse, or rows of unequal length
         values = None
     if values is None or values.shape != (len(records), dim):
-        valid = [(w, v) for w, v in _check_lines(lines, dim) if v is not None]
+        valid = [(w, v) for w, v in _check_lines(map(" ".join, heads), dim)
+                 if v is not None]
         vectors = np.array([v for _, v in valid], dtype=np.float32)
         return [w for w, _ in valid], vectors.reshape(len(valid), dim), len(heads)
     ok = np.isfinite(values).all(axis=1)

@@ -201,8 +201,9 @@ def eval_extrinsic(
     """Correlate lexicon-based user scores with user trait scores.
 
     A user's score is the relative-frequency-weighted mean rating over the
-    words they share with the lexicon; users with no overlap are excluded
-    with a warning.  Returns (Pearson r, user_id -> score).
+    words they share with the lexicon, finite for finite ratings even where
+    the weighted sum overflows; users with no overlap are excluded with a
+    warning.  Returns (Pearson r, user_id -> score).
     """
     column = lexicon.values(construct)
     row = np.fromiter(map(lexicon.rows.get, users.terms, repeat(-1)), np.intp,
@@ -216,6 +217,17 @@ def eval_extrinsic(
     total = np.bincount(users.user, known[users.term] * users.count, minlength=n)
     with np.errstate(over="ignore"):  # a huge rating times a count is inf
         weighted = np.bincount(users.user, rating * users.count, minlength=n)
+    # a user whose sum overflows still has a finite mean: redo that sum on
+    # the ratings divided by 2**e >= their largest magnitude (an exact
+    # division) and multiply the mean back by 2**e; other users' shift is 0
+    shift = np.zeros(n, dtype=np.intc)
+    over = ~np.isfinite(weighted)
+    if over.any():
+        e = np.frexp(np.abs(rating).max())[1]
+        shift[over] = e
+        entries = over[users.user]
+        scaled = np.ldexp(rating[entries], -e) * users.count[entries]
+        weighted[over] = np.bincount(users.user[entries], scaled, minlength=n)[over]
     scorable = total > 0
     excluded = list(compress(users.ids, (~scorable).tolist()))
     if excluded:
@@ -224,7 +236,7 @@ def eval_extrinsic(
             f"excluded: {excluded[:10]}",
             stacklevel=2,
         )
-    score = weighted[scorable] / total[scorable]
+    score = np.ldexp(weighted[scorable] / total[scorable], shift[scorable])
     if len(score) < 3:
         raise DataError(
             f"extrinsic evaluation needs at least 3 scorable users, got {len(score)}"
@@ -276,13 +288,14 @@ def load_user_corpora(
     """Load per-user word counts plus trait scores from two delimited files.
 
     The usage file carries either (user_id, text) rows, repeatable per user
-    and tokenized here, or pre-counted (user_id, word, count) rows.  The
-    traits file maps user_id to numeric trait columns.  Counts and traits
-    must be finite numbers, and one user's counts may sum to at most 2**53
-    (so float64 holds every sum exactly); a short row, a bad cell or bytes
-    that are not UTF-8 raise ``RowError`` naming the file and line.  Users
-    whose rows hold no word are left out; users missing a trait row are
-    dropped with a warning.
+    and tokenized here, or pre-counted (user_id, word, count) rows, whose
+    word is lowercased and stripped as a text token is; rows whose words
+    meet in one form add their counts.  The traits file maps user_id to
+    numeric trait columns.  Counts and traits must be finite numbers, and
+    one user's counts may sum to at most 2**53 (so float64 holds every sum
+    exactly); a short row, a bad cell or bytes that are not UTF-8 raise
+    ``RowError`` naming the file and line.  Users whose rows hold no word
+    are left out; users missing a trait row are dropped with a warning.
     """
     # user id -> index and term -> id, first seen first
     owners, terms = defaultdict(count().__next__), defaultdict(count().__next__)
@@ -308,7 +321,7 @@ def load_user_corpora(
         if total > 2**53:
             raise RowError(f"{usage_path}: line {line}: the counts of user "
                            f"{cells[0]!r} sum past 2**53")
-        tokens.append(terms[cells[1]])
+        tokens.append(terms[forms[cells[1].lower()]])
         sizes.append(1)
         counts.append(value)
     if not owners:

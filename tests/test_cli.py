@@ -308,6 +308,21 @@ class TestEval:
         assert rc == 0
         assert "r=1.0000" in out
 
+    def test_extrinsic_sum_past_the_float_range_exits_0(self, tmp_path, capsys):
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("word\taff\ngreat\t7.0\nmeh\t4.0\nawful\t1e308\n",
+                       encoding="utf-8")
+        users = tmp_path / "users.csv"
+        users.write_text("user_id,word,count\na,awful,2\nb,meh,1\nc,great,1\n",
+                         encoding="utf-8")
+        traits = tmp_path / "traits.csv"
+        traits.write_text("user_id,emp\na,1\nb,2\nc,3\n", encoding="utf-8")
+        rc = main(["eval", "extrinsic", "--lexicon", str(lex), "--construct", "aff",
+                   "--users", str(users), "--traits", str(traits),
+                   "--trait-column", "emp", "--seed", "0"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "r=-0.8660" in out
 
     def test_extrinsic_nan_trait_fails_at_load_users(self, tmp_path, capsys):
         lex = tmp_path / "lex.tsv"
@@ -407,19 +422,25 @@ class TestClusterCommand:
 class TestVectorCounters:
     """The loader's counters go into ``.prov`` under ``notes.metrics``."""
 
-    @pytest.fixture
-    def world(self, synth, tmp_path):
-        # the synth vectors, 120 words no lexicon holds and one short line
+    @staticmethod
+    def make_world(synth, tmp_path, bad_line, copies=1):
+        # the synth vectors ``copies`` times over (a repeated word keeps its
+        # vector), 120 words no lexicon holds, then ``bad_line``
         corpus, emb = synth
         lines = emb.read_text(encoding="utf-8").splitlines()[1:]
         vec = tmp_path / "big.vec"
         vec.write_text("\n".join(
-            lines + [f"f{i} " + " ".join(["0.5"] * 8) for i in range(120)]
-            + ["short 1 2"]) + "\n", encoding="utf-8")
+            lines * copies + [f"f{i} " + " ".join(["0.5"] * 8) for i in range(120)]
+            + [bad_line]) + "\n", encoding="utf-8")
         lex = tmp_path / "lex.tsv"
         assert main(["induce", "--method", "mean-star", "--corpus", str(corpus),
                      "--construct", "empathy", "--out", str(lex), "--seed", "0"]) == 0
         return corpus, vec, lex
+
+    @pytest.fixture
+    def world(self, synth, tmp_path):
+        # the short line is of a word no lexicon or corpus holds
+        return self.make_world(synth, tmp_path, "short 1 2")
 
     @staticmethod
     def cluster(vec, lex, out, capsys):
@@ -440,9 +461,10 @@ class TestVectorCounters:
         assert (tmp_path / "r.tsv").read_bytes() == (tmp_path / "f.tsv").read_bytes()
         provs = [json.loads((tmp_path / f"{n}.tsv.prov").read_text(encoding="utf-8"))
                  for n in "rf"]
-        # every line is checked either way; only the kept rows differ
+        # past the first record a restricted load neither checks nor counts
+        # the lines of words it does not keep, such as the short line
         assert [p["notes"].pop("metrics") for p in provs] == [
-            {"vectors_loaded": 30, "skipped_vector_lines": 1},
+            {"vectors_loaded": 30, "skipped_vector_lines": 0},
             {"vectors_loaded": 150, "skipped_vector_lines": 1},
         ]
         for p in provs:
@@ -476,9 +498,10 @@ class TestVectorCounters:
         monkeypatch.setattr(cli, "load_embeddings",
                             lambda path, restrict_to=None: load_embeddings(path))
         full = run("f")
-        # only the count of loaded vectors differs
+        # only the loader's counts differ: the short line is not the
+        # restricted load's to count
         assert [r[2]["notes"].pop("metrics") for r in (restricted, full)] == [
-            {"vectors_loaded": 30, "skipped_vector_lines": 1},
+            {"vectors_loaded": 30, "skipped_vector_lines": 0},
             {"vectors_loaded": 150, "skipped_vector_lines": 1},
         ]
         assert restricted == full
@@ -529,12 +552,25 @@ class TestVectorCounters:
                 assert main(argv + ["--out", str(out)]) == 0
                 prov = json.loads((tmp_path / f"{name}.tsv.prov").read_text())
                 assert prov["notes"]["metrics"] == {
-                    "vectors_loaded": loaded, "skipped_vector_lines": 1}
+                    "vectors_loaded": loaded, "skipped_vector_lines": 0}
                 digests[name] = sha(tmp_path / f"{name}.tsv.prov")
             self.cluster(vec, lex, tmp_path / "c.tsv", capsys)
             digests["cluster"] = sha(tmp_path / "c.tsv.prov")
             runs.append(digests)
         assert runs[0] == runs[1]
+
+    def test_bad_line_of_a_kept_word_is_counted(self, synth, tmp_path, capsys):
+        # four copies make 120 kept lines, so one bad one is within the budget
+        corpus, vec, lex = self.make_world(synth, tmp_path, "w07 1 2", copies=4)
+        self.cluster(vec, lex, tmp_path / "c.tsv", capsys)
+        assert main(["induce", "--method", "mlffn", "--corpus", str(corpus),
+                     "--construct", "empathy", "--embeddings", str(vec),
+                     "--hidden", "8", "--epochs", "5", "--seed", "3",
+                     "--out", str(tmp_path / "i.tsv")]) == 0
+        for name in "ci":
+            prov = json.loads((tmp_path / f"{name}.tsv.prov").read_text())
+            assert prov["notes"]["metrics"] == {
+                "vectors_loaded": 30, "skipped_vector_lines": 1}
 
 
 class TestDescribeAndRescale:

@@ -86,7 +86,9 @@ class TestLoad:
 
 def reference_load(path, restrict_to=None):
     """The skip rule applied one line at a time: ``(words, float32 matrix,
-    skipped)``, or FormatError."""
+    skipped)``, or FormatError.  Once the first valid record has fixed the
+    dimension, a restricted load neither checks nor counts the lines of
+    words it does not keep."""
     keep = set(restrict_to) if restrict_to is not None else None
     rows, dim, data_lines, skipped = {}, None, 0, 0
     with open(path, encoding="utf-8", errors="replace") as handle:
@@ -100,6 +102,8 @@ def reference_load(path, restrict_to=None):
                     continue
                 except ValueError:
                     pass
+            if dim is not None and keep is not None and parts[0] not in keep:
+                continue  # past the first record an unkept line is not read
             data_lines += 1
             if len(parts) < 2 or (dim is not None and len(parts) != dim + 1):
                 skipped += 1
@@ -232,6 +236,69 @@ class TestLoaderMatchesPerLineRule:
         path.write_bytes(text.encode("utf-8"))
         self.assert_same(path, None)
         self.assert_same(path, {"b", "u"})
+
+
+class TestRestrictedLoad:
+    """Past the first record, a restricted load reads only the kept words'
+    lines: the others are neither parsed nor counted."""
+
+    @staticmethod
+    def write(tmp_path, lines):
+        path = tmp_path / "r.vec"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    def test_bad_unkept_lines_are_not_counted(self, tmp_path):
+        # 10 bad lines in 62: a full load is over the budget
+        path = self.write(tmp_path, ["a 1 2 3", *(f"u{i} 0 1 2" for i in range(50)),
+                                     *(["x 1 2", "y 1 nan", "lone"] * 3), "z 1 x 3",
+                                     "b 4 5 6"])
+        with pytest.raises(FormatError, match="10 of 62 lines skipped"):
+            load_embeddings(path)
+        table = load_embeddings(path, {"a", "b"})
+        assert table.words == ("a", "b")
+        assert table.skipped_lines == 0
+
+    def test_bad_kept_lines_still_count(self, tmp_path):
+        unkept = [f"u{i} 0 1 2" for i in range(300)]
+        # one bad line in 102 kept ones is within the budget
+        path = self.write(tmp_path, [*(f"k{i} 1 2 3" for i in range(101)), *unkept,
+                                     "k7 1 2"])
+        table = load_embeddings(path, {f"k{i}" for i in range(101)})
+        assert len(table) == 101 and table.skipped_lines == 1
+        # a lone word, wrong arity, a value that does not parse, a non-finite
+        # value: 4 of 5 kept lines
+        path = self.write(tmp_path, ["a 1 2 3", *unkept, "b", "c 1 2", "d 1 x 3",
+                                     "e 1 inf 3"])
+        with pytest.raises(FormatError) as got:
+            load_embeddings(path, {"a", "b", "c", "d", "e"})
+        assert str(got.value) == (
+            f"{path}: 4 of 5 lines skipped (wrong arity or unparsable values), "
+            f"over the 1% budget")
+
+    def test_first_record_of_an_unkept_word_fixes_dim(self, tmp_path):
+        # z fixes dim 3, so "a 1 2" is a wrong-arity line, counted with z's
+        path = self.write(tmp_path, ["z 1 2 3", "a 1 2", *(["a 4 5 6"] * 120)])
+        table = load_embeddings(path, {"a"})
+        assert table.words == ("a",) and table.dim == 3
+        assert np.array_equal(table.lookup("a"), [4, 5, 6])
+        assert table.skipped_lines == 1
+
+    def test_only_kept_values_reach_the_c_reader(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embeddings, "_BLOCK_LINES", 5)
+        lines = [f"w{i} {i} {i + 0.5} -{i}" for i in range(30)]
+        path = self.write(tmp_path, lines)
+        parsed = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda rows, *args, **kwargs: (
+            parsed.extend(rows) or loadtxt(rows, *args, **kwargs)))
+        keep = {"w3", "w4", "w17", "w29"}
+        table = load_embeddings(path, keep)
+        # w0, the first record, is checked on its own
+        assert [row.rstrip("\n") for row in parsed] == [
+            line.split(None, 1)[1] for line in lines if line.split()[0] in keep]
+        assert table.words == ("w3", "w4", "w17", "w29")
+        assert np.array_equal(table.lookup("w17"), [17, 17.5, -17])
 
 
 class TestCentroid:

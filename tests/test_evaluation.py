@@ -270,6 +270,17 @@ class TestExtrinsic:
             with pytest.warns(UserWarning):
                 eval_extrinsic(three_word_lexicon(), "aff", users_of(users))
 
+    def test_sum_past_the_float_range_scores_the_finite_mean(self):
+        lex = three_word_lexicon(lo=1e308)
+        users = [UserCorpus("a", {"awful": 2}, 1.0), UserCorpus("b", {"meh": 1}, 2.0),
+                 UserCorpus("c", {"great": 1}, 3.0),
+                 UserCorpus("d", {"awful": 3, "meh": 2, "great": 1}, 4.0)]
+        r, scores = eval_extrinsic(lex, "aff", users_of(users))
+        assert np.isfinite(r)
+        assert scores["a"] == 1e308 and scores["d"] == pytest.approx(5e307)
+        # a user whose sum does not overflow keeps the bytes of sum / total
+        assert scores["b"] == 4.0 and scores["c"] == 7.0
+
     def test_scores_are_convex_combinations(self):
         rng = np.random.default_rng(42)
         words = [f"w{i}" for i in range(30)]
@@ -348,6 +359,20 @@ class TestUserCorpusLoading:
         by_id = {u.user_id: u for u in users}
         assert by_id["u1"].counts == {"happy": 3, "day": 1}
 
+    def test_count_layout_words_are_tokenized_like_text(self, tmp_path):
+        usage = tmp_path / "usage.csv"
+        usage.write_text("user_id,word,count\na,Awful,2\nb,(meh),1\nb,MEH!,3\n"
+                         "c,great,1\n", encoding="utf-8")
+        traits = tmp_path / "traits.csv"
+        traits.write_text("user_id,t\na,1.0\nb,2.0\nc,3.0\n", encoding="utf-8")
+        users = load_user_corpora(str(usage), str(traits), "t")
+        assert [u.counts for u in records_of(users)] == [
+            {"awful": 2}, {"meh": 4}, {"great": 1}]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # user a shares a word with the lexicon
+            _, scores = eval_extrinsic(three_word_lexicon(), "aff", users)
+        assert scores == {"a": 1.0, "b": 4.0, "c": 7.0}
+
     def test_missing_trait_user_dropped_with_warning(self, tmp_path):
         usage = tmp_path / "usage.csv"
         usage.write_text("user_id,text\nu1,hello\nu2,world\n", encoding="utf-8")
@@ -381,17 +406,19 @@ class TestUserCorpusLoading:
             load_user_corpora(str(usage), str(traits), "t")
 
 
+def reference_form(raw):
+    """Strip edge punctuation unless nothing would remain."""
+    start, end = 0, len(raw)
+    while start < end and not raw[start].isalnum():
+        start += 1
+    while end > start and not raw[end - 1].isalnum():
+        end -= 1
+    return raw[start:end] or raw
+
+
 def reference_tokenize(text):
-    """Lowercase, split, strip edge punctuation unless nothing would remain."""
-    out = []
-    for raw in text.lower().split():
-        start, end = 0, len(raw)
-        while start < end and not raw[start].isalnum():
-            start += 1
-        while end > start and not raw[end - 1].isalnum():
-            end -= 1
-        out.append(raw[start:end] or raw)
-    return out
+    """Lowercase, split, strip each token's edge punctuation."""
+    return [reference_form(raw) for raw in text.lower().split()]
 
 
 def reference_load_users(usage_path, traits_path, trait_column):
@@ -407,7 +434,7 @@ def reference_load_users(usage_path, traits_path, trait_column):
         value = int(_parse_number(cells[2], "count", usage_path, line))
         if value <= 0:
             raise RowError(f"{usage_path}: line {line}: count must be positive")
-        user[cells[1]] += value
+        user[reference_form(cells[1].lower())] += value
     if not counts:
         raise DataError(f"{usage_path}: no user rows found")
     traits = {
