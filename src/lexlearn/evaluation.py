@@ -215,19 +215,12 @@ def eval_extrinsic(
     rating = np.where(known, column[row], 0.0)[users.term]
     n = len(users.ids)
     total = np.bincount(users.user, known[users.term] * users.count, minlength=n)
-    with np.errstate(over="ignore"):  # a huge rating times a count is inf
-        weighted = np.bincount(users.user, rating * users.count, minlength=n)
-    # a user whose sum overflows still has a finite mean: redo that sum on
-    # the ratings divided by 2**e >= their largest magnitude (an exact
-    # division) and multiply the mean back by 2**e; other users' shift is 0
-    shift = np.zeros(n, dtype=np.intc)
-    over = ~np.isfinite(weighted)
-    if over.any():
-        e = np.frexp(np.abs(rating).max())[1]
-        shift[over] = e
-        entries = over[users.user]
-        scaled = np.ldexp(rating[entries], -e) * users.count[entries]
-        weighted[over] = np.bincount(users.user[entries], scaled, minlength=n)[over]
+    # each user's counts sum to at most 2**53, so ratings below 2**970 in
+    # magnitude cannot overflow a sum; larger ones are divided by 2**s
+    # first, and the mean multiplied back (exact while the ratings stay
+    # normal, and s is 0 for every lexicon below 2**970)
+    s = max(0, int(np.frexp(np.abs(rating).max(initial=0.0))[1]) - 970)
+    weighted = np.bincount(users.user, np.ldexp(rating, -s) * users.count, minlength=n)
     scorable = total > 0
     excluded = list(compress(users.ids, (~scorable).tolist()))
     if excluded:
@@ -236,7 +229,7 @@ def eval_extrinsic(
             f"excluded: {excluded[:10]}",
             stacklevel=2,
         )
-    score = np.ldexp(weighted[scorable] / total[scorable], shift[scorable])
+    score = np.ldexp(weighted[scorable] / total[scorable], s)
     if len(score) < 3:
         raise DataError(
             f"extrinsic evaluation needs at least 3 scorable users, got {len(score)}"
