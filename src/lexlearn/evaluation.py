@@ -201,26 +201,26 @@ def eval_extrinsic(
     """Correlate lexicon-based user scores with user trait scores.
 
     A user's score is the relative-frequency-weighted mean rating over the
-    words they share with the lexicon, finite for finite ratings even where
-    the weighted sum overflows; users with no overlap are excluded with a
-    warning.  Returns (Pearson r, user_id -> score).
+    words they share with the lexicon, finite for every finite lexicon;
+    users with no overlap are excluded with a warning.  Returns
+    (Pearson r, user_id -> score).
     """
     column = lexicon.values(construct)
+    # each user's counts sum to at most 2**53, so ratings below 2**970 in
+    # magnitude cannot overflow a sum; a column holding larger ones is
+    # divided by 2**s first and the means multiplied back (exact while the
+    # ratings stay normal; s is 0 for every column below 2**970)
+    s = max(0, int(np.frexp(np.abs(column).max(initial=0.0))[1]) - 970)
     row = np.fromiter(map(lexicon.rows.get, users.terms, repeat(-1)), np.intp,
                       len(users.terms))
     known = row >= 0
     # a word outside the lexicon weighs and rates 0.0; bincount adds each
     # user's products in entry order starting from +0.0, so adding those
     # zeros changes no sum
-    rating = np.where(known, column[row], 0.0)[users.term]
+    rating = np.where(known, np.ldexp(column, -s)[row], 0.0)[users.term]
     n = len(users.ids)
     total = np.bincount(users.user, known[users.term] * users.count, minlength=n)
-    # each user's counts sum to at most 2**53, so ratings below 2**970 in
-    # magnitude cannot overflow a sum; larger ones are divided by 2**s
-    # first, and the mean multiplied back (exact while the ratings stay
-    # normal, and s is 0 for every lexicon below 2**970)
-    s = max(0, int(np.frexp(np.abs(rating).max(initial=0.0))[1]) - 970)
-    weighted = np.bincount(users.user, np.ldexp(rating, -s) * users.count, minlength=n)
+    weighted = np.bincount(users.user, rating * users.count, minlength=n)
     scorable = total > 0
     excluded = list(compress(users.ids, (~scorable).tolist()))
     if excluded:
