@@ -406,7 +406,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     _stage("write-output", save_clusters, result, args.out)
     _write_provenance(
         args.out, "cluster", args, seed, [args.lexicon, args.embeddings],
-        {**result.provenance, "metrics": _vector_metrics(table)},
+        {**result.provenance,
+         "metrics": {**_vector_metrics(table), **result.metrics}},
     )
     print(format_preview(result, args.top))
     if result.dropped_words:

@@ -20,7 +20,7 @@ import numpy as np
 from .embeddings import EmbeddingTable
 from .errors import DataError
 from .induction import Lexicon
-from .numerics import kmeans, sym_eig_smallest
+from .numerics import CSRMatrix, kmeans, sym_eig_smallest
 
 __all__ = [
     "SignedGraph",
@@ -58,7 +58,8 @@ class ClusterResult:
 
     ``clusters[c]`` lists (word, rating) pairs sorted by rating, descending
     for clusters whose mean sits at or above the overall mean (high pole)
-    and ascending otherwise.
+    and ascending otherwise.  ``metrics`` holds the deterministic counters
+    of the graph and the eigensolve.
     """
 
     k: int
@@ -68,6 +69,7 @@ class ClusterResult:
     cluster_means: list[float]
     dropped_words: tuple[str, ...] = ()
     provenance: dict = field(default_factory=dict)
+    metrics: dict = field(default_factory=dict)
 
 
 def build_signed_graph(
@@ -127,28 +129,33 @@ def build_signed_graph(
     return SignedGraph(tuple(words), edges, construct, rho, dropped)
 
 
-def signed_laplacian(g: SignedGraph, *, normalized: bool = False) -> np.ndarray:
+def signed_laplacian(g: SignedGraph, *, normalized: bool = False) -> CSRMatrix:
     """L = D - W with D_ii = sum_j |w_ij|; optionally D^-1/2 L D^-1/2.
 
+    Returns a :class:`~lexlearn.numerics.CSRMatrix`: each row holds its
+    diagonal entry and one entry per edge, so L takes O(edges) memory and no
+    n x n array is built (``np.asarray(L)`` gives the dense matrix).
     Isolated nodes make the spectral embedding meaningless, so they are an
     error that names the words involved.
     """
     i, j, w = g.edges["i"], g.edges["j"], g.edges["w"]
-    L = np.zeros((g.n, g.n))
-    L[i, j] = L[j, i] = np.abs(w)
-    absdeg = L.sum(axis=1)
+    absdeg = np.bincount(i, np.abs(w), g.n) + np.bincount(j, np.abs(w), g.n)
     isolated = [g.node_words[k] for k in np.flatnonzero(absdeg == 0.0)]
     if isolated:
         raise DataError(
             f"{len(isolated)} isolated word(s) in the signed graph: {isolated[:10]}"
         )
-    L[i, j] = L[j, i] = -w
-    L[np.diag_indices(g.n)] = absdeg
+    nodes = np.arange(g.n)
+    rows = np.concatenate([i, j, nodes])
+    cols = np.concatenate([j, i, nodes])
+    data = np.concatenate([-w, -w, absdeg])
+    order = np.argsort(rows * g.n + cols, kind="stable")
+    rows, cols, data = rows[order], cols[order], data[order]
     if normalized:
         inv_sqrt = 1.0 / np.sqrt(absdeg)
-        L *= inv_sqrt[:, None]
-        L *= inv_sqrt[None, :]
-    return L
+        data = data * inv_sqrt[rows] * inv_sqrt[cols]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=g.n))])
+    return CSRMatrix(data, cols, indptr)
 
 
 def cluster(
@@ -173,7 +180,8 @@ def cluster(
     if k > graph.n:
         raise ValueError(f"cluster: k={k} exceeds usable word count {graph.n}")
     L = signed_laplacian(graph, normalized=normalized)
-    _, vecs = sym_eig_smallest(L, k)
+    eigen: dict = {}
+    _, vecs = sym_eig_smallest(L, k, seed, stats=eigen)
     row_norms = np.linalg.norm(vecs, axis=1)
     rows = vecs / np.where(row_norms > 0, row_norms, 1.0)[:, None]
     assign = kmeans(rows, k, restarts=10, seed=seed)
@@ -202,8 +210,15 @@ def cluster(
         else "cos * (1 - |dr|/rho)",
         "dropped_words": len(graph.dropped_words),
     }
+    metrics = {
+        "edges": len(graph.edges),
+        "negative_edges": int(np.count_nonzero(graph.edges["w"] < 0)),
+        "eigensolver": eigen["solver"],
+        "eigen_iterations": eigen["iterations"],
+        "eigen_worst_residual": eigen["worst_residual"],
+    }
     return ClusterResult(
-        k, construct, assignment, clusters, means, graph.dropped_words, prov
+        k, construct, assignment, clusters, means, graph.dropped_words, prov, metrics
     )
 
 

@@ -4,8 +4,9 @@ eigensolves, and k-means.
 Everything is plain numpy.  Ridge regression is matrix-free conjugate
 gradients over the (row, column, value) entries of the design matrix.  The
 eigensolver is one LAPACK symmetric eigendecomposition (``np.linalg.eigh``)
-sliced to the smallest pairs.  All stochastic routines take explicit seeds
-and are bit reproducible.
+sliced to the smallest pairs on small matrices, and a block LOBPCG over a
+sparse :class:`CSRMatrix` or a dense array on large ones.  All stochastic
+routines take explicit seeds and are bit reproducible.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
 )
 
 __all__ = ["pearson", "RidgeModel", "ridge_fit", "ridge_fit_sparse",
-           "sym_eig_smallest", "kmeans"]
+           "CSRMatrix", "sym_eig_smallest", "kmeans"]
 
 
 def pearson(x, y) -> float:
@@ -150,25 +151,118 @@ def ridge_fit_sparse(rows, cols, values, n_features: int, y, lam: float) -> Ridg
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class CSRMatrix:
+    """Square sparse matrix in compressed sparse row form: row i holds the
+    values ``data[indptr[i]:indptr[i + 1]]`` in the columns ``indices[...]``,
+    and every row holds at least one entry."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = len(self.indptr) - 1
+        return n, n
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+    def _rows(self) -> np.ndarray:
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def diagonal(self) -> np.ndarray:
+        rows = self._rows()
+        on = self.indices == rows
+        diag = np.zeros(self.shape[0])
+        diag[rows[on]] = self.data[on]
+        return diag
+
+    def __matmul__(self, X) -> np.ndarray:
+        """The product with an n-vector or an n x m block: one gather and
+        one ``np.add.reduceat`` over the rows' segments."""
+        products = np.asarray(X, dtype=np.float64)[self.indices]
+        products *= self.data if products.ndim == 1 else self.data[:, None]
+        return np.add.reduceat(products, self.indptr[:-1], axis=0)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """A dense copy."""
+        if copy is False:
+            raise ValueError("CSRMatrix: a dense array is always a copy")
+        dense = np.zeros(self.shape, dtype=dtype or np.float64)
+        dense[self._rows(), self.indices] = self.data
+        return dense
+
+
 _CHECK_ROWS = 256
 
+# eigh computes all n pairs, LOBPCG a block of k + LOBPCG_GUARD; eigh is used
+# below n = EIGH_CUTOFF * (k + LOBPCG_GUARD), near the measured crossover
+EIGH_CUTOFF = 40
+LOBPCG_GUARD = 10
+# a pair is converged at ||A v - lambda v|| <= EIG_TOLERANCE * ||A||_F
+EIG_TOLERANCE = 1e-8
+LOBPCG_ITERATIONS = 300
 
-def sym_eig_smallest(A, k: int):
+
+def sym_eig_smallest(A, k: int, seed: int = 0, *, stats: dict | None = None):
     """k algebraically smallest eigenpairs of a symmetric matrix.
 
-    One LAPACK call (``np.linalg.eigh``, which reads the lower triangle)
-    computes the full spectrum; the symmetry check guards the other
-    triangle.  A non-finite entry, or LAPACK failing to converge, raises
-    NumericalError.  Returns (eigenvalues ascending of length k, eigenvector
-    matrix n x k with orthonormal columns).
+    ``A`` is an ndarray or a :class:`CSRMatrix`.  Below n = EIGH_CUTOFF *
+    (k + LOBPCG_GUARD) it is made dense and one LAPACK call
+    (``np.linalg.eigh``, which reads the lower triangle) computes the full
+    spectrum; the symmetry check guards the other triangle.  Above that size
+    a block LOBPCG (Knyazev 2001) iterates on k + LOBPCG_GUARD vectors
+    started from ``np.random.default_rng(seed)``, one product with A per
+    iteration and no n x n array, until each of the k pairs meets
+    ||A v - lambda v|| <= EIG_TOLERANCE * ||A||_F.
+
+    A non-finite entry, LAPACK failing to converge, or LOBPCG not converging
+    within LOBPCG_ITERATIONS raises NumericalError.  Returns (eigenvalues
+    ascending of length k, eigenvector matrix n x k with orthonormal
+    columns).  A ``stats`` dict receives the solver's name, its iteration
+    count (0 for eigh) and the largest residual relative to ||A||_F.
     """
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if not isinstance(A, CSRMatrix):
+        A = np.asarray(A, dtype=np.float64)
+    if len(A.shape) != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError(f"sym_eig_smallest: matrix must be square, got {A.shape}")
     n = A.shape[0]
     if not 1 <= k <= n:
         raise DimensionError(f"sym_eig_smallest: k={k} out of range for n={n}")
+    block = k + LOBPCG_GUARD
+    use_eigh = n < EIGH_CUTOFF * block
+    if use_eigh or not isinstance(A, CSRMatrix):
+        A = np.asarray(A, dtype=np.float64)
+        _check_dense(A)
+        norm = float(np.linalg.norm(A))
+    elif np.isfinite(A.data).all():
+        norm = float(np.linalg.norm(A.data))
+    else:
+        raise NumericalError("sym_eig_smallest: matrix holds a non-finite value")
+    if use_eigh:
+        try:
+            vals, vecs = np.linalg.eigh(A)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"sym_eig_smallest: {exc}") from exc
+        # copy the k columns so the full n x n basis can be freed
+        vals, vecs = vals[:k].copy(), vecs[:, :k].copy()
+        solver, iterations = "eigh", 0
+        resid = np.linalg.norm(A @ vecs - vecs * vals, axis=0).max()
+    else:
+        vals, vecs, iterations, resid = _lobpcg(A, k, block, norm, seed)
+        solver = "lobpcg"
+    if stats is not None:
+        stats.update(solver=solver, iterations=iterations,
+                     worst_residual=float(resid / norm) if norm else 0.0)
+    return vals, vecs
+
+
+def _check_dense(A: np.ndarray) -> None:
     # both checks run over row blocks, so neither builds an n x n temporary
+    n = A.shape[0]
     blocks = [slice(i, i + _CHECK_ROWS) for i in range(0, n, _CHECK_ROWS)]
     if not all(np.isfinite(A[b]).all() for b in blocks):
         # eigh returns NaN for such input instead of raising
@@ -176,12 +270,65 @@ def sym_eig_smallest(A, k: int):
     # A - A.T is antisymmetric, so its max is its largest |entry|
     if max((A[b] - A[:, b].T).max() for b in blocks) > 1e-8:
         raise DimensionError("sym_eig_smallest: matrix is not symmetric within 1e-8")
-    try:
-        vals, vecs = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"sym_eig_smallest: {exc}") from exc
-    # copy the k columns so the full n x n basis can be freed
-    return vals[:k].copy(), vecs[:, :k].copy()
+
+
+def _lobpcg(A, k: int, block: int, norm: float, seed: int):
+    """Block LOBPCG with the Jacobi preconditioner: Rayleigh-Ritz on the
+    span of the block X, the preconditioned residuals W of its unconverged
+    columns and their previous steps P, through a Cholesky factor of the
+    Gram matrix of [X, W, P].  A X and A P follow X and P through the Ritz
+    coefficients, so only W is multiplied by A.  Returns (values, vectors,
+    iterations, largest residual norm of the k pairs)."""
+    n = A.shape[0]
+    diag = np.abs(A.diagonal())
+    precond = 1.0 / np.where(diag > 0.0, diag, 1.0)
+    X = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, block)))[0]
+    AX = A @ X
+    theta, C = np.linalg.eigh(_sym(X.T @ AX))
+    X, AX = X @ C, AX @ C
+    P = AP = None
+    target = EIG_TOLERANCE * norm
+    for iteration in range(LOBPCG_ITERATIONS + 1):
+        R = AX - X * theta
+        resid = np.linalg.norm(R, axis=0)
+        if resid[:k].max() <= target:
+            return theta[:k], X[:, :k], iteration, resid[:k].max()
+        if iteration == LOBPCG_ITERATIONS or not np.isfinite(resid).all():
+            break
+        active = resid > target
+        W = R[:, active] * precond[:, None]
+        W -= X @ (X.T @ W)
+        W /= np.linalg.norm(W, axis=0)
+        AW = A @ W
+        bases = [((X, W), (AX, AW))]
+        if P is not None:
+            scale = np.linalg.norm(P[:, active], axis=0)
+            bases.insert(0, ((X, W, P[:, active] / scale),
+                             (AX, AW, AP[:, active] / scale)))
+        for S, AS in bases:
+            S, AS = np.hstack(S), np.hstack(AS)
+            try:
+                factor = np.linalg.cholesky(S.T @ S)
+            except np.linalg.LinAlgError:
+                continue  # the basis is numerically dependent: drop P
+            inv = np.linalg.inv(factor)
+            theta, Y = np.linalg.eigh(_sym(inv @ (S.T @ AS) @ inv.T))
+            C = inv.T @ Y[:, :block]
+            break
+        else:
+            break
+        theta = theta[:block]
+        P, AP = S[:, block:] @ C[block:], AS[:, block:] @ C[block:]
+        X, AX = X @ C[:block] + P, AX @ C[:block] + AP
+    raise NumericalError(
+        f"sym_eig_smallest: LOBPCG unconverged after {iteration} iterations "
+        f"(worst relative residual {resid[:k].max() / norm:.3g}, "
+        f"target {EIG_TOLERANCE:g})"
+    )
+
+
+def _sym(M: np.ndarray) -> np.ndarray:
+    return (M + M.T) / 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,16 @@ import json
 import numpy as np
 import pytest
 
-from lexlearn import cli
+from lexlearn import cli, numerics
 from lexlearn.cli import main
+from lexlearn.clustering import build_signed_graph
 from lexlearn.corpus import corpus_fingerprint, load_corpus
 from lexlearn.embeddings import load_embeddings
-from lexlearn.induction import load_lexicon
+from lexlearn.induction import load_lexicon, save_lexicon
+
+from _worlds import planted_block_lexicon
+
+VECTOR_COUNTERS = ("vectors_loaded", "skipped_vector_lines")
 
 
 def sha(path):
@@ -406,6 +411,66 @@ class TestClusterCommand:
         assert "stage 'cluster'" in err and "non-finite" in err
         assert not out.exists()
 
+    def test_provenance_counts_graph_and_eigensolve(self, synth, tmp_path):
+        corpus, emb = synth
+        lex = tmp_path / "lex.tsv"
+        main(["induce", "--method", "mean-star", "--corpus", str(corpus),
+              "--construct", "empathy", "--out", str(lex), "--seed", "0"])
+        out = tmp_path / "c.tsv"
+        assert main(["cluster", "--lexicon", str(lex), "--embeddings", str(emb),
+                     "--construct", "empathy", "--k", "2", "--knn", "5",
+                     "--seed", "4", "--out", str(out)]) == 0
+        metrics = json.loads((tmp_path / "c.tsv.prov").read_text())["notes"]["metrics"]
+        graph = build_signed_graph(load_lexicon(lex), "empathy",
+                                   load_embeddings(emb), knn=5)
+        assert metrics.pop("eigen_worst_residual") <= 1e-8
+        assert metrics == {
+            "vectors_loaded": 30, "skipped_vector_lines": 0,
+            "edges": len(graph.edges),
+            "negative_edges": int((graph.edges["w"] < 0).sum()),
+            "eigensolver": "eigh", "eigen_iterations": 0,
+        }
+
+    @pytest.fixture
+    def planted(self, tmp_path):
+        """600 words in 4 planted blocks: at --k 4 the eigensolve is above
+        the eigh cutoff and takes the LOBPCG path."""
+        lex, table, _ = planted_block_lexicon(3, per_block=150)
+        assert len(lex) >= numerics.EIGH_CUTOFF * (4 + numerics.LOBPCG_GUARD)
+        lex_path, emb = tmp_path / "planted.tsv", tmp_path / "planted.vec"
+        save_lexicon(lex, lex_path, provenance=False)
+        emb.write_text("".join(
+            word + " " + " ".join(repr(float(x)) for x in table.matrix([word])[0])
+            + "\n" for word in lex.words), encoding="utf-8")
+        return ["cluster", "--lexicon", str(lex_path), "--embeddings", str(emb),
+                "--construct", "aff", "--k", "4", "--seed", "2"]
+
+    def test_lobpcg_run_is_counted_and_rerun_byte_identical(self, planted, tmp_path):
+        digests = []
+        for name in ("a.tsv", "b.tsv"):
+            out = tmp_path / name
+            assert main(planted + ["--out", str(out)]) == 0
+            prov = json.loads(out.with_suffix(".tsv.prov").read_text())
+            metrics = prov["notes"]["metrics"]
+            assert metrics["eigensolver"] == "lobpcg"
+            assert metrics["eigen_iterations"] > 0
+            assert metrics["eigen_worst_residual"] <= 1e-8
+            prov["flags"].pop("out")
+            digests.append((out.read_bytes(), prov))
+        assert digests[0] == digests[1]
+
+    def test_unconverged_eigensolve_fails_at_cluster_stage(self, planted, tmp_path,
+                                                          monkeypatch, capsys):
+        monkeypatch.setattr(numerics, "LOBPCG_ITERATIONS", 1)
+        out = tmp_path / "c.tsv"
+        rc = main(planted + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "stage 'cluster'" in err
+        assert "after 1 iterations" in err and "residual" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_unknown_construct_names_available(self, synth, tmp_path, capsys):
         corpus, emb = synth
         lex = tmp_path / "lex.tsv"
@@ -463,10 +528,12 @@ class TestVectorCounters:
                  for n in "rf"]
         # past the first record a restricted load neither checks nor counts
         # the lines of words it does not keep, such as the short line
-        assert [p["notes"].pop("metrics") for p in provs] == [
+        metrics = [p["notes"].pop("metrics") for p in provs]
+        assert [{key: m.pop(key) for key in VECTOR_COUNTERS} for m in metrics] == [
             {"vectors_loaded": 30, "skipped_vector_lines": 0},
             {"vectors_loaded": 150, "skipped_vector_lines": 1},
         ]
+        assert metrics[0] == metrics[1]  # the graph and eigensolve counters
         for p in provs:
             p["flags"].pop("out")
         assert provs[0] == provs[1]
@@ -569,7 +636,8 @@ class TestVectorCounters:
                      "--out", str(tmp_path / "i.tsv")]) == 0
         for name in "ci":
             prov = json.loads((tmp_path / f"{name}.tsv.prov").read_text())
-            assert prov["notes"]["metrics"] == {
+            metrics = prov["notes"]["metrics"]
+            assert {key: metrics[key] for key in VECTOR_COUNTERS} == {
                 "vectors_loaded": 30, "skipped_vector_lines": 1}
 
 

@@ -1,5 +1,7 @@
 """Signed graphs, signed Laplacians, and spectral clustering recovery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from lexlearn.clustering import (
     signed_laplacian,
 )
 from lexlearn.errors import DataError
-from lexlearn.numerics import sym_eig_smallest
+from lexlearn.numerics import kmeans, sym_eig_smallest
 
 from _worlds import (
     adjusted_rand_index,
@@ -143,14 +145,14 @@ class TestSignedLaplacian:
     def test_single_positive_edge(self):
         g = SignedGraph(("a", "b"), edge_array([(0, 1, 1.0)]), "aff", 1.0)
         L = signed_laplacian(g)
-        assert np.array_equal(L, np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        assert np.array_equal(np.asarray(L), np.array([[1.0, -1.0], [-1.0, 1.0]]))
         vals, _ = sym_eig_smallest(L, 2)
         assert vals == pytest.approx([0.0, 2.0], abs=1e-12)
 
     def test_single_negative_edge_splits_by_sign(self):
         g = SignedGraph(("a", "b"), edge_array([(0, 1, -1.0)]), "aff", 1.0)
         L = signed_laplacian(g)
-        assert np.array_equal(L, np.array([[1.0, 1.0], [1.0, 1.0]]))
+        assert np.array_equal(np.asarray(L), np.array([[1.0, 1.0], [1.0, 1.0]]))
         vals, vecs = sym_eig_smallest(L, 2)
         assert vals == pytest.approx([0.0, 2.0], abs=1e-12)
         # smallest eigenvector opposes the two endpoints
@@ -172,11 +174,32 @@ class TestSignedLaplacian:
             g = SignedGraph(words, edge_array(edges), "aff", 1.0)
             L = signed_laplacian(g)
             x = rng.standard_normal(n)
-            direct = float(x @ L @ x)
+            direct = float(x @ (L @ x))
             by_edges = sum(
                 abs(w) * (x[i] - np.sign(w) * x[j]) ** 2 for i, j, w in edges
             )
             assert direct == pytest.approx(by_edges, abs=1e-10)
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_matches_the_dense_construction(self, normalized):
+        lex, table, _ = planted_block_lexicon(5, per_block=30)
+        g = build_signed_graph(lex, "aff", table, knn=8)
+        L = signed_laplacian(g, normalized=normalized)
+        i, j, w = g.edges["i"], g.edges["j"], g.edges["w"]
+        ref = np.zeros((g.n, g.n))
+        ref[i, j] = ref[j, i] = -w
+        absdeg = np.abs(ref).sum(axis=1)
+        ref[np.diag_indices(g.n)] = absdeg
+        if normalized:
+            ref /= np.sqrt(np.outer(absdeg, absdeg))
+        # the degrees are summed in another order: equal within rounding
+        assert np.allclose(np.asarray(L), ref, rtol=1e-14, atol=0.0)
+        # CSR: columns ascend within each row, and each row holds its diagonal
+        assert np.array_equal(L.indptr, np.concatenate(
+            [[0], np.cumsum(np.count_nonzero(ref, axis=1))]))
+        rows = np.repeat(np.arange(g.n), np.diff(L.indptr))
+        assert np.all(np.diff(rows * g.n + L.indices) > 0)
+        assert np.allclose(L.diagonal(), np.diag(ref), rtol=1e-14, atol=0.0)
 
     def test_isolated_node_error_names_words(self):
         g = SignedGraph(("a", "b", "lonely"), edge_array([(0, 1, 1.0)]), "aff", 1.0)
@@ -195,23 +218,60 @@ class TestSignedLaplacian:
         lex, table, _ = planted_block_lexicon(4, per_block=12)
         g = build_signed_graph(lex, "aff", table, knn=6)
         L = signed_laplacian(g, normalized=True)
-        assert np.max(np.abs(L - L.T)) < 1e-12
+        dense = np.asarray(L)
+        assert np.max(np.abs(dense - dense.T)) < 1e-12
         vals, _ = sym_eig_smallest(L, 1)
         assert vals[0] >= -1e-8
 
 
 class TestEigensolveAtPaperScale:
+    """The CLI defaults (k=50, knn=20) on lexica of paper size, above the
+    eigh cutoff: LOBPCG on the sparse L, no n x n array."""
+
+    @staticmethod
+    def check_pairs(L, vals, vecs, norm):
+        k = len(vals)
+        resid = np.linalg.norm(L @ vecs - vecs * vals, axis=0)
+        assert resid.max() <= 1e-8 * norm
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(k))) <= 1e-10
+        assert np.all(np.diff(vals) >= 0)
+
+    @staticmethod
+    def assignment(vecs, seed):
+        rows = vecs / np.linalg.norm(vecs, axis=1)[:, None]
+        return kmeans(rows, vecs.shape[1], restarts=10, seed=seed)
+
     def test_3000_words_k50_knn20(self):
-        # the CLI defaults (k=50, knn=20) on a lexicon of paper size
+        # eigh on the dense copy of the same L is the reference
         lex, table, _ = planted_block_lexicon(12, per_block=750)
         L = signed_laplacian(build_signed_graph(lex, "aff", table, knn=20))
         assert L.shape == (3000, 3000)
-        vals, vecs = sym_eig_smallest(L, 50)
+        stats = {}
+        vals, vecs = sym_eig_smallest(L, 50, seed=7, stats=stats)
+        assert stats["solver"] == "lobpcg"
         assert vals.shape == (50,) and vecs.shape == (3000, 50)
-        resid = np.linalg.norm(L @ vecs - vecs * vals, axis=0)
-        assert resid.max() <= 1e-8 * np.linalg.norm(L)
-        assert np.max(np.abs(vecs.T @ vecs - np.eye(50))) <= 1e-10
-        assert np.all(np.diff(vals) >= 0)
+        dense = np.asarray(L)
+        self.check_pairs(L, vals, vecs, np.linalg.norm(dense))
+        ref_vals, ref_vecs = np.linalg.eigh(dense)
+        assert np.max(np.abs(vals - ref_vals[:50])) <= 1e-10
+        assert np.array_equal(self.assignment(vecs, 7),
+                              self.assignment(ref_vecs[:, :50], 7))
+
+    def test_10000_words_k50_knn20(self):
+        lex, table, _ = planted_block_lexicon(14, per_block=2500)
+        graph = build_signed_graph(lex, "aff", table, knn=20)
+        L = signed_laplacian(graph)
+        n = graph.n
+        assert n == 10000
+        assert L.nbytes < 64 * (2 * len(graph.edges) + n)
+        tracemalloc.start()
+        try:
+            vals, vecs = sym_eig_smallest(L, 50, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 2  # half of one dense n x n float64 array
+        self.check_pairs(L, vals, vecs, np.linalg.norm(L.data))
 
 
 class TestCluster:
@@ -273,7 +333,6 @@ class TestCluster:
             edges.append((int(i), int(j), float(rng.normal())))
         edges = tuple(dict(((i, j), (i, j, w)) for i, j, w in edges).values())
         words = tuple(f"w{i}" for i in range(n))
-        from lexlearn.numerics import kmeans
 
         def assignment_from(edge_set):
             gg = SignedGraph(words, edge_array(edge_set), "aff", 1.0)
@@ -286,7 +345,7 @@ class TestCluster:
 
         base, L1 = assignment_from(edges)
         scaled, L2 = assignment_from(tuple((i, j, 3.7 * w) for i, j, w in edges))
-        assert np.allclose(L2, 3.7 * L1)
+        assert np.allclose(np.asarray(L2), 3.7 * np.asarray(L1))
         assert np.array_equal(base, scaled)
 
     def test_no_silent_word_loss(self):

@@ -1,8 +1,10 @@
 """Numerical kernels against independent oracles.
 
-The eigensolver wraps LAPACK (numpy.linalg.eigh), so its tests pin the
-contract around that call: the k smallest values in ascending order,
-eigen-residuals, orthonormal columns and the input checks.  Ridge (conjugate
+The eigensolver wraps LAPACK (numpy.linalg.eigh) below a size cutoff and
+runs a block LOBPCG above it, so its tests pin the contract on both paths:
+the k smallest values in ascending order, eigen-residuals, orthonormal
+columns and the input checks, with eigh on the dense matrix as the oracle
+for LOBPCG.  Ridge (conjugate
 gradients) is checked against a direct solve of the normal equations, a
 least-squares solve and a brute-force gradient-descent minimizer that knows
 nothing about normal equations.
@@ -18,6 +20,7 @@ from lexlearn.errors import (
     UndefinedCorrelationError,
 )
 from lexlearn.numerics import (
+    CSRMatrix,
     _lloyd,
     kmeans,
     pearson,
@@ -363,6 +366,104 @@ class TestSymEig:
         A[n - 2, 5] = 9e-9  # within the bound
         assert sym_eig_smallest(A, 1)[0].shape == (1,)
         A[n - 1, n - 1] = np.inf
+        with pytest.raises(NumericalError, match="non-finite"):
+            sym_eig_smallest(A, 1)
+
+
+def csr(dense):
+    """The CSRMatrix of a dense matrix's nonzero entries."""
+    rows, cols = np.nonzero(dense)
+    counts = np.bincount(rows, minlength=len(dense))
+    return CSRMatrix(dense[rows, cols], cols, np.concatenate([[0], np.cumsum(counts)]))
+
+
+def signed_laplacian_matrix(rng, n, degree):
+    """Dense signed Laplacian of a random graph: a ring, so no node is
+    isolated, plus ``degree`` random partners per node, signed weights."""
+    W = np.zeros((n, n))
+    nodes = np.arange(n)
+    W[nodes, (nodes + 1) % n] = rng.uniform(0.1, 1.0, n)
+    partners = rng.integers(0, n, (n, degree))
+    W[nodes[:, None], partners] = rng.normal(size=(n, degree))
+    W = np.triu(W, 1) + np.triu(W, 1).T
+    return np.diag(np.abs(W).sum(axis=1)) - W
+
+
+class TestCSRMatrix:
+    def test_products_and_diagonal_match_the_dense_matrix(self):
+        rng = np.random.default_rng(8)
+        dense = signed_laplacian_matrix(rng, 50, 3)
+        A = csr(dense)
+        assert A.shape == (50, 50)
+        assert np.array_equal(np.asarray(A), dense)
+        assert np.asarray(A, dtype=np.float32).dtype == np.float32
+        assert np.array_equal(A.diagonal(), np.diag(dense))
+        x = rng.standard_normal(50)
+        X = rng.standard_normal((50, 7))
+        assert np.allclose(A @ x, dense @ x, rtol=1e-13, atol=1e-13)
+        assert np.allclose(A @ X, dense @ X, rtol=1e-13, atol=1e-13)
+        assert A.nbytes == A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+
+    def test_missing_diagonal_reads_zero(self):
+        A = csr(np.array([[0.0, 2.0], [2.0, 5.0]]))
+        assert np.array_equal(A.diagonal(), [0.0, 5.0])
+
+    def test_no_view_without_a_copy(self):
+        with pytest.raises(ValueError, match="copy"):
+            csr(np.eye(2)).__array__(copy=False)
+
+
+class TestLobpcg:
+    """Above the cutoff: n = 600 >= EIGH_CUTOFF * (k + LOBPCG_GUARD)."""
+
+    @pytest.fixture
+    def laplacian(self):
+        return signed_laplacian_matrix(np.random.default_rng(9), 600, 4)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_matches_eigh_on_the_dense_matrix(self, laplacian, k):
+        assert 600 >= numerics.EIGH_CUTOFF * (k + numerics.LOBPCG_GUARD)
+        stats = {}
+        vals, vecs = sym_eig_smallest(csr(laplacian), k, seed=2, stats=stats)
+        assert stats["solver"] == "lobpcg" and stats["iterations"] > 0
+        ref = np.linalg.eigvalsh(laplacian)[:k]
+        assert np.max(np.abs(vals - ref)) <= 1e-10
+        scale = np.linalg.norm(laplacian)
+        resid = np.linalg.norm(laplacian @ vecs - vecs * vals, axis=0)
+        assert resid.max() <= 1e-8 * scale
+        assert stats["worst_residual"] == pytest.approx(resid.max() / scale, rel=1e-3)
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(k))) <= 1e-10
+
+    def test_dense_input_takes_the_same_path(self, laplacian):
+        stats = {}
+        vals, _ = sym_eig_smallest(laplacian, 4, stats=stats)
+        assert stats["solver"] == "lobpcg"
+        assert np.max(np.abs(vals - np.linalg.eigvalsh(laplacian)[:4])) <= 1e-10
+
+    def test_seeded_reruns_are_identical(self, laplacian):
+        A = csr(laplacian)
+        first, again = (sym_eig_smallest(A, 4, seed=5) for _ in range(2))
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+    def test_cutoff_depends_on_n_and_k(self, laplacian):
+        # below n = EIGH_CUTOFF * (k + LOBPCG_GUARD), eigh on the dense copy
+        k = 600 // numerics.EIGH_CUTOFF - numerics.LOBPCG_GUARD + 1
+        stats = {}
+        sym_eig_smallest(csr(laplacian), k, stats=stats)
+        assert stats == {"solver": "eigh", "iterations": 0,
+                         "worst_residual": stats["worst_residual"]}
+        assert stats["worst_residual"] <= 1e-12
+
+    def test_exhausted_budget_names_iterations_and_residual(self, laplacian,
+                                                            monkeypatch):
+        monkeypatch.setattr(numerics, "LOBPCG_ITERATIONS", 1)
+        with pytest.raises(NumericalError,
+                           match=r"after 1 iterations \(worst relative residual"):
+            sym_eig_smallest(csr(laplacian), 4)
+
+    def test_non_finite_entry_rejected(self, laplacian):
+        A = csr(laplacian)
+        A.data[3] = np.nan
         with pytest.raises(NumericalError, match="non-finite"):
             sym_eig_smallest(A, 1)
 
