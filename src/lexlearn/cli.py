@@ -13,8 +13,10 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import secrets
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -71,12 +73,92 @@ def _stage(name: str, fn, *args, **kwargs):
         raise _StageFailure(name, exc) from exc
 
 
+# the largest read: each read and each update gives up the GIL, and the
+# hashing thread must win it back before the next one, so large reads hide
+# more of a large file's hash
+_HASH_CHUNK = 16 << 20
+
+
+class _HashCancelled(Exception):
+    pass
+
+
 def _file_sha256(path: str | Path) -> str:
+    """The sha256 of a file's bytes to its end, read into one reusable buffer
+    of an eighth of the file, from 1 MiB to ``_HASH_CHUNK`` bytes (the buffer
+    adds to the memory of the load that runs beside it).  On a
+    :class:`_HashThread` that has been cancelled it gives up between reads."""
+    cancelled = getattr(threading.current_thread(), "cancelled", None)
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
+    with open(path, "rb", buffering=0) as handle:
+        size = os.fstat(handle.fileno()).st_size
+        buffer = memoryview(bytearray(min(max(size // 8, 1 << 20), _HASH_CHUNK)))
+        while count := handle.readinto(buffer):
+            digest.update(buffer[:count])
+            if cancelled is not None and cancelled.is_set():
+                raise _HashCancelled(path)
     return digest.hexdigest()
+
+
+class _HashThread(threading.Thread):
+    """Hashes regular files in order into ``digests``; a file it cannot read
+    is left out."""
+
+    def __init__(self, paths: list[str], digests: dict[str, str]):
+        super().__init__(name="lexlearn-input-sha256", daemon=True)
+        self.paths = paths
+        self.digests = digests
+        self.cancelled = threading.Event()
+
+    def run(self) -> None:
+        for path in self.paths:
+            try:
+                # by its module-level name, so that a wrapper set on
+                # lexlearn.cli._file_sha256 sees this call too
+                self.digests[path] = _file_sha256(path)
+            except OSError:
+                continue
+            except _HashCancelled:
+                return
+
+
+class _InputDigests:
+    """The sha256 of each input file of a command that writes a ``.prov``.
+
+    Entering the block starts one thread that hashes the regular files among
+    ``paths``, alongside the command's own reading and work.  ``join()``
+    waits for it and must come before the command writes its first output
+    byte, so each digest is of the file as the command started with it (also
+    when ``--out`` names an input).  ``digests()`` then hashes, on the calling
+    thread, what the thread did not: a non-regular file, which a second
+    reader would take part of a pipe's data from, or a file it could not
+    read.  Leaving the block early cancels the thread between reads.
+    """
+
+    def __init__(self, paths: list[str | Path]):
+        self.paths = [str(p) for p in paths]
+        self._digests: dict[str, str] = {}
+        # is_file() stats the path; it never opens it
+        regular = [p for p in dict.fromkeys(self.paths) if Path(p).is_file()]
+        self._thread = _HashThread(regular, self._digests) if regular else None
+
+    def __enter__(self) -> _InputDigests:
+        if self._thread is not None:
+            self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._thread is not None:
+            self._thread.cancelled.set()
+            self._thread.join()
+
+    def join(self) -> None:
+        if self._thread is not None:
+            self._thread.join()
+
+    def digests(self) -> dict[str, str]:
+        self.join()
+        return {p: self._digests.get(p) or _file_sha256(p) for p in self.paths}
 
 
 def _vector_metrics(table) -> dict:
@@ -85,7 +167,8 @@ def _vector_metrics(table) -> dict:
 
 
 def _write_provenance(out_path: str, command: str, args: argparse.Namespace,
-                      seed: int, inputs: list[str], notes: dict | None = None) -> None:
+                      seed: int, digests: dict[str, str],
+                      notes: dict | None = None) -> None:
     flags = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command")
     }
@@ -95,7 +178,7 @@ def _write_provenance(out_path: str, command: str, args: argparse.Namespace,
         "command": command,
         "flags": flags,
         "seed": seed,
-        "inputs": {str(p): _file_sha256(p) for p in inputs},
+        "inputs": digests,
         "notes": notes or {},
     }
     with open(out_path + ".prov", "w", encoding="utf-8", newline="\n") as handle:
@@ -236,28 +319,30 @@ def cmd_induce(args: argparse.Namespace) -> int:
     if kind == "mlffn" and not args.embeddings:
         raise _UsageFailure("--embeddings is required for --method mlffn")
     rescale = _parse_range(args.rescale) if args.rescale else None
-    corpus = _load_corpus(args, constructs)
-    inputs = [args.corpus]
-    notes = {"method": kind, "constructs": constructs}
-    table = None
-    if kind == "mlffn":
-        # centroids read every token: load the vectors of the corpus terms
-        keep = None if args.rate_all_embedded else set(corpus.terms)
-        table = _stage("load-embeddings", load_embeddings, args.embeddings,
-                       restrict_to=keep)
-        inputs.append(args.embeddings)
-        notes["metrics"] = _vector_metrics(table)
-    spec = _method_spec(args, kind, table)
-    # one net for all constructs, or one per construct seeded seed + i
-    groups = [constructs] if args.joint or kind != "mlffn" else [[c] for c in constructs]
-    lex = join_lexica([_stage("fit", fit_method, corpus, group, spec, seed + i)
-                       for i, group in enumerate(groups)])
-    lex = _fingerprinted(lex, corpus)
-    if rescale:
-        lex = _stage("rescale", rescale_log_minmax, lex, *rescale)
-    notes["lexicon"] = lex.provenance
-    _stage("write-output", save_lexicon, lex, args.out, provenance=False)
-    _write_provenance(args.out, "induce", args, seed, inputs, notes)
+    inputs = [args.corpus] + ([args.embeddings] if kind == "mlffn" else [])
+    with _InputDigests(inputs) as hashes:
+        corpus = _load_corpus(args, constructs)
+        notes = {"method": kind, "constructs": constructs}
+        table = None
+        if kind == "mlffn":
+            # centroids read every token: load the vectors of the corpus terms
+            keep = None if args.rate_all_embedded else set(corpus.terms)
+            table = _stage("load-embeddings", load_embeddings, args.embeddings,
+                           restrict_to=keep)
+            notes["metrics"] = _vector_metrics(table)
+        spec = _method_spec(args, kind, table)
+        # one net for all constructs, or one per construct seeded seed + i
+        groups = ([constructs] if args.joint or kind != "mlffn"
+                  else [[c] for c in constructs])
+        lex = join_lexica([_stage("fit", fit_method, corpus, group, spec, seed + i)
+                           for i, group in enumerate(groups)])
+        lex = _fingerprinted(lex, corpus)
+        if rescale:
+            lex = _stage("rescale", rescale_log_minmax, lex, *rescale)
+        notes["lexicon"] = lex.provenance
+        hashes.join()
+        _stage("write-output", save_lexicon, lex, args.out, provenance=False)
+        _write_provenance(args.out, "induce", args, seed, hashes.digests(), notes)
     print(f"wrote {len(lex)} words x {len(lex.constructs)} construct(s) to {args.out}")
     return 0
 
@@ -281,6 +366,14 @@ def cmd_eval_intrinsic(args: argparse.Namespace) -> int:
     if "mlffn" in methods and not args.embeddings:
         raise _UsageFailure("--embeddings is required to evaluate mlffn")
     constructs = _constructs_from_args(args)
+    inputs = [args.corpus, args.gold] + ([args.embeddings] if "mlffn" in methods else [])
+    # only a report file gets a .prov
+    with _InputDigests(inputs if args.out else []) as hashes:
+        return _eval_intrinsic(args, seed, methods, constructs, hashes)
+
+
+def _eval_intrinsic(args: argparse.Namespace, seed: int, methods: list[str],
+                    constructs: list[str], hashes: _InputDigests) -> int:
     corpus = _load_corpus(args, constructs)
     gold = _stage(
         "load-gold",
@@ -290,13 +383,11 @@ def cmd_eval_intrinsic(args: argparse.Namespace) -> int:
         constructs,
         delimiter=args.delimiter,
     )
-    inputs = [args.corpus, args.gold]
     table = None
     notes = {}
     if "mlffn" in methods:
         table = _stage("load-embeddings", load_embeddings, args.embeddings,
                        restrict_to=set(corpus.terms))
-        inputs.append(args.embeddings)
         notes["metrics"] = _vector_metrics(table)
     reports = []
     for flag in methods:
@@ -321,11 +412,12 @@ def cmd_eval_intrinsic(args: argparse.Namespace) -> int:
         print()
         print(_comparison_table(reports, methods, constructs))
     if args.out:
+        hashes.join()
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(EVAL_TSV_HEADER + "\n")
             for report in reports:
                 handle.write(report_tsv_row(report) + "\n")
-        _write_provenance(args.out, "eval-intrinsic", args, seed, inputs, notes)
+        _write_provenance(args.out, "eval-intrinsic", args, seed, hashes.digests(), notes)
         print(f"wrote report to {args.out}")
     return 0
 
@@ -349,28 +441,30 @@ def _comparison_table(reports, methods, constructs) -> str:
 
 def cmd_eval_extrinsic(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
-    lex = _stage("load-lexicon", load_lexicon, args.lexicon)
-    users = _stage(
-        "load-users",
-        load_user_corpora,
-        args.users,
-        args.traits,
-        args.trait_column,
-        delimiter=args.delimiter,
-    )
-    r, scores = _stage("eval", eval_extrinsic, lex, args.construct, users)
-    print(f"extrinsic construct={args.construct} users={len(scores)} r={r:.4f}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("user_id\tscore\n")
-            for uid in sorted(scores):
-                handle.write(f"{uid}\t{scores[uid]!r}\n")
-            handle.write(f"# pearson_r\t{r!r}\n")
-        _write_provenance(
-            args.out, "eval-extrinsic", args, seed,
-            [args.lexicon, args.users, args.traits], {"r": r},
+    inputs = [args.lexicon, args.users, args.traits]
+    # only a score file gets a .prov
+    with _InputDigests(inputs if args.out else []) as hashes:
+        lex = _stage("load-lexicon", load_lexicon, args.lexicon)
+        users = _stage(
+            "load-users",
+            load_user_corpora,
+            args.users,
+            args.traits,
+            args.trait_column,
+            delimiter=args.delimiter,
         )
-        print(f"wrote scores to {args.out}")
+        r, scores = _stage("eval", eval_extrinsic, lex, args.construct, users)
+        print(f"extrinsic construct={args.construct} users={len(scores)} r={r:.4f}")
+        if args.out:
+            hashes.join()
+            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write("user_id\tscore\n")
+                for uid in sorted(scores):
+                    handle.write(f"{uid}\t{scores[uid]!r}\n")
+                handle.write(f"# pearson_r\t{r!r}\n")
+            _write_provenance(args.out, "eval-extrinsic", args, seed,
+                              hashes.digests(), {"r": r})
+            print(f"wrote scores to {args.out}")
     return 0
 
 
@@ -381,34 +475,36 @@ def cmd_eval_extrinsic(args: argparse.Namespace) -> int:
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
-    lex = _stage("load-lexicon", load_lexicon, args.lexicon)
-    # clustering reads only the lexicon words' rows
-    table = _stage("load-embeddings", load_embeddings, args.embeddings,
-                   restrict_to=lex.words)
-    usable = np.count_nonzero(np.linalg.norm(table.matrix(lex.words), axis=1))
-    if args.k > usable:
-        raise _UsageFailure(
-            f"--k {args.k} exceeds the {usable} lexicon words with nonzero embeddings"
+    with _InputDigests([args.lexicon, args.embeddings]) as hashes:
+        lex = _stage("load-lexicon", load_lexicon, args.lexicon)
+        # clustering reads only the lexicon words' rows
+        table = _stage("load-embeddings", load_embeddings, args.embeddings,
+                       restrict_to=lex.words)
+        usable = np.count_nonzero(np.linalg.norm(table.matrix(lex.words), axis=1))
+        if args.k > usable:
+            raise _UsageFailure(
+                f"--k {args.k} exceeds the {usable} lexicon words with nonzero embeddings"
+            )
+        result = _stage(
+            "cluster",
+            cluster,
+            lex,
+            args.construct,
+            table,
+            args.k,
+            args.knn,
+            args.rho,
+            seed,
+            normalized=args.normalized,
+            clip_negative_cosine=not args.no_clip,
         )
-    result = _stage(
-        "cluster",
-        cluster,
-        lex,
-        args.construct,
-        table,
-        args.k,
-        args.knn,
-        args.rho,
-        seed,
-        normalized=args.normalized,
-        clip_negative_cosine=not args.no_clip,
-    )
-    _stage("write-output", save_clusters, result, args.out)
-    _write_provenance(
-        args.out, "cluster", args, seed, [args.lexicon, args.embeddings],
-        {**result.provenance,
-         "metrics": {**_vector_metrics(table), **result.metrics}},
-    )
+        hashes.join()
+        _stage("write-output", save_clusters, result, args.out)
+        _write_provenance(
+            args.out, "cluster", args, seed, hashes.digests(),
+            {**result.provenance,
+             "metrics": {**_vector_metrics(table), **result.metrics}},
+        )
     print(format_preview(result, args.top))
     if result.dropped_words:
         print(f"dropped {len(result.dropped_words)} word(s) with zero embeddings")
@@ -471,6 +567,12 @@ def _pearson_cell(a: np.ndarray, b: np.ndarray) -> str:
 
 
 def cmd_describe(args: argparse.Namespace) -> int:
+    # only a plot-data file gets a .prov
+    with _InputDigests([args.lexicon] if args.plot_data else []) as hashes:
+        return _describe(args, hashes)
+
+
+def _describe(args: argparse.Namespace, hashes: _InputDigests) -> int:
     lex = _stage("load-lexicon", load_lexicon, args.lexicon)
     plot_rows = []
     for construct in lex.constructs:
@@ -505,12 +607,13 @@ def cmd_describe(args: argparse.Namespace) -> int:
                 row.append(r.rjust(width))
             print("".join(row))
     if args.plot_data:
+        hashes.join()
         with open(args.plot_data, "w", encoding="utf-8", newline="\n") as handle:
             handle.write("construct\tbin\tlo\thi\tcount\n")
             for row in plot_rows:
                 handle.write(row + "\n")
         _write_provenance(args.plot_data, "describe", args, args.seed or 0,
-                          [args.lexicon], {})
+                          hashes.digests(), {})
         print(f"wrote histogram bins to {args.plot_data}")
     return 0
 
@@ -518,13 +621,13 @@ def cmd_describe(args: argparse.Namespace) -> int:
 def cmd_rescale(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     lo, hi = _parse_range(args.range)
-    lex = _stage("load-lexicon", load_lexicon, args.lexicon)
-    rescaled = _stage("rescale", rescale_log_minmax, lex, lo, hi)
-    _stage("write-output", save_lexicon, rescaled, args.out, provenance=False)
-    _write_provenance(
-        args.out, "rescale", args, seed, [args.lexicon],
-        {"lexicon": rescaled.provenance},
-    )
+    with _InputDigests([args.lexicon]) as hashes:
+        lex = _stage("load-lexicon", load_lexicon, args.lexicon)
+        rescaled = _stage("rescale", rescale_log_minmax, lex, lo, hi)
+        hashes.join()
+        _stage("write-output", save_lexicon, rescaled, args.out, provenance=False)
+        _write_provenance(args.out, "rescale", args, seed, hashes.digests(),
+                          {"lexicon": rescaled.provenance})
     print(f"wrote rescaled lexicon to {args.out}")
     return 0
 

@@ -53,6 +53,11 @@ __all__ = [
 
 METHOD_KINDS = ("mean_star", "mean_binary", "regression_weights", "mlffn")
 
+# words fit_mlffn rates per forward pass.  Blocks bound the memory of rating
+# a crawl-size vocabulary; they stay large because BLAS may round a product
+# of a few rows differently from the same rows in a large one.
+RATE_BLOCK_ROWS = 65_536
+
 
 @dataclass(frozen=True, eq=False)
 class Lexicon:
@@ -242,8 +247,10 @@ def fit_mlffn(
     if include_oov_words:
         oov = sorted(w for w in corpus.vocab if w not in table)
         words = sorted(set(words) | set(oov))
-    vectors = table.matrix(words).astype(np.float64)
-    ratings = forward_batch(net, vectors)
+    ratings = np.empty((len(words), net.output_dim))
+    for start in range(0, len(words), RATE_BLOCK_ROWS):
+        block = table.matrix(words[start:start + RATE_BLOCK_ROWS]).astype(np.float64)
+        ratings[start:start + len(block)] = forward_batch(net, block)
     prov = {
         "method": "mlffn",
         "constructs": list(constructs),

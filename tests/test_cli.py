@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1092,3 +1096,127 @@ class TestBadTables:
             for row in err.splitlines()
         ), err
         assert not (tmp_path / "out.tsv").exists()
+
+
+class TestInputDigests:
+    """Inputs are hashed on one helper thread from the start of a command
+    that writes a ``.prov``, and the thread ends before ``main`` returns."""
+
+    @pytest.fixture
+    def clustered(self, synth, tmp_path):
+        corpus, emb = synth
+        lex = tmp_path / "lex.tsv"
+        assert main(["induce", "--method", "mean-star", "--corpus", str(corpus),
+                     "--construct", "empathy", "--out", str(lex), "--seed", "0"]) == 0
+        return ["cluster", "--lexicon", str(lex), "--embeddings", str(emb),
+                "--construct", "empathy", "--knn", "5", "--seed", "4",
+                "--out", str(tmp_path / "c.tsv")]
+
+    def test_in_place_rescale_records_the_input_digest(self, tmp_path, monkeypatch):
+        lex = tmp_path / "lex.tsv"
+        lex.write_text(
+            "word\ta\n" + "".join(f"w{i}\t{float(i)}\n" for i in range(10)),
+            encoding="utf-8",
+        )
+        before = sha(lex)
+        real = cli._file_sha256
+
+        def slow(path):  # a hash still running when the command's work ends
+            time.sleep(0.3)
+            return real(path)
+
+        monkeypatch.setattr(cli, "_file_sha256", slow)
+        assert main(["rescale", "--lexicon", str(lex), "--range", "0:1",
+                     "--out", str(lex), "--seed", "0"]) == 0
+        assert sha(lex) != before
+        prov = json.loads((tmp_path / "lex.tsv.prov").read_text())
+        assert prov["inputs"] == {str(lex): before}
+
+    @pytest.mark.parametrize("k,missing,code,stage", [
+        ("2", False, 0, None),
+        ("2", True, 1, "load-embeddings"),
+        ("999", False, 2, None),  # --k over the word count, after the load
+    ], ids=["ok", "missing-embeddings", "usage"])
+    def test_thread_ends_with_main(self, clustered, tmp_path, capsys,
+                                   k, missing, code, stage):
+        argv = clustered + ["--k", k]
+        if missing:
+            argv[argv.index("--embeddings") + 1] = str(tmp_path / "absent.vec")
+        capsys.readouterr()
+        threads = threading.active_count()
+        assert main(argv) == code
+        assert threading.active_count() == threads
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "Exception in thread" not in err
+        if stage:
+            assert err.startswith(f"lexlearn cluster: stage '{stage}': "), err
+            assert "absent.vec" in err
+
+    def test_digests_match_a_hash_after_the_run(self, clustered, tmp_path):
+        assert main(clustered + ["--k", "2"]) == 0
+        inputs = json.loads((tmp_path / "c.tsv.prov").read_text())["inputs"]
+        lex, emb = clustered[2], clustered[4]
+        assert inputs == {lex: sha(Path(lex)), emb: sha(Path(emb))}
+
+    def test_thread_never_opens_a_fifo(self, tmp_path, monkeypatch):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        regular = tmp_path / "lex.tsv"
+        regular.write_text("word\ta\nw0\t1.0\n", encoding="utf-8")
+        hashed = []
+        real = cli._file_sha256
+
+        def recording(path):
+            on_main = threading.current_thread() is threading.main_thread()
+            hashed.append((str(path), on_main))
+            return real(path)
+
+        monkeypatch.setattr(cli, "_file_sha256", recording)
+        with cli._InputDigests([fifo, regular]) as hashes:
+            hashes._thread.join(timeout=10)
+            hung = hashes._thread.is_alive()
+            if hung:  # a reader blocked on the FIFO: give it an empty write end
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            assert not hung
+            assert hashed == [(str(regular), False)]
+            # the FIFO is hashed on the calling thread, after the command's work
+            writer = threading.Thread(target=fifo.write_bytes, args=(b"abc",),
+                                      daemon=True)
+            writer.start()
+            digests = hashes.digests()
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+        assert hashed[1:] == [(str(fifo), True)]
+        assert digests == {str(fifo): hashlib.sha256(b"abc").hexdigest(),
+                           str(regular): sha(regular)}
+
+    @pytest.mark.parametrize("command,out,threads", [
+        (["eval", "extrinsic", "--construct", "empathy", "--trait-column", "emp"],
+         [], 0),
+        (["eval", "extrinsic", "--construct", "empathy", "--trait-column", "emp"],
+         ["--out"], 1),
+        (["describe"], [], 0),
+        (["describe"], ["--plot-data"], 1),
+    ], ids=["extrinsic", "extrinsic-out", "describe", "describe-plot-data"])
+    def test_thread_only_for_a_prov(self, tmp_path, monkeypatch,
+                                    command, out, threads):
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("word\tempathy\nw1\t1.0\nw2\t2.0\nw3\t3.0\n",
+                       encoding="utf-8")
+        (tmp_path / "users.csv").write_text(
+            "user_id,text\nu1,w1 w2\nu2,w3\nu3,w2 w3\n", encoding="utf-8")
+        (tmp_path / "traits.csv").write_text(
+            "user_id,emp\nu1,1\nu2,4\nu3,2\n", encoding="utf-8")
+        argv = command + ["--lexicon", str(lex)]
+        if command[0] == "eval":
+            argv += ["--users", str(tmp_path / "users.csv"),
+                     "--traits", str(tmp_path / "traits.csv")]
+        if out:
+            argv += [out[0], str(tmp_path / "out.tsv")]
+        started = []
+        real_start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: started.append(self) or real_start(self))
+        assert main(argv + ["--seed", "1"]) == 0
+        assert len(started) == threads
+        assert (tmp_path / "out.tsv.prov").exists() == bool(out)

@@ -2,10 +2,12 @@
 
 import dataclasses
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from lexlearn import induction
 from lexlearn.corpus import Document, build_corpus
 from lexlearn.embeddings import centroid
 from lexlearn.errors import DataError, DegenerateLabelsError
@@ -331,6 +333,37 @@ class TestMlffn:
                         max_epochs=3, seed=4)
         with pytest.raises(DataError):
             fit_mlffn(corpus, ["aff"], alien, cfg, rate_all_embedded=True)
+
+    def test_rating_memory_follows_the_block_not_the_table(self, monkeypatch):
+        # 20,000 embedded words: one pass over all of them holds 20,000 rows
+        # of 64 inputs and 256 hidden units in float64
+        corpus, table, _, _, _ = linear_world(
+            5, n_words=40, dim=64, n_docs=60, words_per_doc=4, noise=0.0,
+            n_heldout=19_960,
+        )
+        cfg = NetConfig(64, 1, (256,), dropout_input=0, dropout_hidden=0,
+                        max_epochs=2, seed=5)
+        row_bytes = 8 * (64 + 256)
+
+        def rate_all(block_rows):
+            monkeypatch.setattr(induction, "RATE_BLOCK_ROWS", block_rows)
+            tracemalloc.start()
+            try:
+                lex, net = fit_mlffn(corpus, ["aff"], table, cfg,
+                                     rate_all_embedded=True)
+                return lex, net, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        whole, net, whole_peak = rate_all(induction.RATE_BLOCK_ROWS)
+        blocked, _, blocked_peak = rate_all(256)
+        assert blocked_peak < 2_000 * row_bytes < 20_000 * row_bytes < whole_peak
+        # a table no larger than one block is rated in one pass, as before
+        vectors = table.matrix(whole.words).astype(np.float64)
+        assert np.array_equal(whole.ratings, forward_batch(net, vectors))
+        assert blocked.words == whole.words
+        np.testing.assert_allclose(blocked.ratings, whole.ratings,
+                                   rtol=1e-12, atol=1e-12)
 
     def test_default_rates_corpus_vocab_intersection(self):
         corpus, table, _, _, heldout = linear_world(
