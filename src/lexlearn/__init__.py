@@ -11,7 +11,7 @@ from .corpus import (  # noqa: F401
     save_corpus,
     tokenize,
 )
-from .embeddings import EmbeddingTable, centroid, cosine, load_embeddings  # noqa: F401
+from .embeddings import EmbeddingTable, centroid, load_embeddings  # noqa: F401
 from .errors import LexlearnError  # noqa: F401
 from .induction import (  # noqa: F401
     Lexicon,
@@ -25,7 +25,7 @@ from .induction import (  # noqa: F401
     rescale_log_minmax,
     save_lexicon,
 )
-from .neural import FeedForwardNet, NetConfig, forward, gradient_check, train  # noqa: F401
+from .neural import FeedForwardNet, NetConfig, gradient_check, train  # noqa: F401
 from .numerics import RidgeModel, kmeans, pearson, ridge_fit, sym_eig_smallest  # noqa: F401
 from .evaluation import (  # noqa: F401
     EvalReport,

@@ -86,8 +86,8 @@ class _HashCancelled(Exception):
 def _file_sha256(path: str | Path) -> str:
     """The sha256 of a file's bytes to its end, read into one reusable buffer
     of an eighth of the file, from 1 MiB to ``_HASH_CHUNK`` bytes (the buffer
-    adds to the memory of the load that runs beside it).  On a
-    :class:`_HashThread` that has been cancelled it gives up between reads."""
+    adds to the memory of the load that runs beside it).  On the thread of an
+    :class:`_InputDigests` that has been cancelled it gives up between reads."""
     cancelled = getattr(threading.current_thread(), "cancelled", None)
     digest = hashlib.sha256()
     with open(path, "rb", buffering=0) as handle:
@@ -100,39 +100,18 @@ def _file_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-class _HashThread(threading.Thread):
-    """Hashes regular files in order into ``digests``; a file it cannot read
-    is left out."""
-
-    def __init__(self, paths: list[str], digests: dict[str, str]):
-        super().__init__(name="lexlearn-input-sha256", daemon=True)
-        self.paths = paths
-        self.digests = digests
-        self.cancelled = threading.Event()
-
-    def run(self) -> None:
-        for path in self.paths:
-            try:
-                # by its module-level name, so that a wrapper set on
-                # lexlearn.cli._file_sha256 sees this call too
-                self.digests[path] = _file_sha256(path)
-            except OSError:
-                continue
-            except _HashCancelled:
-                return
-
-
 class _InputDigests:
     """The sha256 of each input file of a command that writes a ``.prov``.
 
     Entering the block starts one thread that hashes the regular files among
-    ``paths``, alongside the command's own reading and work.  ``join()``
-    waits for it and must come before the command writes its first output
-    byte, so each digest is of the file as the command started with it (also
-    when ``--out`` names an input).  ``digests()`` then hashes, on the calling
-    thread, what the thread did not: a non-regular file, which a second
-    reader would take part of a pipe's data from, or a file it could not
-    read.  Leaving the block early cancels the thread between reads.
+    ``paths`` in order, alongside the command's own reading and work; a file
+    it cannot read is left out.  ``join()`` waits for it and must come before
+    the command writes its first output byte, so each digest is of the file
+    as the command started with it (also when ``--out`` names an input).
+    ``digests()`` then hashes, on the calling thread, what the thread did
+    not: a non-regular file, which a second reader would take part of a
+    pipe's data from, or a file it could not read.  Leaving the block early
+    cancels the thread between reads.
     """
 
     def __init__(self, paths: list[str | Path]):
@@ -140,7 +119,22 @@ class _InputDigests:
         self._digests: dict[str, str] = {}
         # is_file() stats the path; it never opens it
         regular = [p for p in dict.fromkeys(self.paths) if Path(p).is_file()]
-        self._thread = _HashThread(regular, self._digests) if regular else None
+        self._thread = None
+        if regular:
+            self._thread = threading.Thread(target=self._hash, args=(regular,),
+                                            name="lexlearn-input-sha256", daemon=True)
+            self._thread.cancelled = threading.Event()
+
+    def _hash(self, paths: list[str]) -> None:
+        for path in paths:
+            try:
+                # by its module-level name, so that a wrapper set on
+                # lexlearn.cli._file_sha256 sees this call too
+                self._digests[path] = _file_sha256(path)
+            except OSError:
+                continue
+            except _HashCancelled:
+                return
 
     def __enter__(self) -> _InputDigests:
         if self._thread is not None:
@@ -166,24 +160,37 @@ def _vector_metrics(table) -> dict:
     return {"vectors_loaded": len(table), "skipped_vector_lines": table.skipped_lines}
 
 
-def _write_provenance(out_path: str, command: str, args: argparse.Namespace,
-                      seed: int, digests: dict[str, str],
-                      notes: dict | None = None) -> None:
-    flags = {
-        k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command")
-    }
-    record = {
-        "tool": "lexlearn",
-        "version": __version__,
-        "command": command,
-        "flags": flags,
-        "seed": seed,
-        "inputs": digests,
-        "notes": notes or {},
-    }
-    with open(out_path + ".prov", "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True, default=str)
-        handle.write("\n")
+def _write_lines(path: str, lines: list[str]) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.writelines(line + "\n" for line in lines)
+
+
+def _write_output(hashes: _InputDigests, args: argparse.Namespace, path: str,
+                  write, notes: dict) -> None:
+    """Write one output with ``write(path)`` and then its ``.prov`` sidecar,
+    both at stage ``write-output``.  The sidecar holds the flag echo, tool
+    version, command, seed (0 for a command without one), input digests and
+    ``notes``."""
+    hashes.join()
+
+    def write_with_provenance() -> None:
+        write(path)
+        record = {
+            "tool": "lexlearn",
+            "version": __version__,
+            "command": (f"eval-{args.eval_mode}" if args.command == "eval"
+                        else args.command),
+            "flags": {k: v for k, v in sorted(vars(args).items())
+                      if k not in ("func", "command")},
+            "seed": args.seed or 0,
+            "inputs": hashes.digests(),
+            "notes": notes,
+        }
+        with open(path + ".prov", "w", encoding="utf-8", newline="\n") as handle:
+            json.dump(record, handle, indent=2, sort_keys=True, default=str)
+            handle.write("\n")
+
+    _stage("write-output", write_with_provenance)
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -340,9 +347,8 @@ def cmd_induce(args: argparse.Namespace) -> int:
         if rescale:
             lex = _stage("rescale", rescale_log_minmax, lex, *rescale)
         notes["lexicon"] = lex.provenance
-        hashes.join()
-        _stage("write-output", save_lexicon, lex, args.out, provenance=False)
-        _write_provenance(args.out, "induce", args, seed, hashes.digests(), notes)
+        _write_output(hashes, args, args.out,
+                      lambda path: save_lexicon(lex, path, provenance=False), notes)
     print(f"wrote {len(lex)} words x {len(lex.constructs)} construct(s) to {args.out}")
     return 0
 
@@ -369,56 +375,48 @@ def cmd_eval_intrinsic(args: argparse.Namespace) -> int:
     inputs = [args.corpus, args.gold] + ([args.embeddings] if "mlffn" in methods else [])
     # only a report file gets a .prov
     with _InputDigests(inputs if args.out else []) as hashes:
-        return _eval_intrinsic(args, seed, methods, constructs, hashes)
-
-
-def _eval_intrinsic(args: argparse.Namespace, seed: int, methods: list[str],
-                    constructs: list[str], hashes: _InputDigests) -> int:
-    corpus = _load_corpus(args, constructs)
-    gold = _stage(
-        "load-gold",
-        load_gold_lexicon,
-        args.gold,
-        args.word_column,
-        constructs,
-        delimiter=args.delimiter,
-    )
-    table = None
-    notes = {}
-    if "mlffn" in methods:
-        table = _stage("load-embeddings", load_embeddings, args.embeddings,
-                       restrict_to=set(corpus.terms))
-        notes["metrics"] = _vector_metrics(table)
-    reports = []
-    for flag in methods:
-        spec = _method_spec(args, METHOD_FLAGS[flag], table)
-        for construct in constructs:
-            report = _stage("eval", eval_intrinsic, corpus, gold, spec, construct,
-                            folds=args.folds, seed=seed)
-            reports.append(report)
-            fold_text = ", ".join(
-                "failed" if v != v else f"{v:.4f}" for v in report.per_fold
-            )
-            print(f"method={flag} construct={construct} folds={report.folds}")
-            print(f"  per-fold r: {fold_text}")
-            print(
-                f"  mean_r={report.mean_r:.4f} sd_r={report.sd_r:.4f} "
-                f"coverage={report.coverage:.4f} "
-                f"words={report.evaluated_vocab_size}"
-            )
-            for fold, reason in report.fold_failures.items():
-                print(f"  fold {fold} failed: {reason}")
-    if len(methods) > 1 or len(constructs) > 1:
-        print()
-        print(_comparison_table(reports, methods, constructs))
-    if args.out:
-        hashes.join()
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(EVAL_TSV_HEADER + "\n")
-            for report in reports:
-                handle.write(report_tsv_row(report) + "\n")
-        _write_provenance(args.out, "eval-intrinsic", args, seed, hashes.digests(), notes)
-        print(f"wrote report to {args.out}")
+        corpus = _load_corpus(args, constructs)
+        gold = _stage(
+            "load-gold",
+            load_gold_lexicon,
+            args.gold,
+            args.word_column,
+            constructs,
+            delimiter=args.delimiter,
+        )
+        table = None
+        notes = {}
+        if "mlffn" in methods:
+            table = _stage("load-embeddings", load_embeddings, args.embeddings,
+                           restrict_to=set(corpus.terms))
+            notes["metrics"] = _vector_metrics(table)
+        reports = []
+        for flag in methods:
+            spec = _method_spec(args, METHOD_FLAGS[flag], table)
+            for construct in constructs:
+                report = _stage("eval", eval_intrinsic, corpus, gold, spec, construct,
+                                folds=args.folds, seed=seed)
+                reports.append(report)
+                fold_text = ", ".join(
+                    "failed" if v != v else f"{v:.4f}" for v in report.per_fold
+                )
+                print(f"method={flag} construct={construct} folds={report.folds}")
+                print(f"  per-fold r: {fold_text}")
+                print(
+                    f"  mean_r={report.mean_r:.4f} sd_r={report.sd_r:.4f} "
+                    f"coverage={report.coverage:.4f} "
+                    f"words={report.evaluated_vocab_size}"
+                )
+                for fold, reason in report.fold_failures.items():
+                    print(f"  fold {fold} failed: {reason}")
+        if len(methods) > 1 or len(constructs) > 1:
+            print()
+            print(_comparison_table(reports, methods, constructs))
+        if args.out:
+            lines = [EVAL_TSV_HEADER, *map(report_tsv_row, reports)]
+            _write_output(hashes, args, args.out,
+                          lambda path: _write_lines(path, lines), notes)
+            print(f"wrote report to {args.out}")
     return 0
 
 
@@ -440,7 +438,7 @@ def _comparison_table(reports, methods, constructs) -> str:
 
 
 def cmd_eval_extrinsic(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
+    _resolve_seed(args)
     inputs = [args.lexicon, args.users, args.traits]
     # only a score file gets a .prov
     with _InputDigests(inputs if args.out else []) as hashes:
@@ -456,14 +454,11 @@ def cmd_eval_extrinsic(args: argparse.Namespace) -> int:
         r, scores = _stage("eval", eval_extrinsic, lex, args.construct, users)
         print(f"extrinsic construct={args.construct} users={len(scores)} r={r:.4f}")
         if args.out:
-            hashes.join()
-            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write("user_id\tscore\n")
-                for uid in sorted(scores):
-                    handle.write(f"{uid}\t{scores[uid]!r}\n")
-                handle.write(f"# pearson_r\t{r!r}\n")
-            _write_provenance(args.out, "eval-extrinsic", args, seed,
-                              hashes.digests(), {"r": r})
+            lines = ["user_id\tscore",
+                     *(f"{uid}\t{scores[uid]!r}" for uid in sorted(scores)),
+                     f"# pearson_r\t{r!r}"]
+            _write_output(hashes, args, args.out,
+                          lambda path: _write_lines(path, lines), {"r": r})
             print(f"wrote scores to {args.out}")
     return 0
 
@@ -498,13 +493,10 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             normalized=args.normalized,
             clip_negative_cosine=not args.no_clip,
         )
-        hashes.join()
-        _stage("write-output", save_clusters, result, args.out)
-        _write_provenance(
-            args.out, "cluster", args, seed, hashes.digests(),
-            {**result.provenance,
-             "metrics": {**_vector_metrics(table), **result.metrics}},
-        )
+        _write_output(hashes, args, args.out,
+                      lambda path: save_clusters(result, path),
+                      {**result.provenance,
+                       "metrics": {**_vector_metrics(table), **result.metrics}})
     print(format_preview(result, args.top))
     if result.dropped_words:
         print(f"dropped {len(result.dropped_words)} word(s) with zero embeddings")
@@ -569,65 +561,55 @@ def _pearson_cell(a: np.ndarray, b: np.ndarray) -> str:
 def cmd_describe(args: argparse.Namespace) -> int:
     # only a plot-data file gets a .prov
     with _InputDigests([args.lexicon] if args.plot_data else []) as hashes:
-        return _describe(args, hashes)
-
-
-def _describe(args: argparse.Namespace, hashes: _InputDigests) -> int:
-    lex = _stage("load-lexicon", load_lexicon, args.lexicon)
-    plot_rows = []
-    for construct in lex.constructs:
-        values = lex.values(construct)
-        print(f"construct: {construct}")
-        sd = _scale_safe(lambda v: v.std(ddof=1), values) \
-            if len(values) > 1 else float("nan")
-        print(
-            f"  count: {len(values)}  min: {_number(values.min())}  "
-            f"max: {_number(values.max())}  "
-            f"mean: {_number(_scale_safe(np.mean, values))}  "
-            f"sd: {_number(sd)}"
-        )
-        print("  histogram (20 bins):")
-        counts, edges = _stage("histogram", _histogram, construct, values)
-        for line in _histogram_lines(counts, edges):
-            print(line)
-        for b in range(20):
-            plot_rows.append(
-                f"{construct}\t{b}\t{float(edges[b])!r}\t{float(edges[b + 1])!r}"
-                f"\t{int(counts[b])}"
+        lex = _stage("load-lexicon", load_lexicon, args.lexicon)
+        plot_lines = ["construct\tbin\tlo\thi\tcount"]
+        for construct in lex.constructs:
+            values = lex.values(construct)
+            print(f"construct: {construct}")
+            sd = _scale_safe(lambda v: v.std(ddof=1), values) \
+                if len(values) > 1 else float("nan")
+            print(
+                f"  count: {len(values)}  min: {_number(values.min())}  "
+                f"max: {_number(values.max())}  "
+                f"mean: {_number(_scale_safe(np.mean, values))}  "
+                f"sd: {_number(sd)}"
             )
-    if len(lex.constructs) > 1:
-        print("pairwise pearson:")
-        names = lex.constructs
-        width = max(len("-1.000"), *map(len, names)) + 2
-        print(" " * width + "".join(n.rjust(width) for n in names))
-        for a in names:
-            row = [a.ljust(width)]
-            for b in names:
-                r = "1.000" if a == b else _pearson_cell(lex.values(a), lex.values(b))
-                row.append(r.rjust(width))
-            print("".join(row))
-    if args.plot_data:
-        hashes.join()
-        with open(args.plot_data, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("construct\tbin\tlo\thi\tcount\n")
-            for row in plot_rows:
-                handle.write(row + "\n")
-        _write_provenance(args.plot_data, "describe", args, args.seed or 0,
-                          hashes.digests(), {})
-        print(f"wrote histogram bins to {args.plot_data}")
+            print("  histogram (20 bins):")
+            counts, edges = _stage("histogram", _histogram, construct, values)
+            for line in _histogram_lines(counts, edges):
+                print(line)
+            for b in range(20):
+                plot_lines.append(
+                    f"{construct}\t{b}\t{float(edges[b])!r}\t{float(edges[b + 1])!r}"
+                    f"\t{int(counts[b])}"
+                )
+        if len(lex.constructs) > 1:
+            print("pairwise pearson:")
+            names = lex.constructs
+            width = max(len("-1.000"), *map(len, names)) + 2
+            print(" " * width + "".join(n.rjust(width) for n in names))
+            for a in names:
+                row = [a.ljust(width)]
+                for b in names:
+                    r = "1.000" if a == b else _pearson_cell(lex.values(a), lex.values(b))
+                    row.append(r.rjust(width))
+                print("".join(row))
+        if args.plot_data:
+            _write_output(hashes, args, args.plot_data,
+                          lambda path: _write_lines(path, plot_lines), {})
+            print(f"wrote histogram bins to {args.plot_data}")
     return 0
 
 
 def cmd_rescale(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
+    _resolve_seed(args)
     lo, hi = _parse_range(args.range)
     with _InputDigests([args.lexicon]) as hashes:
         lex = _stage("load-lexicon", load_lexicon, args.lexicon)
         rescaled = _stage("rescale", rescale_log_minmax, lex, lo, hi)
-        hashes.join()
-        _stage("write-output", save_lexicon, rescaled, args.out, provenance=False)
-        _write_provenance(args.out, "rescale", args, seed, hashes.digests(),
-                          {"lexicon": rescaled.provenance})
+        _write_output(hashes, args, args.out,
+                      lambda path: save_lexicon(rescaled, path, provenance=False),
+                      {"lexicon": rescaled.provenance})
     print(f"wrote rescaled lexicon to {args.out}")
     return 0
 
@@ -768,7 +750,7 @@ def _read_config_file(path: str) -> list[str]:
     extra: list[str] = []
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageFailure(f"cannot read config file {path}: {exc}") from exc
     for raw in text.splitlines():
         line = raw.strip()

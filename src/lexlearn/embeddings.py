@@ -17,9 +17,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, DimensionError, FormatError
+from .errors import DataError, FormatError
 
-__all__ = ["EmbeddingTable", "load_embeddings", "centroid", "centroids", "cosine"]
+__all__ = ["EmbeddingTable", "load_embeddings", "centroid", "centroids"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,16 +211,3 @@ def centroids(corpus, table: EmbeddingTable) -> np.ndarray:
         out[start:stop] = counts @ vectors[terms]
     out /= corpus.lengths[:, None]
     return out
-
-
-def cosine(u, v) -> float:
-    """Cosine similarity with the zero-norm convention: either norm 0 -> 0.0."""
-    a = np.asarray(u, dtype=np.float64)
-    b = np.asarray(v, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise DimensionError(f"cosine: incompatible shapes {a.shape} and {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))

@@ -22,7 +22,6 @@ __all__ = [
     "NetConfig",
     "FeedForwardNet",
     "TrainingLog",
-    "forward",
     "train",
     "gradient_check",
     "save_net",
@@ -157,19 +156,9 @@ def _forward_batch(net: FeedForwardNet, X: np.ndarray, training: bool,
     return h, (inputs, relu_masks, drop_masks)
 
 
-def forward(net: FeedForwardNet, x, training: bool = False,
-            rng: np.random.Generator | None = None) -> np.ndarray:
-    """Single-vector forward pass.  With training=False this is the plain
-    network output: inverted dropout needs no inference-time rescaling."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DimensionError("forward: x must be a vector")
-    out, _ = _forward_batch(net, x[None, :], training, rng)
-    return out[0]
-
-
 def forward_batch(net: FeedForwardNet, X) -> np.ndarray:
-    """Inference-mode forward pass over rows of X."""
+    """Inference-mode forward pass over rows of X: the plain network output,
+    as inverted dropout needs no inference-time rescaling."""
     X = np.asarray(X, dtype=np.float64)
     out, _ = _forward_batch(net, X, False, None)
     return out

@@ -236,6 +236,24 @@ class TestInduce:
         prov = json.loads((tmp_path / "lex.tsv.prov").read_text())
         assert prov["seed"] == 42
 
+    @pytest.mark.parametrize("config", ["missing", "directory", "not-utf8"])
+    def test_unreadable_config_file_is_usage_error(self, toy, tmp_path, capsys,
+                                                   config):
+        cfg = tmp_path / "run.conf"
+        if config == "directory":
+            cfg.mkdir()
+        elif config == "not-utf8":
+            cfg.write_bytes(b"seed=\xff\xfe\n")
+        out = tmp_path / "lex.tsv"
+        rc = main(["induce", "--config", str(cfg), "--corpus", str(toy),
+                   "--construct", "empathy", "--method", "mean-star",
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"lexlearn: usage: cannot read config file {cfg}: "), err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestEval:
     def test_intrinsic_prints_folds_and_mean(self, synth, tmp_path, capsys):
@@ -1220,3 +1238,77 @@ class TestInputDigests:
         assert main(argv + ["--seed", "1"]) == 0
         assert len(started) == threads
         assert (tmp_path / "out.tsv.prov").exists() == bool(out)
+
+
+class TestWriteOutput:
+    """Every command writes its output and the ``.prov`` sidecar at stage
+    ``write-output``."""
+
+    @pytest.fixture
+    def commands(self, synth, tmp_path):
+        """Each command's argv and the flag that names its output file."""
+        corpus, emb = synth
+        lex = tmp_path / "lex.tsv"  # also serves as the gold word ratings
+        lex.write_text("word\tempathy\n" + "".join(
+            f"w{i:02d}\t{i / 10}\n" for i in range(30)), encoding="utf-8")
+        (tmp_path / "users.csv").write_text(
+            "user_id,text\nu1,w01 w02\nu2,w03\nu3,w04 w05\n", encoding="utf-8")
+        (tmp_path / "traits.csv").write_text(
+            "user_id,emp\nu1,7\nu2,4\nu3,1\n", encoding="utf-8")
+        return {
+            "induce": (["induce", "--method", "mean-star", "--corpus", str(corpus),
+                        "--construct", "empathy"], "--out"),
+            "eval-intrinsic": (["eval", "intrinsic", "--corpus", str(corpus),
+                                "--gold", str(lex), "--construct", "empathy",
+                                "--methods", "mean-star", "--folds", "3"], "--out"),
+            "eval-extrinsic": (["eval", "extrinsic", "--lexicon", str(lex),
+                                "--construct", "empathy",
+                                "--users", str(tmp_path / "users.csv"),
+                                "--traits", str(tmp_path / "traits.csv"),
+                                "--trait-column", "emp"], "--out"),
+            "cluster": (["cluster", "--lexicon", str(lex), "--embeddings", str(emb),
+                         "--construct", "empathy", "--k", "2", "--knn", "5"], "--out"),
+            "describe": (["describe", "--lexicon", str(lex)], "--plot-data"),
+            "rescale": (["rescale", "--lexicon", str(lex), "--range", "0:1"], "--out"),
+        }
+
+    @pytest.mark.parametrize("command,seed", [
+        ("induce", ["--seed", "9"]),
+        ("eval-intrinsic", ["--seed", "9"]),
+        ("eval-extrinsic", ["--seed", "9"]),
+        ("cluster", ["--seed", "9"]),
+        ("describe", []),
+        ("rescale", ["--seed", "9"]),
+    ])
+    def test_provenance_names_the_command_and_seed(self, commands, tmp_path,
+                                                   command, seed):
+        argv, flag = commands[command]
+        out = tmp_path / "out.tsv"
+        assert main(argv + seed + [flag, str(out)]) == 0
+        prov = json.loads((tmp_path / "out.tsv.prov").read_text())
+        assert prov["command"] == command
+        assert prov["seed"] == (9 if seed else 0)
+
+    @pytest.mark.parametrize("command,fault", [
+        ("induce", "missing-directory"),
+        ("eval-intrinsic", "missing-directory"),
+        ("eval-extrinsic", "missing-directory"),
+        ("cluster", "missing-directory"),
+        ("describe", "missing-directory"),
+        ("rescale", "missing-directory"),
+        ("rescale", "prov-is-a-directory"),
+    ])
+    def test_failed_write_names_its_stage(self, commands, tmp_path, capsys,
+                                          command, fault):
+        argv, flag = commands[command]
+        if fault == "missing-directory":
+            out = tmp_path / "absent" / "out.tsv"
+        else:
+            out = tmp_path / "out.tsv"
+            (tmp_path / "out.tsv.prov").mkdir()
+        rc = main(argv + ["--seed", "1", flag, str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "stage 'write-output': " in err, err
+        assert "Traceback" not in err
+        assert not Path(f"{out}.prov").is_file()

@@ -1,4 +1,4 @@
-"""Word-vector loading, centroids, cosine."""
+"""Word-vector loading and centroids."""
 
 import dataclasses
 import random
@@ -8,8 +8,8 @@ import pytest
 
 from lexlearn import embeddings
 from lexlearn.corpus import Document, build_corpus
-from lexlearn.embeddings import centroid, cosine, centroids, load_embeddings
-from lexlearn.errors import DataError, DimensionError, FormatError
+from lexlearn.embeddings import centroid, centroids, load_embeddings
+from lexlearn.errors import DataError, FormatError
 
 from _worlds import embedding_table
 
@@ -382,21 +382,3 @@ class TestCorpusCentroids:
         lengths[5] = 0
         with pytest.raises(DataError, match="no tokens"):
             centroids(dataclasses.replace(corpus, lengths=lengths), table)
-
-
-class TestCosine:
-    def test_parallel(self):
-        assert cosine([1, 0], [1, 0]) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert cosine([1, 0], [0, 1]) == pytest.approx(0.0)
-
-    def test_collinear_scaled(self):
-        assert cosine([1, 2], [2, 4]) == pytest.approx(1.0)
-
-    def test_zero_norm_convention(self):
-        assert cosine([0, 0], [1, 2]) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            cosine([1, 0], [1, 0, 0])

@@ -10,7 +10,6 @@ from lexlearn.neural import (
     NetConfig,
     _Adam,
     _forward_batch,
-    forward,
     forward_batch,
     gradient_check,
     init_net,
@@ -51,7 +50,7 @@ class TestForward:
         net = small_net()
         for w in net.weights:
             w[:] = 0.0
-        out = forward(net, np.ones(5))
+        out = forward_batch(net, np.ones((1, 5)))[0]
         assert np.array_equal(out, np.zeros(2))
 
     def test_relu_clips_negative_hidden(self):
@@ -59,7 +58,7 @@ class TestForward:
             [np.array([[1.0]]), np.array([[1.0]])],
             [np.array([0.0]), np.array([0.0])],
         )
-        assert forward(net, np.array([-5.0])) == pytest.approx([0.0])
+        assert forward_batch(net, np.array([[-5.0]]))[0] == pytest.approx([0.0])
 
     def test_dropout_expectation_matches_inference(self):
         # large hidden biases keep every pre-activation positive under any
@@ -73,7 +72,7 @@ class TestForward:
             dropout_hidden=0.5,
         )
         x = rng.uniform(-1, 1, 4)
-        exact = forward(net, x)
+        exact = forward_batch(net, x[None])[0]
         n = 100_000
         tiled = np.tile(x, (n, 1))
         sampled, _ = _forward_batch(net, tiled, True, np.random.default_rng(99))
@@ -83,7 +82,7 @@ class TestForward:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            forward(small_net(), np.ones(6))
+            forward_batch(small_net(), np.ones((1, 6)))
 
 
 class TestGradients:
