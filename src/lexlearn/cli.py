@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._files import atomic_write
 from .clustering import cluster, format_preview, save_clusters
 from .corpus import Corpus, corpus_fingerprint, load_corpus
 from .embeddings import load_embeddings
@@ -150,6 +151,12 @@ class _InputDigests:
         if self._thread is not None:
             self._thread.join()
 
+    def digest(self, path: str | Path) -> str | None:
+        """The thread's digest of ``path``, once it has ended; None for a
+        file it did not hash (not regular, or not readable)."""
+        self.join()
+        return self._digests.get(str(path))
+
     def digests(self) -> dict[str, str]:
         self.join()
         return {p: self._digests.get(p) or _file_sha256(p) for p in self.paths}
@@ -167,28 +174,31 @@ def _write_lines(path: str, lines: list[str]) -> None:
 
 def _write_output(hashes: _InputDigests, args: argparse.Namespace, path: str,
                   write, notes: dict) -> None:
-    """Write one output with ``write(path)`` and then its ``.prov`` sidecar,
-    both at stage ``write-output``.  The sidecar holds the flag echo, tool
-    version, command, seed (0 for a command without one), input digests and
-    ``notes``."""
+    """Write one output with ``write`` and its ``.prov`` sidecar at stage
+    ``write-output``, each to a temporary file beside it; both move into
+    place only once both are written, so a failed write leaves neither.  The
+    sidecar holds the flag echo, tool version, command, seed (0 for a
+    command without one), input digests and ``notes``."""
     hashes.join()
 
     def write_with_provenance() -> None:
-        write(path)
-        record = {
-            "tool": "lexlearn",
-            "version": __version__,
-            "command": (f"eval-{args.eval_mode}" if args.command == "eval"
-                        else args.command),
-            "flags": {k: v for k, v in sorted(vars(args).items())
-                      if k not in ("func", "command")},
-            "seed": args.seed or 0,
-            "inputs": hashes.digests(),
-            "notes": notes,
-        }
-        with open(path + ".prov", "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(record, handle, indent=2, sort_keys=True, default=str)
-            handle.write("\n")
+        # the sidecar moves first: when it cannot, the output stays as it was
+        with atomic_write(path + ".prov", path) as (prov_temp, temp):
+            write(temp)
+            record = {
+                "tool": "lexlearn",
+                "version": __version__,
+                "command": (f"eval-{args.eval_mode}" if args.command == "eval"
+                            else args.command),
+                "flags": {k: v for k, v in sorted(vars(args).items())
+                          if k not in ("func", "command")},
+                "seed": args.seed or 0,
+                "inputs": hashes.digests(),
+                "notes": notes,
+            }
+            with open(prov_temp, "w", encoding="utf-8", newline="\n") as handle:
+                json.dump(record, handle, indent=2, sort_keys=True, default=str)
+                handle.write("\n")
 
     _stage("write-output", write_with_provenance)
 
@@ -334,8 +344,10 @@ def cmd_induce(args: argparse.Namespace) -> int:
         if kind == "mlffn":
             # centroids read every token: load the vectors of the corpus terms
             keep = None if args.rate_all_embedded else set(corpus.terms)
+            # a full load may read the cache entry of the file's digest
             table = _stage("load-embeddings", load_embeddings, args.embeddings,
-                           restrict_to=keep)
+                           restrict_to=keep,
+                           digest=lambda: hashes.digest(args.embeddings))
             notes["metrics"] = _vector_metrics(table)
         spec = _method_spec(args, kind, table)
         # one net for all constructs, or one per construct seeded seed + i

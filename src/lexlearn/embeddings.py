@@ -9,14 +9,20 @@ and safe to share across threads.
 
 from __future__ import annotations
 
+import os
+import re
+import shutil
+import stat
+import zipfile
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from ._files import atomic_write
 from .errors import DataError, FormatError
 
 __all__ = ["EmbeddingTable", "load_embeddings", "centroid", "centroids"]
@@ -63,7 +69,8 @@ _BLOCK_LINES = 1024  # lines whose values one np.loadtxt call parses
 
 
 def load_embeddings(
-    path: str | Path, restrict_to: Iterable[str] | None = None
+    path: str | Path, restrict_to: Iterable[str] | None = None, *,
+    digest: Callable[[], str | None] | None = None,
 ) -> EmbeddingTable:
     """Load a text word-vector file.
 
@@ -81,7 +88,106 @@ def load_embeddings(
     line under the same skip rules, so the table and the counts do not
     depend on the path taken.  A value beyond the float32 range reads as
     infinite, so its line is skipped, with no overflow warning.
+
+    ``digest`` returns the sha256 hex digest of the file's bytes (None for
+    none).  Given it, a full load (no ``restrict_to``) of a regular file
+    reads the table from the cache entry of that digest instead of parsing
+    the file, and writes the entry after a parse; see :func:`cache_dir`.
+    ``digest`` is called before the parse only when the cache holds an
+    entry of the file's size, and otherwise after it, so a digest taken on
+    another thread runs beside the parse of a file never seen.  The table
+    is the same either way.  A restricted load never uses the cache.
     """
+    if restrict_to is not None or digest is None:
+        return _parse(path, restrict_to)
+    try:
+        info = os.stat(path)
+        folder = cache_dir()
+    except (OSError, RuntimeError):  # RuntimeError: no home directory
+        return _parse(path, None)
+    if not stat.S_ISREG(info.st_mode):
+        return _parse(path, None)
+    # named by size as well, so that a file of a size never cached is parsed
+    # at once rather than after its digest
+    if any(folder.glob(f"{info.st_size}-*.npz")):
+        key = _checked(digest())
+        table = None if key is None else _read_entry(
+            folder / f"{info.st_size}-{key}.npz", key)
+        if table is not None:
+            return table
+    table = _parse(path, None)
+    key = _checked(digest())
+    if key is not None:
+        _write_entry(folder / f"{info.st_size}-{key}.npz", key, table)
+    return table
+
+
+def cache_dir() -> Path:
+    """Where full loads keep their parsed tables, one ``<size>-<sha256>.npz``
+    entry per file content: ``$XDG_CACHE_HOME/lexlearn/vectors``, or
+    ``~/.cache/lexlearn/vectors`` when that variable is unset or empty."""
+    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(base) / "lexlearn" / "vectors"
+
+
+def _checked(digest: str | None) -> str | None:
+    if digest is not None and not _SHA256_HEX.fullmatch(digest):
+        raise ValueError(f"digest must be a sha256 hex digest, got {digest!r}")
+    return digest
+
+
+_SHA256_HEX = re.compile(r"[0-9a-f]{64}")
+# the layout of a cache entry, and of the parse it holds: a change to either
+# takes a new version, and an entry of another version is a miss
+_ENTRY_VERSION = 1
+
+
+def _read_entry(entry: Path, digest: str) -> EmbeddingTable | None:
+    """The table in the cache entry, or None for a miss: no entry, or one
+    that does not open or read back whole, or whose version, digest or
+    shapes do not match."""
+    try:
+        with np.load(entry, allow_pickle=False) as data:
+            if (int(data["format_version"]) != _ENTRY_VERSION
+                    or bytes(data["sha256"]) != digest.encode("ascii")):
+                return None
+            words = bytes(data["words"]).decode("utf-8").split("\n")
+            vectors = data["vectors"]
+            skipped = int(data["skipped_lines"])
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    if (vectors.dtype != np.float32 or vectors.ndim != 2
+            or vectors.shape[0] != len(words) or vectors.shape[1] < 1
+            or skipped < 0):
+        return None
+    return EmbeddingTable(tuple(words), vectors, skipped)
+
+
+def _write_entry(entry: Path, digest: str, table: EmbeddingTable) -> None:
+    """Write the cache entry of a parsed table, unless it would take more
+    than half of the free space; a cache that cannot be written is left
+    alone, and the load goes on without it."""
+    words = np.frombuffer("\n".join(table.words).encode("utf-8"), dtype=np.uint8)
+    payload = {
+        "format_version": np.int64(_ENTRY_VERSION),
+        "sha256": np.frombuffer(digest.encode("ascii"), dtype=np.uint8),
+        "words": words,
+        "vectors": table.vectors,
+        "skipped_lines": np.int64(table.skipped_lines),
+    }
+    try:
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        if shutil.disk_usage(entry.parent).free < 2 * (table.vectors.nbytes + words.nbytes):
+            return
+        with atomic_write(entry) as (temp,), open(temp, "wb") as handle:
+            np.savez(handle, **payload)
+    except OSError:
+        pass
+
+
+def _parse(path: str | Path, restrict_to: Iterable[str] | None) -> EmbeddingTable:
+    """The table of a text word-vector file, parsed by the rules that
+    :func:`load_embeddings` gives."""
     keep = set(restrict_to) if restrict_to is not None else None
     words: list[str] = []  # the kept records in file order, repeats included
     data = bytearray()  # their float32 rows

@@ -336,19 +336,28 @@ def _sym(M: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _sq_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _point_terms(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two terms of :func:`_sq_distances` that depend on the points
+    alone, taken once per :func:`kmeans` call: squared norms and ``2.0 * X``."""
+    return np.sum(X * X, axis=1), 2.0 * X
+
+
+def _sq_distances(terms: tuple[np.ndarray, np.ndarray],
+                  centers: np.ndarray) -> np.ndarray:
+    sq_norms, twice = terms
     d = (
-        np.sum(X * X, axis=1)[:, None]
+        sq_norms[:, None]
         + np.sum(centers * centers, axis=1)[None, :]
-        - 2.0 * X @ centers.T
+        - twice @ centers.T
     )
     return np.maximum(d, 0.0)
 
 
-def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator,
+                   terms: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     n = X.shape[0]
     chosen = [int(rng.integers(n))]
-    d2 = _sq_distances(X, X[chosen[-1]][None, :])[:, 0]
+    d2 = _sq_distances(terms, X[chosen[-1]][None, :])[:, 0]
     for _ in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
@@ -356,36 +365,45 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
         else:
             idx = int(rng.choice(n, p=d2 / total))
         chosen.append(idx)
-        d2 = np.minimum(d2, _sq_distances(X, X[idx][None, :])[:, 0])
+        d2 = np.minimum(d2, _sq_distances(terms, X[idx][None, :])[:, 0])
     return X[chosen].copy()
 
 
-def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int = 300,
+def _lloyd(X: np.ndarray, centers: np.ndarray,
+           terms: tuple[np.ndarray, np.ndarray], max_iter: int = 300,
            tol: float = 1e-8):
-    """Lloyd iterations; returns (assignment, centers, per-iteration WCSS)."""
-    k = centers.shape[0]
+    """Lloyd iterations from ``centers``, with ``terms`` the
+    :func:`_point_terms` of ``X``; returns (assignment, centers,
+    per-iteration WCSS).
+
+    Each centre is the sum of its points over their count.  One
+    ``np.bincount`` over (cluster, column) bins takes every sum, adding the
+    points in order, as ``X[members].sum(axis=0)`` does for a 2-d ``X`` (a
+    sum of only negative zeros reads +0.0, not -0.0)."""
+    k, dim = centers.shape
+    n = X.shape[0]
+    columns = np.arange(dim)
     history = []
-    assign = np.zeros(X.shape[0], dtype=np.intp)
     for _ in range(max_iter):
-        d2 = _sq_distances(X, centers)
+        d2 = _sq_distances(terms, centers)
         assign = np.argmin(d2, axis=1)
-        history.append(float(d2[np.arange(X.shape[0]), assign].sum()))
-        new_centers = centers.copy()
-        for c in range(k):
-            members = assign == c
-            if members.any():
-                new_centers[c] = X[members].mean(axis=0)
-            else:
-                # re-seed an empty cluster with the point farthest from its center
-                far = int(np.argmax(d2[np.arange(X.shape[0]), assign]))
-                new_centers[c] = X[far]
+        nearest = d2[np.arange(n), assign]
+        history.append(float(nearest.sum()))
+        counts = np.bincount(assign, minlength=k)
+        filled = counts > 0
+        sums = np.bincount((assign[:, None] * dim + columns).ravel(),
+                           weights=X.ravel(), minlength=k * dim).reshape(k, dim)
+        new_centers = np.empty_like(centers)
+        new_centers[filled] = sums[filled] / counts[filled, None]
+        # re-seed an empty cluster with the point farthest from its center
+        new_centers[~filled] = X[int(np.argmax(nearest))]
         shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
         centers = new_centers
         if shift < tol:
             break
-    d2 = _sq_distances(X, centers)
+    d2 = _sq_distances(terms, centers)
     assign = np.argmin(d2, axis=1)
-    history.append(float(d2[np.arange(X.shape[0]), assign].sum()))
+    history.append(float(d2[np.arange(n), assign].sum()))
     return assign, centers, history
 
 
@@ -405,10 +423,11 @@ def kmeans(points, k: int, restarts: int = 10, seed: int = 0) -> np.ndarray:
         raise ValueError("kmeans: restarts must be positive")
     best_assign = None
     best_wcss = np.inf
+    terms = _point_terms(X)
     for seq in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(seq)
-        centers = _kmeanspp_init(X, k, rng)
-        assign, _, history = _lloyd(X, centers)
+        centers = _kmeanspp_init(X, k, rng, terms)
+        assign, _, history = _lloyd(X, centers, terms)
         if history[-1] < best_wcss:
             best_wcss = history[-1]
             best_assign = assign

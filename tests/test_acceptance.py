@@ -216,7 +216,7 @@ def test_criterion_8_rescaling_contract():
                                   np.argsort(got, kind="stable"))
 
 
-def test_criterion_10_full_pipeline_determinism(tmp_path):
+def test_criterion_10_full_pipeline_determinism(tmp_path, vector_cache):
     with criterion(10, "induce mlffn + cluster reruns are byte-identical"):
         rng = np.random.default_rng(20250810)
         words = [f"w{i:02d}" for i in range(40)]
@@ -239,6 +239,7 @@ def test_criterion_10_full_pipeline_determinism(tmp_path):
             clusters = tmp_path / "clusters.tsv"
             assert cli_main(["induce", "--method", "mlffn", "--corpus", str(corpus),
                              "--construct", "aff", "--embeddings", str(emb),
+                             "--rate-all-embedded",
                              "--rescale", "1:7", "--seed", "11", "--hidden", "12",
                              "--epochs", "25", "--dropout-input", "0",
                              "--dropout-hidden", "0", "--out", str(lex)]) == 0
@@ -252,4 +253,9 @@ def test_criterion_10_full_pipeline_determinism(tmp_path):
                 digest[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
             return digest
 
-        assert run() == run()
+        first = run()
+        # the rerun reads the vectors from the cache entry the first run wrote
+        (entry,) = vector_cache.iterdir()
+        written = entry.stat().st_ino
+        assert run() == first
+        assert entry.stat().st_ino == written

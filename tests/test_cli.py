@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lexlearn import cli, numerics
+from lexlearn import cli, embeddings, numerics
 from lexlearn.cli import main
 from lexlearn.clustering import build_signed_graph
 from lexlearn.corpus import corpus_fingerprint, load_corpus
@@ -585,7 +585,8 @@ class TestVectorCounters:
 
         restricted = run("r")
         monkeypatch.setattr(cli, "load_embeddings",
-                            lambda path, restrict_to=None: load_embeddings(path))
+                            lambda path, restrict_to=None, digest=None:
+                            load_embeddings(path))
         full = run("f")
         # only the loader's counts differ: the short line is not the
         # restricted load's to count
@@ -1312,3 +1313,192 @@ class TestWriteOutput:
         assert "stage 'write-output': " in err, err
         assert "Traceback" not in err
         assert not Path(f"{out}.prov").is_file()
+
+    @pytest.mark.parametrize("fault", ["prov-is-a-directory", "out-is-a-directory"])
+    def test_failed_write_leaves_nothing_behind(self, commands, tmp_path, capsys,
+                                                fault):
+        # the output and its sidecar go to temporary files and move into
+        # place together, so a write that fails leaves neither, nor a
+        # temporary file
+        argv, flag = commands["rescale"]
+        out = tmp_path / "out.tsv"
+        (tmp_path / ("out.tsv.prov" if fault == "prov-is-a-directory"
+                     else "out.tsv")).mkdir()
+        before = sorted(os.listdir(tmp_path))
+        rc = main(argv + ["--seed", "1", flag, str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "stage 'write-output': " in err, err
+        assert ".tmp" not in err  # the message names the file asked for
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_symlinked_output_is_written_through(self, commands, tmp_path):
+        # an --out that links into another directory keeps its link, and the
+        # target takes the new bytes
+        argv, flag = commands["rescale"]
+        shared = tmp_path / "shared"
+        shared.mkdir()
+        (shared / "out.tsv").write_text("stale\n", encoding="utf-8")
+        out = tmp_path / "out.tsv"
+        out.symlink_to(shared / "out.tsv")
+        assert main(argv + ["--seed", "1", flag, str(out)]) == 0
+        assert out.is_symlink()
+        assert (shared / "out.tsv").read_text(encoding="utf-8").startswith("word\t")
+        assert (tmp_path / "out.tsv.prov").is_file()
+        assert sorted(os.listdir(shared)) == ["out.tsv"]
+
+
+class TestVectorCache:
+    """``induce --rate-all-embedded`` reads a full load from the cache entry
+    of the ``.vec`` file's sha256 once one has been written; no output or
+    ``.prov`` byte depends on it."""
+
+    @pytest.fixture
+    def induce(self, synth, tmp_path):
+        corpus, emb = synth
+        argv = ["induce", "--method", "mlffn", "--corpus", str(corpus),
+                "--construct", "empathy", "--embeddings", str(emb),
+                "--rate-all-embedded", "--seed", "3", "--hidden", "8",
+                "--epochs", "5", "--out", str(tmp_path / "lex.tsv")]
+
+        def run() -> tuple[bytes, bytes]:
+            assert main(argv) == 0
+            return ((tmp_path / "lex.tsv").read_bytes(),
+                    (tmp_path / "lex.tsv.prov").read_bytes())
+
+        return run
+
+    @staticmethod
+    def entries(cache):
+        return sorted(cache.glob("*")) if cache.exists() else []
+
+    def test_cold_warm_and_uncached_runs_match(self, induce, synth, tmp_path,
+                                               monkeypatch, vector_cache):
+        threads = threading.active_count()
+        parsed = []
+        parse = embeddings._parse
+        monkeypatch.setattr(embeddings, "_parse",
+                            lambda *args: parsed.append(args) or parse(*args))
+        cold = induce()
+        assert [p.name for p in self.entries(vector_cache)] == [
+            f"{synth[1].stat().st_size}-{sha(synth[1])}.npz"]
+        warm = induce()
+        assert len(parsed) == 1  # the warm run read the entry
+        # a cache directory that cannot be made: the load runs without one
+        unwritable = tmp_path / "not-a-directory"
+        unwritable.write_text("", encoding="utf-8")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(unwritable))
+        uncached = induce()
+        assert len(parsed) == 2
+        assert cold == warm == uncached
+        assert threading.active_count() == threads
+
+    def test_rewritten_vec_never_reads_the_old_entry(self, induce, synth, tmp_path,
+                                                     vector_cache):
+        _, emb = synth
+        first = induce()
+        old = emb.stat()
+        text = emb.read_text(encoding="utf-8")
+        # other values, the same size, the same modification time
+        emb.write_text(text.replace("0", "5"), encoding="utf-8")
+        os.utime(emb, ns=(old.st_atime_ns, old.st_mtime_ns))
+        assert emb.stat().st_size == old.st_size
+        second = induce()
+        assert second[0] != first[0]
+        assert len(self.entries(vector_cache)) == 2
+        vector_cache.rename(tmp_path / "moved")  # the new file, uncached
+        assert induce() == second
+
+    def test_no_entry_takes_over_half_the_free_space(self, induce, monkeypatch,
+                                                     vector_cache):
+        usage = embeddings.shutil.disk_usage
+
+        def free(space):
+            monkeypatch.setattr(embeddings.shutil, "disk_usage",
+                                lambda path: usage(path)._replace(free=space))
+
+        free(1000)  # under twice the entry's ~1 KB of vectors and words
+        crowded = induce()
+        assert self.entries(vector_cache) == []
+        free(10 ** 9)
+        assert induce() == crowded
+        assert len(self.entries(vector_cache)) == 1
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage"])
+    def test_damaged_entry_is_a_miss_and_rewritten(self, induce, synth, capsys,
+                                                   vector_cache, damage):
+        first = induce()
+        (entry,) = self.entries(vector_cache)
+        data = entry.read_bytes()
+        entry.write_bytes(data[:len(data) // 2] if damage == "truncated"
+                          else b"not an npz archive\n" * 40)
+        capsys.readouterr()
+        assert induce() == first
+        assert capsys.readouterr().err == ""
+        digest = sha(synth[1])
+        table = embeddings._read_entry(entry, digest)
+        assert table is not None and len(table) == 30
+
+    @pytest.mark.parametrize("command", ["cluster", "induce-restricted"])
+    def test_restricted_loads_neither_use_the_cache_nor_wait_for_the_hash(
+            self, synth, tmp_path, monkeypatch, vector_cache, command):
+        corpus, emb = synth
+        lex = tmp_path / "lex.tsv"
+        assert main(["induce", "--method", "mean-star", "--corpus", str(corpus),
+                     "--construct", "empathy", "--out", str(lex), "--seed", "0"]) == 0
+        argv = {
+            "cluster": ["cluster", "--lexicon", str(lex), "--construct", "empathy",
+                        "--k", "2", "--knn", "5"],
+            "induce-restricted": ["induce", "--method", "mlffn", "--corpus",
+                                  str(corpus), "--construct", "empathy",
+                                  "--hidden", "8", "--epochs", "5"],
+        }[command] + ["--embeddings", str(emb), "--seed", "4",
+                      "--out", str(tmp_path / "out.tsv")]
+        events = self.slow_hash_of(emb, monkeypatch)
+        assert main(argv) == 0
+        assert events.index("parsed") < events.index("hashed")
+        assert self.entries(vector_cache) == []
+
+    @staticmethod
+    def slow_hash_of(emb, monkeypatch) -> list[str]:
+        """Slow the hash of ``emb`` by 0.5 s; the returned list gets
+        ``"hashed"`` when it ends and ``"parsed"`` when a parse of it does."""
+        events = []
+        real_hash, real_parse = cli._file_sha256, embeddings._parse
+
+        def slow_hash(path):
+            if Path(path) == emb:
+                time.sleep(0.5)
+            digest = real_hash(path)
+            if Path(path) == emb:
+                events.append("hashed")
+            return digest
+
+        def parse(path, restrict_to):
+            table = real_parse(path, restrict_to)
+            events.append("parsed")
+            return table
+
+        monkeypatch.setattr(cli, "_file_sha256", slow_hash)
+        monkeypatch.setattr(embeddings, "_parse", parse)
+        return events
+
+    def test_only_a_file_of_a_cached_size_waits_for_its_hash(
+            self, induce, synth, tmp_path, monkeypatch, vector_cache):
+        # no entry of the file's size: the parse runs beside the hash, and
+        # the entry is written after both
+        _, emb = synth
+        events = self.slow_hash_of(emb, monkeypatch)
+        cold = induce()
+        assert events == ["parsed", "hashed"]
+        (entry,) = self.entries(vector_cache)
+        # an entry of that size: the load waits for the digest and reads it
+        events.clear()
+        assert induce() == cold
+        assert events == ["hashed"]
+        # an entry of that size under another digest: wait, miss, parse
+        entry.rename(entry.with_name(f"{emb.stat().st_size}-{'0' * 64}.npz"))
+        events.clear()
+        assert induce() == cold
+        assert events == ["hashed", "parsed"]
+        assert len(self.entries(vector_cache)) == 2

@@ -1,7 +1,9 @@
 """Word-vector loading and centroids."""
 
 import dataclasses
+import hashlib
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -178,22 +180,36 @@ def random_vec_file(rng, path, lines, dim, bad_share):
 
 class TestLoaderMatchesPerLineRule:
     """The block loader returns the per-line reference's table, skipped count
-    and error text, on files that cross block boundaries."""
+    and error text, on files that cross block boundaries; a full load does
+    so also cold (the cache entry is written) and warm (it is read)."""
 
     @staticmethod
     def assert_same(path, restrict_to):
+        data = path.read_bytes()
+        digest = hashlib.sha256(data).hexdigest()
+        entry = embeddings.cache_dir() / f"{len(data)}-{digest}.npz"
+        entry.unlink(missing_ok=True)
+        # uncached, then for a full load cold and warm: whether each parses
+        loads = [(None, True)] + ([(lambda: digest, True), (lambda: digest, False)]
+                                  if restrict_to is None else [])
         try:
             want = reference_load(path, restrict_to)
         except FormatError as exc:
-            with pytest.raises(FormatError) as got:
-                load_embeddings(path, restrict_to)
-            assert str(got.value) == str(exc)
+            for key, _ in loads:
+                with pytest.raises(FormatError) as got:
+                    load_embeddings(path, restrict_to, digest=key)
+                assert str(got.value) == str(exc)
+            assert not entry.exists()
             return
-        table = load_embeddings(path, restrict_to)
-        assert table.words == want[0]
-        assert table.vectors.dtype == np.float32
-        assert table.vectors.tobytes() == want[1].tobytes()
-        assert table.skipped_lines == want[2]
+        for key, parses in loads:
+            with mock.patch.object(embeddings, "_parse", wraps=embeddings._parse) as parse:
+                table = load_embeddings(path, restrict_to, digest=key)
+            assert parse.called == parses
+            assert entry.exists() == (key is not None)
+            assert table.words == want[0]
+            assert table.vectors.dtype == np.float32
+            assert table.vectors.tobytes() == want[1].tobytes()
+            assert table.skipped_lines == want[2]
 
     @pytest.mark.parametrize("block,seed", [
         *((None, seed) for seed in range(4)), *((5, seed) for seed in range(12)),
@@ -229,11 +245,20 @@ class TestLoaderMatchesPerLineRule:
         "a 1 nan\n" + "b 1 2\n" * 150,
         "lone\n" + "b 1 2\n" * 150,
         "4 2\r\n\r\nw 1 2\r\n" + "v 1 1e40\r\nu 3 4\r\n" * 3,
+        "a 1 2\rb 3 4\r" + "u 5 6\r" * 150,
+        "a 1 2\n" + "b\u00a01 2\nu 1\u00a02\n" * 80,
+        "a 1 2\n" + "b\u30001 2\nu 1\u30002\n" * 80,
+        "a 1 2\n" + "b\x1c1 2\nu 1\x1c2\n" * 80,
+        b"a 1 2\n" + b"caf\xe9 1 2\n" + b"b 3 4\n" * 150,
+        "a 1 2\nb 3 4\nu 5 6\nb 7 8\na 9 0\n" + "u 1 2\n" * 150,
+        "a 1 2\n" + "b 1 x\n" * 2 + "u 3 4\n" * 150,
     ], ids=["blank", "header-only", "first-line-bad", "first-record-sets-dim",
-            "first-line-nan", "first-line-lone-word", "crlf-overflow"])
+            "first-line-nan", "first-line-lone-word", "crlf-overflow",
+            "lone-cr", "no-break-space", "ideographic-space", "file-separator",
+            "invalid-utf8-word", "repeated-word", "over-budget"])
     def test_edge_files(self, tmp_path, text):
         path = tmp_path / "e.vec"
-        path.write_bytes(text.encode("utf-8"))
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         self.assert_same(path, None)
         self.assert_same(path, {"b", "u"})
 

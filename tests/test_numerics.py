@@ -22,6 +22,7 @@ from lexlearn.errors import (
 from lexlearn.numerics import (
     CSRMatrix,
     _lloyd,
+    _point_terms,
     kmeans,
     pearson,
     ridge_fit,
@@ -468,7 +469,79 @@ class TestLobpcg:
             sym_eig_smallest(A, 1)
 
 
+def _lloyd_reference(X, centers, max_iter=300, tol=1e-8):
+    """Lloyd iterations with one mean per cluster, each of its members taken
+    by a mask: the loop that ``_lloyd``'s grouped sums replace."""
+
+    def sq_distances(X, centers):
+        d = (
+            np.sum(X * X, axis=1)[:, None]
+            + np.sum(centers * centers, axis=1)[None, :]
+            - 2.0 * X @ centers.T
+        )
+        return np.maximum(d, 0.0)
+
+    k = centers.shape[0]
+    history = []
+    for _ in range(max_iter):
+        d2 = sq_distances(X, centers)
+        assign = np.argmin(d2, axis=1)
+        history.append(float(d2[np.arange(X.shape[0]), assign].sum()))
+        new_centers = centers.copy()
+        for c in range(k):
+            members = assign == c
+            if members.any():
+                new_centers[c] = X[members].mean(axis=0)
+            else:
+                far = int(np.argmax(d2[np.arange(X.shape[0]), assign]))
+                new_centers[c] = X[far]
+        shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
+        centers = new_centers
+        if shift < tol:
+            break
+    d2 = sq_distances(X, centers)
+    assign = np.argmin(d2, axis=1)
+    history.append(float(d2[np.arange(X.shape[0]), assign].sum()))
+    return assign, centers, history
+
+
+def _lloyd_worlds():
+    """(points, start centres): random worlds of several shapes, points
+    repeated, and starts that leave a cluster empty."""
+    rng = np.random.default_rng(12)
+    worlds = []
+    for n, dim, k in [(30, 1, 3), (200, 2, 5), (500, 8, 12), (1000, 50, 50),
+                      (64, 3, 64)]:
+        X = rng.standard_normal((n, dim)) * rng.uniform(0.1, 10)
+        worlds.append((X, X[rng.choice(n, k, replace=False)].copy()))
+    # each point three times, and two starts on one point: the second start
+    # gets no member and is re-seeded
+    X = np.repeat(rng.standard_normal((40, 4)), 3, axis=0)
+    worlds.append((X, X[[0, 0, 30, 60, 90]].copy()))
+    # a start far from every point
+    X = rng.standard_normal((100, 3))
+    worlds.append((X, np.vstack([X[:4], np.full((1, 3), 1e6)])))
+    return worlds
+
+
 class TestKMeans:
+    @pytest.mark.parametrize("world", range(len(_lloyd_worlds())))
+    def test_lloyd_matches_the_per_cluster_loop(self, world):
+        X, centers = _lloyd_worlds()[world]
+        got = _lloyd(X, centers.copy(), _point_terms(X))
+        want = _lloyd_reference(X, centers.copy())
+        assert np.array_equal(got[0], want[0])
+        if X.shape[1] > 1:
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2] == want[2]
+        else:
+            # numpy sums a column of one-element rows pairwise, not in order:
+            # the two sums of n points may part by n roundings
+            tol = len(X) * np.finfo(np.float64).eps
+            np.testing.assert_allclose(got[1], want[1], rtol=0,
+                                       atol=tol * np.abs(X).max())
+            np.testing.assert_allclose(got[2], want[2], rtol=tol)
+
     def test_planted_blobs(self):
         rng = np.random.default_rng(7)
         pts = np.vstack(
@@ -506,7 +579,7 @@ class TestKMeans:
         rng = np.random.default_rng(11)
         pts = rng.standard_normal((60, 3))
         centers = pts[rng.choice(60, 4, replace=False)].copy()
-        _, _, history = _lloyd(pts, centers)
+        _, _, history = _lloyd(pts, centers, _point_terms(pts))
         assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
 
     def test_k_too_large(self):
