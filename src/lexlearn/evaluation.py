@@ -184,8 +184,8 @@ class Users:
 
     ``ids`` are the users in first-seen order and ``traits`` their float64
     trait scores.  Entry ``k``: user ``user[k]`` used ``terms[term[k]]``
-    ``count[k]`` times (a whole float64); each user's entries come in the
-    order the user first used the words."""
+    ``count[k]`` times (int32 indices, a whole float64 count); each user's
+    entries come in the order the user first used the words."""
 
     ids: tuple[str, ...]
     traits: np.ndarray
@@ -214,13 +214,14 @@ def eval_extrinsic(
     row = np.fromiter(map(lexicon.rows.get, users.terms, repeat(-1)), np.intp,
                       len(users.terms))
     known = row >= 0
+    n, user = len(users.ids), users.user.astype(np.intp, copy=False)
+    total = np.bincount(user, known.take(users.term) * users.count, minlength=n)
     # a word outside the lexicon weighs and rates 0.0; bincount adds each
     # user's products in entry order starting from +0.0, so adding those
     # zeros changes no sum
-    rating = np.where(known, np.ldexp(column, -s)[row], 0.0)[users.term]
-    n = len(users.ids)
-    total = np.bincount(users.user, known[users.term] * users.count, minlength=n)
-    weighted = np.bincount(users.user, rating * users.count, minlength=n)
+    weighted = np.where(known, np.ldexp(column, -s)[row], 0.0).take(users.term)
+    weighted *= users.count
+    weighted = np.bincount(user, weighted, minlength=n)
     scorable = total > 0
     excluded = list(compress(users.ids, (~scorable).tolist()))
     if excluded:
@@ -271,6 +272,26 @@ def load_gold_lexicon(
     return Lexicon(tuple(rating_columns), words, ratings, prov)
 
 
+# (user, term) grouping keys are int32 while kept users x terms is below
+# this, and int64 from it on
+_INT32_KEYS = 2**31
+
+
+class _TermIds(dict):
+    """Raw lowercased token -> the id of its :func:`~lexlearn.corpus.tokenize`
+    form in ``terms``, each looked up once; ids follow the forms' first-seen
+    order."""
+
+    def __init__(self):
+        super().__init__()
+        self.forms = _TokenForms()
+        self.terms = defaultdict(count().__next__)
+
+    def __missing__(self, raw: str) -> int:
+        self[raw] = term = self.terms[self.forms[raw]]
+        return term
+
+
 def load_user_corpora(
     usage_path: str | Path,
     traits_path: str | Path,
@@ -290,9 +311,8 @@ def load_user_corpora(
     ``RowError`` naming the file and line.  Users whose rows hold no word
     are left out; users missing a trait row are dropped with a warning.
     """
-    # user id -> index and term -> id, first seen first
-    owners, terms = defaultdict(count().__next__), defaultdict(count().__next__)
-    forms = _TokenForms()
+    owners = defaultdict(count().__next__)  # user id -> index, first seen first
+    term_ids = _TermIds()
     # one term id per token (or per count row), the user and size of each row
     tokens, owner, sizes = array("i"), array("i"), array("q")
     counts, totals = array("d"), {}
@@ -302,8 +322,7 @@ def load_user_corpora(
         u = owners[cells[0]]
         owner.append(u)
         if len(cells) == 2:  # the (user_id, text) layout
-            row = list(map(terms.__getitem__,
-                           map(forms.__getitem__, cells[1].lower().split())))
+            row = list(map(term_ids.__getitem__, cells[1].lower().split()))
             tokens.fromlist(row)
             sizes.append(len(row))
             continue
@@ -314,7 +333,7 @@ def load_user_corpora(
         if total > 2**53:
             raise RowError(f"{usage_path}: line {line}: the counts of user "
                            f"{cells[0]!r} sum past 2**53")
-        tokens.append(terms[forms[cells[1].lower()]])
+        tokens.append(term_ids[cells[1].lower()])
         sizes.append(1)
         counts.append(value)
     if not owners:
@@ -340,23 +359,49 @@ def load_user_corpora(
     if not keep.any():
         raise DataError("no user has both word counts and a trait score")
     ids = tuple(compress(uids, keep.tolist()))
-    # key the kept users' tokens by (user, term); a stable sort groups them
-    # by key with each group in file order
-    kept_rows = keep[row_user]
-    kept = np.repeat(kept_rows, row_size)
-    index = np.cumsum(keep, dtype=np.int64) - 1  # user -> kept user
-    keys = np.repeat(index[row_user], row_size * kept_rows)
-    keys *= len(terms)
-    keys += np.frombuffer(tokens, np.intc)[kept]
+    # key the kept users' tokens by (user, term), in int32 while every key
+    # fits; a stable sort groups them by key with each group in file order.
+    # Each temporary is deleted once the next is built.
+    width = len(term_ids.terms)
+    key_type = np.int32 if len(ids) * width < _INT32_KEYS else np.int64
+    token = np.frombuffer(tokens, np.intc)
+    weight = np.frombuffer(counts, np.float64) if counts else None
+    if missing:  # leave out the tokens of the users dropped above
+        kept_rows = keep[row_user]
+        kept = np.repeat(kept_rows, row_size)
+        token = token[kept]
+        if counts:
+            weight = weight[kept]
+        del kept
+        row_size = row_size * kept_rows
+    del tokens, counts
+    index = np.cumsum(keep, dtype=key_type) - 1  # user -> kept user
+    keys = np.repeat(index[row_user], row_size)
+    keys *= width
+    keys += token
+    del token
     perm = np.argsort(keys, kind="stable")
     keys = keys[perm]
-    start = np.flatnonzero(np.diff(keys, prepend=-1))
-    if counts:
-        sums = np.add.reduceat(np.frombuffer(counts, np.float64)[kept][perm], start)
-    else:
-        sums = np.diff(start, append=len(keys)).astype(np.float64)
+    first = np.empty(len(keys), bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    start = np.flatnonzero(first)
+    del first
+    if weight is not None:
+        sums = np.add.reduceat(weight[perm], start)
+        del weight
+    else:  # a group's size, written straight into float64
+        sums = np.empty(len(start))
+        np.subtract(start[1:], start[:-1], out=sums[:-1])
+        sums[-1] = len(keys) - start[-1]
     # one entry per (user, term), ordered by its first token
-    order = np.argsort(perm[start])
-    user, term = np.divmod(keys[start[order]], len(terms))
+    perm = perm[start]  # the first token of each entry
+    order = np.argsort(perm)
+    del perm
+    keys = keys[start[order]]
+    del start
+    user, term = np.divmod(keys, width)
+    del keys
     return Users(ids, np.fromiter(map(traits.__getitem__, ids), np.float64, len(ids)),
-                 tuple(terms), user, term, sums[order])
+                 tuple(term_ids.terms), user.astype(np.int32, copy=False),
+                 term.astype(np.int32, copy=False), sums[order])

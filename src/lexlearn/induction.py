@@ -353,8 +353,9 @@ def save_lexicon(lex: Lexicon, path: str | Path, *, provenance: bool = True) -> 
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\t".join(["word", *lex.constructs]) + "\n")
-        for word, row in zip(lex.words, lex.ratings.tolist()):
-            handle.write("\t".join([word, *map(repr, row)]) + "\n")
+        columns = [map(repr, column) for column in lex.ratings.T.tolist()]
+        rows = map("\t".join, zip(lex.words, *columns))
+        handle.writelines(f"{row}\n" for row in rows)
     if provenance:
         with open(str(path) + ".prov", "w", encoding="utf-8", newline="\n") as handle:
             json.dump(lex.provenance, handle, indent=2, sort_keys=True)

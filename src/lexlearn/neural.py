@@ -140,12 +140,13 @@ def _forward_batch(net: FeedForwardNet, X: np.ndarray, training: bool,
         drop_masks.append(None)
     for l in range(n_layers):
         inputs.append(h)
-        z = h @ net.weights[l] + net.biases[l]
+        z = h @ net.weights[l]
+        z += net.biases[l]
         if l == n_layers - 1:
             h = z
             break
         relu_masks.append(z > 0)
-        h = np.maximum(z, 0.0)
+        h = np.maximum(z, 0.0, out=z)
         if training and net.dropout_hidden > 0:
             keep = 1.0 - net.dropout_hidden
             mask = (rng.random(h.shape) >= net.dropout_hidden) / keep

@@ -151,6 +151,11 @@ def ridge_fit_sparse(rows, cols, values, n_features: int, y, lam: float) -> Ridg
 # ---------------------------------------------------------------------------
 
 
+# rows per gather in CSRMatrix @ X: a chunk's products stay small, and each
+# row's sum adds the same terms in the same order as one whole gather would
+_PRODUCT_ROWS = 128
+
+
 @dataclass(frozen=True, eq=False)
 class CSRMatrix:
     """Square sparse matrix in compressed sparse row form: row i holds the
@@ -181,11 +186,21 @@ class CSRMatrix:
         return diag
 
     def __matmul__(self, X) -> np.ndarray:
-        """The product with an n-vector or an n x m block: one gather and
-        one ``np.add.reduceat`` over the rows' segments."""
-        products = np.asarray(X, dtype=np.float64)[self.indices]
-        products *= self.data if products.ndim == 1 else self.data[:, None]
-        return np.add.reduceat(products, self.indptr[:-1], axis=0)
+        """The product with an n-vector or an n x m block: per chunk of
+        _PRODUCT_ROWS rows, one gather and one ``np.add.reduceat`` over the
+        rows' segments."""
+        X = np.asarray(X, dtype=np.float64)
+        data = self.data if X.ndim == 1 else self.data[:, None]
+        n = self.shape[0]
+        out = np.empty((n, *X.shape[1:]))
+        for lo in range(0, n, _PRODUCT_ROWS):
+            bounds = self.indptr[lo:lo + _PRODUCT_ROWS + 1]
+            a, b = bounds[0], bounds[-1]
+            products = X[self.indices[a:b]]
+            products *= data[a:b]
+            np.add.reduceat(products, bounds[:-1] - a, axis=0,
+                            out=out[lo:lo + len(bounds) - 1])
+        return out
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """A dense copy."""

@@ -1,6 +1,7 @@
 """Intrinsic cross-validation and extrinsic user-level evaluation."""
 
 import random
+import tracemalloc
 import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from lexlearn import corpus as corpus_module
+from lexlearn import evaluation
 from lexlearn.corpus import Document, _parse_number, _read_table, build_corpus
 from lexlearn.errors import (DataError, LexlearnError, RowError,
                              UndefinedCorrelationError)
@@ -564,3 +566,44 @@ class TestUsersAgainstReference:
             assert repr(got[0]) == repr(want[0])
             assert [(u, repr(v)) for u, v in got[1].items()] == [
                 (u, repr(v)) for u, v in want[1].items()]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_int64_keys_give_the_same_users(self, tmp_path, monkeypatch, seed):
+        # keys go int64 only past 2**31 kept users x terms, far beyond a test
+        # file; a zero limit sends these files down that branch
+        monkeypatch.setattr(evaluation, "_INT32_KEYS", 0)
+        self.test_random_users_files(tmp_path, seed)
+
+
+def zipf_users_file(tmp_path, users=1350, rows=4, tokens=50, vocab=3000):
+    """A (user_id, text) file of users x rows x tokens Zipf-drawn words,
+    and a traits file for every user."""
+    rng = np.random.default_rng(0)
+    p = 1.0 / (np.arange(vocab) + 300.0)
+    words = np.array([f"w{i:04d}" for i in range(vocab)])
+    drawn = words[rng.choice(vocab, size=(users * rows, tokens), p=p / p.sum())]
+    usage = tmp_path / "usage.csv"
+    usage.write_text("user_id,text\n" + "".join(
+        f"u{i // rows},{' '.join(row)}\n" for i, row in enumerate(drawn.tolist())),
+        encoding="utf-8")
+    traits = tmp_path / "traits.csv"
+    traits.write_text("user_id,t\n" + "".join(
+        f"u{u},{rng.normal()!r}\n" for u in range(users)), encoding="utf-8")
+    return str(usage), str(traits), users * rows * tokens
+
+
+class TestUsersMemory:
+    def test_load_peak_per_token(self, tmp_path):
+        usage, traits, n_tokens = zipf_users_file(tmp_path)
+        assert n_tokens == 270_000
+        tracemalloc.start()
+        try:
+            users = load_user_corpora(usage, traits, "t")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert users.count.sum() == n_tokens
+        assert users.user.dtype == users.term.dtype == np.int32
+        # about 42 bytes a token with int32 keys and entry ids; 70 when the
+        # keys were int64 and every temporary lived to the end
+        assert peak <= 56 * n_tokens

@@ -413,6 +413,20 @@ class TestCSRMatrix:
         with pytest.raises(ValueError, match="copy"):
             csr(np.eye(2)).__array__(copy=False)
 
+    def test_row_chunks_give_the_one_piece_products(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        A = csr(signed_laplacian_matrix(rng, 50, 4))
+        x = rng.standard_normal(50)
+        X = rng.standard_normal((50, 7))
+        # one gather of every row and one np.add.reduceat over all segments
+        whole = np.add.reduceat(x[A.indices] * A.data, A.indptr[:-1])
+        block = np.add.reduceat(X[A.indices] * A.data[:, None], A.indptr[:-1], axis=0)
+        for rows in (3, 50, 128):  # chunks ending mid-matrix, at its end, past it
+            monkeypatch.setattr(numerics, "_PRODUCT_ROWS", rows)
+            assert np.array_equal(A @ x, whole)
+            assert np.array_equal(A @ X, block)
+            assert (A @ X).flags.c_contiguous
+
 
 class TestLobpcg:
     """Above the cutoff: n = 600 >= EIGH_CUTOFF * (k + LOBPCG_GUARD)."""
