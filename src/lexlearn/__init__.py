@@ -8,7 +8,6 @@ from .corpus import (  # noqa: F401
     Document,
     build_corpus,
     load_corpus,
-    save_corpus,
     tokenize,
 )
 from .embeddings import EmbeddingTable, centroid, load_embeddings  # noqa: F401
@@ -25,7 +24,7 @@ from .induction import (  # noqa: F401
     rescale_log_minmax,
     save_lexicon,
 )
-from .neural import FeedForwardNet, NetConfig, gradient_check, train  # noqa: F401
+from .neural import FeedForwardNet, NetConfig, train  # noqa: F401
 from .numerics import RidgeModel, kmeans, pearson, ridge_fit, sym_eig_smallest  # noqa: F401
 from .evaluation import (  # noqa: F401
     EvalReport,

@@ -262,6 +262,7 @@ _NONNEGATIVE = _checked(float, lambda v: 0 <= v < np.inf, "a finite number >= 0"
 _POSITIVE = _checked(float, lambda v: 0 < v < np.inf, "a finite number > 0")
 # checked at parse time, kept as text: .prov echoes the flag as given
 _HIDDEN = _checked(str, _hidden_sizes, "comma-separated layer sizes >= 1")
+_DELIMITER = _checked(str, lambda v: len(v) == 1, "a single character")
 
 
 def _method_spec(args: argparse.Namespace, kind: str, table) -> MethodSpec:
@@ -360,7 +361,7 @@ def cmd_induce(args: argparse.Namespace) -> int:
             lex = _stage("rescale", rescale_log_minmax, lex, *rescale)
         notes["lexicon"] = lex.provenance
         _write_output(hashes, args, args.out,
-                      lambda path: save_lexicon(lex, path, provenance=False), notes)
+                      lambda path: save_lexicon(lex, path), notes)
     print(f"wrote {len(lex)} words x {len(lex.constructs)} construct(s) to {args.out}")
     return 0
 
@@ -620,7 +621,7 @@ def cmd_rescale(args: argparse.Namespace) -> int:
         lex = _stage("load-lexicon", load_lexicon, args.lexicon)
         rescaled = _stage("rescale", rescale_log_minmax, lex, lo, hi)
         _write_output(hashes, args, args.out,
-                      lambda path: save_lexicon(rescaled, path, provenance=False),
+                      lambda path: save_lexicon(rescaled, path),
                       {"lexicon": rescaled.provenance})
     print(f"wrote rescaled lexicon to {args.out}")
     return 0
@@ -632,7 +633,7 @@ def cmd_rescale(args: argparse.Namespace) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_int_at_least(0), default=None,
                         help="seed for all randomness (recorded if omitted)")
     parser.add_argument("--config", default=None,
                         help="key=value file supplying flag defaults")
@@ -642,7 +643,7 @@ def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--corpus", required=True, help="document corpus file")
     parser.add_argument("--text-column", default="text")
     parser.add_argument("--id-column", default=None)
-    parser.add_argument("--delimiter", default=None,
+    parser.add_argument("--delimiter", type=_DELIMITER, default=None,
                         help="override the extension-inferred delimiter")
     parser.add_argument("--min-df", type=_int_at_least(1), default=1,
                         help="minimum document frequency for vocabulary words")
@@ -718,7 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="user_id,text rows or user_id,word,count rows")
     p.add_argument("--traits", required=True, help="user_id + trait columns")
     p.add_argument("--trait-column", required=True)
-    p.add_argument("--delimiter", default=None)
+    p.add_argument("--delimiter", type=_DELIMITER, default=None)
     p.add_argument("--out", default=None, help="optional per-user score TSV")
     p.set_defaults(func=cmd_eval_extrinsic)
 

@@ -186,7 +186,7 @@ def cluster(
     rows = vecs / np.where(row_norms > 0, row_norms, 1.0)[:, None]
     assign = kmeans(rows, k, restarts=10, seed=seed)
 
-    ratings = lex.ratings_for(construct)
+    ratings = dict(zip(lex.words, lex.values(construct).tolist()))
     assignment = {w: int(c) for w, c in zip(graph.node_words, assign)}
     members: list[list[tuple[str, float]]] = [[] for _ in range(k)]
     for w, c in assignment.items():

@@ -31,7 +31,6 @@ __all__ = [
     "LoadReport",
     "tokenize",
     "load_corpus",
-    "save_corpus",
     "build_corpus",
     "corpus_fingerprint",
 ]
@@ -348,19 +347,6 @@ def load_corpus(
         )
     report = LoadReport(rows_read=rows, dropped_empty=dropped)
     return build_corpus(docs, rating_columns, min_df=min_df, report=report)
-
-
-def save_corpus(corpus: Corpus, path: str | Path, *, delimiter: str | None = None) -> None:
-    """Write a corpus back to a delimited file (id, text, one column per construct)."""
-    sep = _infer_delimiter(path, delimiter)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, delimiter=sep)
-        writer.writerow(["id", "text", *corpus.constructs])
-        for doc in corpus.documents:
-            writer.writerow(
-                [doc.id, " ".join(doc.tokens)]
-                + [repr(float(doc.ratings[c])) for c in corpus.constructs]
-            )
 
 
 def corpus_fingerprint(corpus: Corpus) -> str:

@@ -33,7 +33,8 @@ class EmbeddingTable:
     """Word -> fixed-dimension vector map with zero-vector fallback.
 
     ``vectors`` is one float32 (len(words), dim) matrix, row i for words[i].
-    An absent word looks up as the zero vector; it is never an error.
+    An absent word gets the zero vector from :meth:`matrix`; it is never an
+    error.
     """
 
     words: tuple[str, ...]
@@ -53,9 +54,6 @@ class EmbeddingTable:
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def lookup(self, word: str) -> np.ndarray:
-        return self.matrix([word])[0]
 
     def matrix(self, words: Sequence[str]) -> np.ndarray:
         """(len(words), dim) float32 rows for ``words``; absent words get zeros."""

@@ -90,9 +90,6 @@ class Lexicon:
             )
         return self.constructs.index(construct)
 
-    def ratings_for(self, construct: str) -> dict[str, float]:
-        return dict(zip(self.words, self.values(construct).tolist()))
-
     def values(self, construct: str) -> np.ndarray:
         return self.ratings[:, self.construct_index(construct)]
 
@@ -347,19 +344,14 @@ def rescale_log_minmax(lex: Lexicon, lo: float, hi: float) -> Lexicon:
     return Lexicon(lex.constructs, lex.words, out, prov)
 
 
-def save_lexicon(lex: Lexicon, path: str | Path, *, provenance: bool = True) -> None:
-    """Write the lexicon TSV (word + one column per construct, full-precision
-    decimals) and a JSON provenance sidecar at ``<path>.prov``."""
-    path = Path(path)
+def save_lexicon(lex: Lexicon, path: str | Path) -> None:
+    """Write the lexicon TSV: word + one column per construct, full-precision
+    decimals.  The command line writes the ``<path>.prov`` sidecar."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\t".join(["word", *lex.constructs]) + "\n")
         columns = [map(repr, column) for column in lex.ratings.T.tolist()]
         rows = map("\t".join, zip(lex.words, *columns))
         handle.writelines(f"{row}\n" for row in rows)
-    if provenance:
-        with open(str(path) + ".prov", "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(lex.provenance, handle, indent=2, sort_keys=True)
-            handle.write("\n")
 
 
 def load_lexicon(path: str | Path) -> Lexicon:

@@ -9,9 +9,7 @@ single-threaded and bit reproducible for a fixed config seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -23,9 +21,6 @@ __all__ = [
     "FeedForwardNet",
     "TrainingLog",
     "train",
-    "gradient_check",
-    "save_net",
-    "load_net",
 ]
 
 ADAM_BETA1 = 0.9
@@ -297,83 +292,3 @@ def train(config: NetConfig, inputs, targets) -> tuple[FeedForwardNet, TrainingL
     if log.stopped_epoch == 0:
         log.stopped_epoch = min(config.max_epochs, len(log.train_loss))
     return best_net, log
-
-
-def gradient_check(net: FeedForwardNet, x, y, n_coords: int = 1000,
-                   h: float = 1e-5, rng: np.random.Generator | None = None,
-                   l2: float = 0.0) -> float:
-    """Max relative error between backprop and central finite differences.
-
-    Dropout must be off (inference-mode forward is used on both sides).
-    Samples ``n_coords`` random parameter coordinates, or checks all of them
-    when the net is small enough.
-    """
-    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    Y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    if rng is None:
-        rng = np.random.default_rng(0)
-    pred, cache = _forward_batch(net, X, False, None)
-    d_out = 2.0 * (pred - Y) / pred.size
-    gw, gb = _backward(net, cache, d_out, l2)
-    analytic = gw + gb
-    params = net.weights + net.biases
-
-    def loss() -> float:
-        out, _ = _forward_batch(net, X, False, None)
-        return _mse(out, Y) + _weight_penalty(net, l2)
-
-    total = sum(p.size for p in params)
-    n_coords = min(n_coords, total)
-    flat_choice = rng.choice(total, size=n_coords, replace=False)
-    offsets = np.cumsum([0] + [p.size for p in params])
-    worst = 0.0
-    for flat in flat_choice:
-        which = int(np.searchsorted(offsets, flat, side="right") - 1)
-        local = int(flat - offsets[which])
-        param = params[which]
-        orig = param.flat[local]
-        param.flat[local] = orig + h
-        up = loss()
-        param.flat[local] = orig - h
-        down = loss()
-        param.flat[local] = orig
-        numeric = (up - down) / (2.0 * h)
-        exact = analytic[which].flat[local]
-        scale = max(abs(exact), abs(numeric), 1e-8)
-        worst = max(worst, abs(exact - numeric) / scale)
-    return worst
-
-
-def save_net(net: FeedForwardNet, path: str | Path) -> None:
-    """Versioned checkpoint; parameters stored at 64-bit, bit-exact round trip."""
-    payload = {
-        "format_version": np.int64(1),
-        "n_layers": np.int64(len(net.weights)),
-        "meta": np.frombuffer(
-            json.dumps(
-                {
-                    "dropout_input": net.dropout_input,
-                    "dropout_hidden": net.dropout_hidden,
-                },
-                sort_keys=True,
-            ).encode("utf-8"),
-            dtype=np.uint8,
-        ),
-    }
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        payload[f"w{i}"] = np.asarray(w, dtype=np.float64)
-        payload[f"b{i}"] = np.asarray(b, dtype=np.float64)
-    with open(path, "wb") as handle:
-        np.savez(handle, **payload)
-
-
-def load_net(path: str | Path) -> FeedForwardNet:
-    with np.load(path) as data:
-        version = int(data["format_version"])
-        if version != 1:
-            raise TrainingError(f"{path}: unsupported checkpoint version {version}")
-        n_layers = int(data["n_layers"])
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        weights = [data[f"w{i}"].copy() for i in range(n_layers)]
-        biases = [data[f"b{i}"].copy() for i in range(n_layers)]
-    return FeedForwardNet(weights, biases, meta["dropout_input"], meta["dropout_hidden"])

@@ -11,6 +11,7 @@ from lexlearn.clustering import EDGE_DTYPE
 from lexlearn.corpus import Document, build_corpus
 from lexlearn.embeddings import EmbeddingTable
 from lexlearn.induction import Lexicon
+from lexlearn.neural import _backward, _forward_batch, _mse, _weight_penalty
 
 
 def embedding_table(vectors):
@@ -27,6 +28,11 @@ def lexicon(entries, constructs=("aff",), provenance=None):
     ratings = np.array([np.atleast_1d(entries[w]) for w in words], dtype=np.float64)
     return Lexicon(tuple(constructs), tuple(words),
                    ratings.reshape(len(words), len(constructs)), provenance or {})
+
+
+def ratings_of(lex, construct):
+    """Word -> rating dict of one construct column, as Python floats."""
+    return dict(zip(lex.words, lex.values(construct).tolist()))
 
 
 def edge_array(edges):
@@ -160,3 +166,46 @@ def brute_force_mean_binary(corpus, construct, ties="high"):
             total += binary[i]
         result[w] = total / len(doc_ids)
     return result
+
+
+def gradient_check(net, x, y, n_coords=1000, h=1e-5, rng=None, l2=0.0):
+    """Max relative error between backprop and central finite differences.
+
+    Dropout must be off (inference-mode forward is used on both sides).
+    Samples ``n_coords`` random parameter coordinates, or checks all of them
+    when the net is small enough.
+    """
+    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    Y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    if rng is None:
+        rng = np.random.default_rng(0)
+    pred, cache = _forward_batch(net, X, False, None)
+    d_out = 2.0 * (pred - Y) / pred.size
+    gw, gb = _backward(net, cache, d_out, l2)
+    analytic = gw + gb
+    params = net.weights + net.biases
+
+    def loss():
+        out, _ = _forward_batch(net, X, False, None)
+        return _mse(out, Y) + _weight_penalty(net, l2)
+
+    total = sum(p.size for p in params)
+    n_coords = min(n_coords, total)
+    flat_choice = rng.choice(total, size=n_coords, replace=False)
+    offsets = np.cumsum([0] + [p.size for p in params])
+    worst = 0.0
+    for flat in flat_choice:
+        which = int(np.searchsorted(offsets, flat, side="right") - 1)
+        local = int(flat - offsets[which])
+        param = params[which]
+        orig = param.flat[local]
+        param.flat[local] = orig + h
+        up = loss()
+        param.flat[local] = orig - h
+        down = loss()
+        param.flat[local] = orig
+        numeric = (up - down) / (2.0 * h)
+        exact = analytic[which].flat[local]
+        scale = max(abs(exact), abs(numeric), 1e-8)
+        worst = max(worst, abs(exact - numeric) / scale)
+    return worst

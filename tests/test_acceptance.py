@@ -27,7 +27,6 @@ from lexlearn.evaluation import eval_intrinsic
 from lexlearn.neural import (
     NetConfig,
     forward_batch,
-    gradient_check,
     init_net,
     train,
 )
@@ -37,10 +36,12 @@ from _worlds import (
     adjusted_rand_index,
     brute_force_mean_binary,
     brute_force_mean_star,
+    gradient_check,
     lexicon,
     linear_world,
     planted_block_lexicon,
     random_corpus,
+    ratings_of,
     sigmoid,
 )
 
@@ -61,11 +62,11 @@ def test_criterion_1_exact_oracle_equivalence():
         rng = np.random.default_rng(20250801)
         for _ in range(20):
             corpus = random_corpus(rng, max_docs=100, max_vocab=200)
-            star = fit_mean_star(corpus, "aff").ratings_for("aff")
+            star = ratings_of(fit_mean_star(corpus, "aff"), "aff")
             assert star == brute_force_mean_star(corpus, "aff")
             labels = {d.ratings["aff"] for d in corpus.documents}
             if len(labels) >= 2:
-                binary = fit_mean_binary(corpus, "aff").ratings_for("aff")
+                binary = ratings_of(fit_mean_binary(corpus, "aff"), "aff")
                 assert binary == brute_force_mean_binary(corpus, "aff")
         assert time.perf_counter() - start < 5.0
 

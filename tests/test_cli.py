@@ -17,7 +17,7 @@ from lexlearn.corpus import corpus_fingerprint, load_corpus
 from lexlearn.embeddings import load_embeddings
 from lexlearn.induction import load_lexicon, save_lexicon
 
-from _worlds import planted_block_lexicon
+from _worlds import planted_block_lexicon, ratings_of
 
 VECTOR_COUNTERS = ("vectors_loaded", "skipped_vector_lines")
 
@@ -65,7 +65,7 @@ class TestInduce:
         assert rc == 0
         lex = load_lexicon(out)
         assert len(lex) == 3
-        assert lex.ratings_for("empathy") == {"sad": 4.0, "story": 6.0, "joke": 2.0}
+        assert ratings_of(lex, "empathy") == {"sad": 4.0, "story": 6.0, "joke": 2.0}
         assert (tmp_path / "lex.tsv.prov").exists()
 
     def test_mlffn_with_rescale_hits_endpoints(self, synth, tmp_path):
@@ -265,7 +265,7 @@ class TestEval:
         probe = load_lexicon(lex)
         with open(gold, "w", encoding="utf-8") as f:
             f.write("word\tempathy\n")
-            for w, r in probe.ratings_for("empathy").items():
+            for w, r in ratings_of(probe, "empathy").items():
                 f.write(f"{w}\t{r}\n")
         capsys.readouterr()
         rc = main(["eval", "intrinsic", "--corpus", str(corpus), "--gold", str(gold),
@@ -290,7 +290,7 @@ class TestEval:
         probe = load_lexicon(lex)
         with open(gold, "w", encoding="utf-8") as f:
             f.write("word\tempathy\n")
-            for w, r in probe.ratings_for("empathy").items():
+            for w, r in ratings_of(probe, "empathy").items():
                 f.write(f"{w}\t{r}\n")
         capsys.readouterr()
         rc = main(["eval", "intrinsic", "--corpus", str(corpus), "--gold", str(gold),
@@ -460,7 +460,7 @@ class TestClusterCommand:
         lex, table, _ = planted_block_lexicon(3, per_block=150)
         assert len(lex) >= numerics.EIGH_CUTOFF * (4 + numerics.LOBPCG_GUARD)
         lex_path, emb = tmp_path / "planted.tsv", tmp_path / "planted.vec"
-        save_lexicon(lex, lex_path, provenance=False)
+        save_lexicon(lex, lex_path)
         emb.write_text("".join(
             word + " " + " ".join(repr(float(x)) for x in table.matrix([word])[0])
             + "\n" for word in lex.words), encoding="utf-8")
@@ -623,7 +623,7 @@ class TestVectorCounters:
         corpus, vec, lex = world
         gold = tmp_path / "gold.tsv"
         gold.write_text("word\tempathy\n" + "".join(
-            f"{w}\t{r}\n" for w, r in load_lexicon(lex).ratings_for("empathy").items()
+            f"{w}\t{r}\n" for w, r in ratings_of(load_lexicon(lex), "empathy").items()
         ), encoding="utf-8")
         net = ["--embeddings", str(vec), "--hidden", "8", "--epochs", "5",
                "--seed", "3"]
@@ -940,6 +940,12 @@ BAD_FLAG_VALUES = [
     ("cluster", "--rho", "-1"),
     ("cluster", "--rho", "inf"),
     ("cluster", "--rho", "nan"),
+    # numpy refuses a negative seed, and csv.reader a delimiter that is not
+    # one character, each with a traceback, unless the parser refuses first
+    *[(command, "--seed", "-1") for command in
+      ("induce", "intrinsic", "extrinsic", "cluster", "describe", "rescale")],
+    *[(command, "--delimiter", value) for command in ("induce", "intrinsic", "extrinsic")
+      for value in ("", "ab", "\\t")],  # "\\t": a backslash, then a t
 ]
 
 
@@ -952,6 +958,10 @@ class TestFlagRanges:
         )
         lex = tmp_path / "lex.tsv"  # also serves as the gold word ratings
         lex.write_text(ratings, encoding="utf-8")
+        users, traits = tmp_path / "users.csv", tmp_path / "traits.csv"
+        users.write_text("user_id,text\nu1,w01 w02\nu2,w03\nu3,w04 w05\n",
+                         encoding="utf-8")
+        traits.write_text("user_id,emp\nu1,7\nu2,4\nu3,1\n", encoding="utf-8")
         return {
             "cluster": ["cluster", "--lexicon", str(lex), "--embeddings", str(emb),
                         "--construct", "empathy", "--k", "2", "--knn", "5"],
@@ -961,13 +971,19 @@ class TestFlagRanges:
             "induce": ["induce", "--method", "mlffn", "--corpus", str(corpus),
                        "--construct", "empathy", "--embeddings", str(emb),
                        "--hidden", "4", "--epochs", "2"],
+            "extrinsic": ["eval", "extrinsic", "--lexicon", str(lex),
+                          "--construct", "empathy", "--users", str(users),
+                          "--traits", str(traits), "--trait-column", "emp"],
+            "describe": ["describe", "--lexicon", str(lex)],
+            "rescale": ["rescale", "--lexicon", str(lex), "--range", "0:1"],
         }
 
     @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
     @pytest.mark.parametrize("command,flag,value", BAD_FLAG_VALUES)
     def test_out_of_range_value_is_usage_error(self, commands, tmp_path, capsys,
                                                command, flag, value, via_config):
-        argv = commands[command] + ["--seed", "1", "--out", str(tmp_path / "o.tsv")]
+        out_flag = "--plot-data" if command == "describe" else "--out"
+        argv = commands[command] + ["--seed", "1", out_flag, str(tmp_path / "o.tsv")]
         if via_config:
             cfg = tmp_path / "run.conf"
             cfg.write_text(f"{flag[2:].replace('-', '_')}={value}\n", encoding="utf-8")

@@ -22,6 +22,7 @@ from _worlds import (
     embedding_table,
     lexicon,
     planted_block_lexicon,
+    ratings_of,
 )
 
 
@@ -350,7 +351,7 @@ class TestCluster:
 
     def test_no_silent_word_loss(self):
         lex, table, _ = planted_block_lexicon(9, per_block=10)
-        lex = lexicon({**lex.ratings_for("aff"), "ghost": 2.0})
+        lex = lexicon({**ratings_of(lex, "aff"), "ghost": 2.0})
         result = cluster(lex, "aff", table, 4, knn=6, seed=2)
         assert set(result.assignment) | set(result.dropped_words) == set(lex.entries)
         assert "ghost" in result.dropped_words

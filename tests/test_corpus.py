@@ -6,9 +6,7 @@ import pytest
 from lexlearn.corpus import (
     Document,
     build_corpus,
-    corpus_fingerprint,
     load_corpus,
-    save_corpus,
     tokenize,
 )
 from lexlearn.errors import EmptyCorpusError, RowError, SchemaError
@@ -153,18 +151,6 @@ class TestCorpusInvariants:
             assert set(corpus.vocab) == {
                 t for t, d in zip(corpus.terms, df.tolist()) if d >= corpus.min_df
             }
-
-    def test_roundtrip_save_reload(self, tmp_path):
-        rng = np.random.default_rng(6)
-        corpus = random_corpus(rng, max_docs=30, max_vocab=40)
-        path = tmp_path / "out.csv"
-        save_corpus(corpus, path)
-        back = load_corpus(str(path), "text", list(corpus.constructs), id_column="id")
-        assert len(back) == len(corpus)
-        for a, b in zip(corpus.documents, back.documents):
-            assert a.tokens == b.tokens
-            assert a.ratings == b.ratings
-        assert corpus_fingerprint(back) == corpus_fingerprint(corpus)
 
     def test_build_corpus_rejects_mismatched_constructs(self):
         docs = [

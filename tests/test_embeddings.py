@@ -28,7 +28,7 @@ class TestLoad:
         table = load_embeddings(small_vec)
         assert table.dim == 3
         assert len(table) == 2
-        assert np.allclose(table.lookup("apple"), [1, 0, 0])
+        assert np.allclose(table.matrix(["apple"])[0], [1, 0, 0])
 
     def test_restrict_to(self, small_vec):
         table = load_embeddings(small_vec, restrict_to={"apple"})
@@ -42,7 +42,7 @@ class TestLoad:
 
     def test_oov_lookup_is_zero_vector(self, small_vec):
         table = load_embeddings(small_vec)
-        vec = table.lookup("zzzunknown")
+        vec = table.matrix(["zzzunknown"])[0]
         assert vec.shape == (3,)
         assert not vec.any()
 
@@ -76,7 +76,7 @@ class TestLoad:
         table = load_embeddings(str(path))
         assert table.words == ("apple", "banana")
         assert table.vectors.shape == (2, 3) and table.vectors.dtype == np.float32
-        assert np.array_equal(table.lookup("apple"), [0, 0, 2])
+        assert np.array_equal(table.matrix(["apple"])[0], [0, 0, 2])
 
     def test_matrix_rows_with_zero_rows_for_absent_words(self, small_vec):
         table = load_embeddings(small_vec)
@@ -306,7 +306,7 @@ class TestRestrictedLoad:
         path = self.write(tmp_path, ["z 1 2 3", "a 1 2", *(["a 4 5 6"] * 120)])
         table = load_embeddings(path, {"a"})
         assert table.words == ("a",) and table.dim == 3
-        assert np.array_equal(table.lookup("a"), [4, 5, 6])
+        assert np.array_equal(table.matrix(["a"])[0], [4, 5, 6])
         assert table.skipped_lines == 1
 
     def test_only_kept_values_reach_the_c_reader(self, tmp_path, monkeypatch):
@@ -323,7 +323,7 @@ class TestRestrictedLoad:
         assert [row.rstrip("\n") for row in parsed] == [
             line.split(None, 1)[1] for line in lines if line.split()[0] in keep]
         assert table.words == ("w3", "w4", "w17", "w29")
-        assert np.array_equal(table.lookup("w17"), [17, 17.5, -17])
+        assert np.array_equal(table.matrix(["w17"])[0], [17, 17.5, -17])
 
 
 class TestCentroid:
@@ -362,8 +362,8 @@ class TestCentroid:
         table = load_embeddings(small_vec)
         before = table.vectors.copy()
         centroid(["apple", "banana", "apple"], table)
-        vec = table.lookup("apple")
-        vec[:] = 99.0  # lookup returns a copy
+        vec = table.matrix(["apple"])[0]
+        vec[:] = 99.0  # matrix returns a copy
         assert np.array_equal(table.vectors, before)
 
 

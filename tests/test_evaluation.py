@@ -25,7 +25,7 @@ from lexlearn.induction import MethodSpec, fit_method, rescale_log_minmax
 from lexlearn.neural import NetConfig
 from lexlearn.numerics import pearson
 
-from _worlds import lexicon, linear_world
+from _worlds import lexicon, linear_world, ratings_of
 
 
 def exact_world(seed=0, n_words=100, n_docs=500, wpd=10):
@@ -128,8 +128,8 @@ class TestIntrinsic:
             held_out = set(group.tolist())
             train = [docs[i] for i in range(len(docs)) if i not in held_out]
             sub = build_corpus(train, min_df=min_df)
-            rated = fit_method(sub, ["aff"], spec).ratings_for("aff")
-            gold_rated = gold.ratings_for("aff")
+            rated = ratings_of(fit_method(sub, ["aff"], spec), "aff")
+            gold_rated = ratings_of(gold, "aff")
             common = sorted(set(rated) & set(gold_rated))
             ref = [gold_rated[w] for w in common]
             expected.append(pearson([rated[w] for w in common], ref))
@@ -466,7 +466,7 @@ def reference_load_users(usage_path, traits_path, trait_column):
 
 def reference_eval_extrinsic(lexicon, construct, users):
     """The weighted mean rating of each user, one (user, word) at a time."""
-    ratings = lexicon.ratings_for(construct)
+    ratings = ratings_of(lexicon, construct)
     scores, traits, excluded = {}, [], []
     for user in users:
         total = 0

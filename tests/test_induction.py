@@ -1,6 +1,7 @@
 """The four lexicon-learning methods and log min-max rescaling."""
 
 import dataclasses
+import json
 import time
 import tracemalloc
 
@@ -30,6 +31,7 @@ from _worlds import (
     lexicon,
     linear_world,
     random_corpus,
+    ratings_of,
 )
 
 
@@ -44,14 +46,14 @@ def toy_corpus():
 class TestMeanStar:
     def test_toy_averages(self):
         lex = fit_mean_star(toy_corpus(), "empathy")
-        ratings = lex.ratings_for("empathy")
+        ratings = ratings_of(lex, "empathy")
         assert ratings["sad"] == 4.0
         assert ratings["story"] == 6.0
         assert ratings["joke"] == 2.0
 
     def test_single_document_word(self):
         lex = fit_mean_star(toy_corpus(), "empathy")
-        assert lex.ratings_for("empathy")["story"] == 6.0
+        assert ratings_of(lex, "empathy")["story"] == 6.0
 
     def test_matches_brute_force_exactly(self):
         rng = np.random.default_rng(21)
@@ -59,13 +61,13 @@ class TestMeanStar:
             corpus = random_corpus(rng, max_docs=50, max_vocab=80)
             lex = fit_mean_star(corpus, "aff")
             oracle = brute_force_mean_star(corpus, "aff")
-            assert lex.ratings_for("aff") == oracle
+            assert ratings_of(lex, "aff") == oracle
 
     def test_ratings_within_label_range(self):
         rng = np.random.default_rng(22)
         corpus = random_corpus(rng)
         labels = [d.ratings["aff"] for d in corpus.documents]
-        ratings = fit_mean_star(corpus, "aff").ratings_for("aff")
+        ratings = ratings_of(fit_mean_star(corpus, "aff"), "aff")
         assert all(min(labels) <= r <= max(labels) for r in ratings.values())
 
     def test_rates_exactly_the_vocabulary(self):
@@ -82,7 +84,7 @@ class TestMeanBinary:
             for i, v in enumerate([1, 2, 3, 4, 5])
         ]
         corpus = build_corpus(docs, ["aff"])
-        ratings = fit_mean_binary(corpus, "aff").ratings_for("aff")
+        ratings = ratings_of(fit_mean_binary(corpus, "aff"), "aff")
         # median 3; labels [1,2,3,4,5] -> binary [0,0,1,1,1]
         assert [ratings[f"w{i}"] for i in range(5)] == [0.0, 0.0, 1.0, 1.0, 1.0]
 
@@ -92,7 +94,7 @@ class TestMeanBinary:
             for i, v in enumerate([1, 2, 3, 4, 5])
         ]
         corpus = build_corpus(docs, ["aff"])
-        ratings = fit_mean_binary(corpus, "aff", ties="low").ratings_for("aff")
+        ratings = ratings_of(fit_mean_binary(corpus, "aff", ties="low"), "aff")
         assert [ratings[f"w{i}"] for i in range(5)] == [0.0, 0.0, 0.0, 1.0, 1.0]
 
     def test_word_only_in_high_documents(self):
@@ -103,20 +105,20 @@ class TestMeanBinary:
             Document("d4", ("hi",), {"aff": 6.0}),
         ]
         corpus = build_corpus(docs, ["aff"])
-        assert fit_mean_binary(corpus, "aff").ratings_for("aff")["hi"] == 1.0
+        assert ratings_of(fit_mean_binary(corpus, "aff"), "aff")["hi"] == 1.0
 
     def test_matches_brute_force_exactly(self):
         rng = np.random.default_rng(24)
         for _ in range(10):
             corpus = random_corpus(rng, max_docs=50, max_vocab=80)
             lex = fit_mean_binary(corpus, "aff")
-            assert lex.ratings_for("aff") == brute_force_mean_binary(corpus, "aff")
+            assert ratings_of(lex, "aff") == brute_force_mean_binary(corpus, "aff")
 
     def test_ratings_in_unit_interval(self):
         rng = np.random.default_rng(25)
         corpus = random_corpus(rng)
         assert all(
-            0.0 <= r <= 1.0 for r in fit_mean_binary(corpus, "aff").ratings_for("aff").values()
+            0.0 <= r <= 1.0 for r in ratings_of(fit_mean_binary(corpus, "aff"), "aff").values()
         )
 
     def test_identical_labels_rejected(self):
@@ -162,13 +164,13 @@ class TestCountArrays:
                     with pytest.raises(DataError, match="vocabulary is empty"):
                         fit_mean_star(sub, "aff")
                     continue
-                assert fit_mean_star(sub, "aff").ratings_for("aff") == star
+                assert ratings_of(fit_mean_star(sub, "aff"), "aff") == star
                 if len(set(labels)) < 2:
                     continue
                 med = float(np.median(labels))
                 binary = [1.0 if v >= med else 0.0 for v in labels]
                 lex = fit_mean_binary(sub, "aff")
-                assert lex.ratings_for("aff") == plain_word_means(sub, binary, min_df)
+                assert ratings_of(lex, "aff") == plain_word_means(sub, binary, min_df)
 
     def test_regression_on_selection_equals_rebuilt_corpus(self):
         rng = np.random.default_rng(32)
@@ -179,7 +181,7 @@ class TestCountArrays:
         rebuilt = build_corpus([corpus.documents[i] for i in rows], min_df=2)
         a = fit_regression_weights(sub, "aff", 0.5)
         b = fit_regression_weights(rebuilt, "aff", 0.5)
-        assert a.ratings_for("aff") == b.ratings_for("aff")
+        assert ratings_of(a, "aff") == ratings_of(b, "aff")
         assert a.provenance == b.provenance
 
     @pytest.mark.parametrize(
@@ -203,7 +205,7 @@ class TestRegressionWeights:
         ]
         corpus = build_corpus(docs, ["aff"])
         lex = fit_regression_weights(corpus, "aff", ridge_lambda=0.0)
-        assert lex.ratings_for("aff")["w"] == pytest.approx(0.0, abs=1e-12)
+        assert ratings_of(lex, "aff")["w"] == pytest.approx(0.0, abs=1e-12)
         assert lex.provenance["intercept"] == pytest.approx(4.0, abs=1e-12)
 
     def test_orthogonal_documents_reproduce_labels(self):
@@ -213,7 +215,7 @@ class TestRegressionWeights:
         ]
         corpus = build_corpus(docs, ["aff"])
         lex = fit_regression_weights(corpus, "aff", ridge_lambda=0.0)
-        ratings = lex.ratings_for("aff")
+        ratings = ratings_of(lex, "aff")
         intercept = lex.provenance["intercept"]
         assert intercept + ratings["a"] == pytest.approx(4.0, abs=1e-6)
         assert intercept + ratings["b"] == pytest.approx(6.0, abs=1e-6)
@@ -224,7 +226,7 @@ class TestRegressionWeights:
         lam = 0.5
         lex = fit_regression_weights(corpus, "aff", ridge_lambda=lam)
         words = sorted(corpus.vocab)
-        coef = np.array([lex.ratings_for("aff")[w] for w in words])
+        coef = np.array([ratings_of(lex, "aff")[w] for w in words])
         intercept = lex.provenance["intercept"]
         X = np.zeros((len(corpus), len(words)))
         col = {w: j for j, w in enumerate(words)}
@@ -265,7 +267,7 @@ class TestRegressionWeights:
         # sums to 0 and X'r = lam * a over the vocabulary columns
         column = {t: j for j, t in enumerate(corpus.terms)}
         coef = np.zeros(len(corpus.terms))
-        for word, rating in lex.ratings_for("aff").items():
+        for word, rating in ratings_of(lex, "aff").items():
             coef[column[word]] = rating
         rows = corpus.entry_rows()
         freq = corpus.counts / corpus.lengths[rows]
@@ -318,7 +320,7 @@ class TestMlffn:
         X = np.stack([centroid(d, table) for d in corpus.documents])
         y = [d.ratings["aff"] for d in corpus.documents]
         net_r = pearson(forward_batch(net, X).ravel(), y)
-        star = fit_mean_star(corpus, "aff").ratings_for("aff")
+        star = ratings_of(fit_mean_star(corpus, "aff"), "aff")
         star_doc = [float(np.mean([star[t] for t in d.tokens])) for d in corpus.documents]
         assert net_r > pearson(star_doc, y)
 
@@ -447,6 +449,9 @@ class TestLexiconIO:
         )
         path = tmp_path / "lex.tsv"
         save_lexicon(lex, path)
+        sidecar = tmp_path / "lex.tsv.prov"
+        assert not sidecar.exists()  # the command line writes .prov
+        sidecar.write_text(json.dumps(lex.provenance), encoding="utf-8")
         back = load_lexicon(path)
         assert back.constructs == lex.constructs
         assert set(back.entries) == set(lex.entries)
@@ -474,6 +479,6 @@ class TestLexiconIO:
     def test_deterministic_refit(self):
         rng = np.random.default_rng(31)
         corpus = random_corpus(rng)
-        a = fit_mean_star(corpus, "aff").ratings_for("aff")
-        b = fit_mean_star(corpus, "aff").ratings_for("aff")
+        a = ratings_of(fit_mean_star(corpus, "aff"), "aff")
+        b = ratings_of(fit_mean_star(corpus, "aff"), "aff")
         assert a == b

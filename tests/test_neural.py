@@ -1,4 +1,4 @@
-"""Feed-forward net: forward pass, gradients, Adam, training, checkpoints."""
+"""Feed-forward net: forward pass, gradients, Adam, training."""
 
 
 import numpy as np
@@ -11,12 +11,11 @@ from lexlearn.neural import (
     _Adam,
     _forward_batch,
     forward_batch,
-    gradient_check,
     init_net,
-    load_net,
-    save_net,
     train,
 )
+
+from _worlds import gradient_check
 
 
 def small_net(seed=0, sizes=(5, 7, 4, 2), din=0.0, dh=0.0):
@@ -229,15 +228,3 @@ class TestTraining:
         )
         net, log = train(cfg, X, Y)
         assert len(log.val_loss) == log.stopped_epoch
-
-
-class TestCheckpoint:
-    def test_bit_exact_roundtrip(self, tmp_path):
-        net = small_net(seed=13, din=0.2, dh=0.5)
-        path = tmp_path / "model.npz"
-        save_net(net, path)
-        back = load_net(path)
-        for a, b in zip(net.weights + net.biases, back.weights + back.biases):
-            assert np.array_equal(a, b)
-        assert back.dropout_input == net.dropout_input
-        assert back.dropout_hidden == net.dropout_hidden
