@@ -771,9 +771,9 @@ def _read_config_file(path: str) -> list[str]:
             continue
         if "=" not in line:
             raise _UsageFailure(f"config line without '=': {line!r}")
-        key, value = line.split("=", 1)
+        key, value = raw.split("=", 1)
         flag = "--" + key.strip().replace("_", "-")
-        value = value.strip()
+        value = value.strip() or value  # a whitespace-only value is kept as is
         if value.lower() in ("true", "false"):
             if value.lower() == "true":
                 extra.append(flag)

@@ -33,6 +33,7 @@ __all__ = [
     "load_corpus",
     "build_corpus",
     "corpus_fingerprint",
+    "canonical_order",
 ]
 
 
@@ -83,18 +84,22 @@ class Document:
 class Corpus:
     """An immutable collection of tokenized, document-labeled texts.
 
-    The document-term counts are held once, in CSR form over ``terms``, the
-    sorted distinct tokens of all documents: the entries of document ``i``
-    are ``indptr[i]:indptr[i + 1]``, each giving a term column
-    (``indices``, ascending within a document) and its occurrence count
-    (``counts``); ``lengths`` holds each document's token count.
+    Document ``i`` has id ``ids[i]``, its tokens joined by single spaces in
+    ``texts[i]`` and its labels in row ``i`` of the float64 ``ratings``
+    matrix, one column per name in ``constructs``.  Its term counts are held
+    once, in CSR form over ``terms``, the sorted distinct tokens of all
+    documents: its entries are ``indptr[i]:indptr[i + 1]``, each giving a
+    term column (``indices``, ascending within a document) and its
+    occurrence count (``counts``); ``lengths`` holds each token count.
 
     ``min_df`` is a column mask, not a filter on the documents: ``vocab``
     maps each term with document frequency >= ``min_df`` to that frequency.
     Documents keep all their tokens.
     """
 
-    documents: tuple[Document, ...]
+    ids: tuple[str, ...]
+    texts: tuple[str, ...]
+    ratings: np.ndarray
     constructs: tuple[str, ...]
     terms: tuple[str, ...]
     indptr: np.ndarray
@@ -105,11 +110,25 @@ class Corpus:
     report: LoadReport = field(default_factory=LoadReport)
 
     def __len__(self) -> int:
-        return len(self.documents)
+        return len(self.ids)
+
+    @property
+    def documents(self) -> tuple[Document, ...]:
+        """The documents as :class:`Document` records, rebuilt on each read."""
+        return tuple(Document(i, tuple(t.split(" ")), dict(zip(self.constructs, r)))
+                     for i, t, r in zip(self.ids, self.texts, self.ratings.tolist()))
+
+    def values(self, construct: str) -> np.ndarray:
+        """The documents' labels for one construct, in document order."""
+        if construct not in self.constructs:
+            raise DataError(
+                f"unknown construct {construct!r}; available: {list(self.constructs)}"
+            )
+        return self.ratings[:, self.constructs.index(construct)]
 
     def entry_rows(self) -> np.ndarray:
         """Document index of every (document, term) entry."""
-        return np.repeat(np.arange(len(self.documents)), np.diff(self.indptr))
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
     @cached_property
     def document_frequency(self) -> np.ndarray:
@@ -140,7 +159,9 @@ class Corpus:
         np.cumsum(sizes, out=indptr[1:])
         pos = np.repeat(starts - indptr[:-1], sizes) + np.arange(indptr[-1])
         return Corpus(
-            tuple(self.documents[i] for i in rows.tolist()),
+            tuple(map(self.ids.__getitem__, rows.tolist())),
+            tuple(map(self.texts.__getitem__, rows.tolist())),
+            self.ratings[rows],
             self.constructs,
             self.terms,
             indptr,
@@ -265,9 +286,8 @@ def build_corpus(
                 f"document {doc.id!r} ratings {sorted(doc.ratings)} do not match "
                 f"corpus constructs {sorted(ckeys)}"
             )
-        for value in doc.ratings.values():
-            if value != value or value in (float("inf"), float("-inf")):
-                raise DataError(f"document {doc.id!r} carries a non-finite rating")
+        if not all(map(math.isfinite, doc.ratings.values())):
+            raise DataError(f"document {doc.id!r} carries a non-finite rating")
         token_ids.extend(map(first_seen.__getitem__, doc.tokens))
     terms = tuple(sorted(first_seen))
     column = np.empty(len(terms), dtype=np.int64)
@@ -282,7 +302,9 @@ def build_corpus(
     indptr = np.zeros(len(docs) + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // len(terms), minlength=len(docs)), out=indptr[1:])
     return Corpus(
-        docs,
+        tuple(doc.id for doc in docs),
+        tuple(" ".join(doc.tokens) for doc in docs),
+        np.array([[doc.ratings[c] for c in constructs] for doc in docs], dtype=float),
         constructs,
         terms,
         indptr,
@@ -353,10 +375,17 @@ def corpus_fingerprint(corpus: Corpus) -> str:
     """Stable content hash of a corpus (order-sensitive, used in provenance)."""
     digest = hashlib.sha256()
     digest.update("\x1f".join(corpus.constructs).encode("utf-8"))
-    for doc in corpus.documents:
-        record = "\x1f".join(
-            [doc.id, " ".join(doc.tokens)]
-            + [repr(float(doc.ratings[c])) for c in corpus.constructs]
-        )
+    for doc_id, text, row in zip(corpus.ids, corpus.texts, corpus.ratings.tolist()):
+        record = "\x1f".join([doc_id, text, *map(repr, row)])
         digest.update(b"\x1e" + record.encode("utf-8"))
     return digest.hexdigest()
+
+
+def canonical_order(corpus: Corpus) -> list[int]:
+    """Document indices sorted by id, then text, then the ratings taken in
+    construct-name order: a fixed order that does not depend on the order
+    the documents came in."""
+    by_name = sorted(range(len(corpus.constructs)), key=corpus.constructs.__getitem__)
+    ratings = corpus.ratings[:, by_name].tolist()
+    return sorted(range(len(corpus)),
+                  key=lambda i: (corpus.ids[i], corpus.texts[i], ratings[i]))

@@ -28,6 +28,7 @@ from .corpus import (  # noqa: F401
     _read_table,
     _TokenForms,
     build_corpus,
+    canonical_order,
 )
 from .errors import (DataError, EmptyCorpusError, LexlearnError, RowError,
                      SchemaError, UndefinedCorrelationError)
@@ -82,18 +83,6 @@ def report_tsv_row(report: EvalReport) -> str:
     )
 
 
-def _canonical_order(corpus: Corpus) -> list[int]:
-    # a fixed pre-shuffle order makes the fold split independent of the
-    # incoming document order
-    docs = corpus.documents
-    return sorted(
-        range(len(docs)),
-        key=lambda i: (
-            docs[i].id, " ".join(docs[i].tokens), sorted(docs[i].ratings.items())
-        ),
-    )
-
-
 def eval_intrinsic(
     corpus: Corpus,
     gold: Lexicon,
@@ -118,16 +107,13 @@ def eval_intrinsic(
         raise DataError(
             f"construct {construct!r} not in gold lexicon {list(gold.constructs)}"
         )
-    if construct not in corpus.constructs:
-        raise DataError(
-            f"construct {construct!r} not in corpus {list(corpus.constructs)}"
-        )
+    corpus.values(construct)  # DataError if the corpus lacks the construct
     overlap = sum(map(gold.rows.__contains__, corpus.vocab))
     if overlap < 30:
         raise DataError(
             f"corpus and gold lexicon share only {overlap} words; need at least 30"
         )
-    order = _canonical_order(corpus)
+    order = canonical_order(corpus)
     if folds > len(order):
         raise DataError(
             f"eval_intrinsic: folds={folds} exceeds document count {len(order)}"

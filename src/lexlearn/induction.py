@@ -115,14 +115,6 @@ class MethodSpec:
             raise DataError("mlffn needs an embedding table")
 
 
-def _label_vector(corpus: Corpus, construct: str) -> list[float]:
-    if construct not in corpus.constructs:
-        raise DataError(
-            f"unknown construct {construct!r}; available: {list(corpus.constructs)}"
-        )
-    return [doc.ratings[construct] for doc in corpus.documents]
-
-
 def _require_vocab(corpus: Corpus, method: str) -> None:
     if not corpus.vocab:
         raise DataError(
@@ -131,9 +123,9 @@ def _require_vocab(corpus: Corpus, method: str) -> None:
         )
 
 
-def _word_means(corpus: Corpus, labels: list[float]) -> np.ndarray:
+def _word_means(corpus: Corpus, labels: np.ndarray) -> np.ndarray:
     # bincount accumulates in entry order, which is ascending document order
-    weights = np.asarray(labels, dtype=np.float64)[corpus.entry_rows()]
+    weights = labels[corpus.entry_rows()]
     sums = np.bincount(corpus.indices, weights=weights, minlength=len(corpus.terms))
     cols = corpus.vocab_columns
     return (sums[cols] / corpus.document_frequency[cols])[:, None]
@@ -142,7 +134,7 @@ def _word_means(corpus: Corpus, labels: list[float]) -> np.ndarray:
 def fit_mean_star(corpus: Corpus, construct: str) -> Lexicon:
     """Word rating = mean gold label of the documents containing the word."""
     _require_vocab(corpus, "mean_star")
-    means = _word_means(corpus, _label_vector(corpus, construct))
+    means = _word_means(corpus, corpus.values(construct))
     prov = {"method": "mean_star", "construct": construct}
     return Lexicon((construct,), tuple(corpus.vocab), means, prov)
 
@@ -154,19 +146,16 @@ def fit_mean_binary(corpus: Corpus, construct: str, ties: str = "high") -> Lexic
     "low" codes them 0.  All-identical labels are rejected.
     """
     _require_vocab(corpus, "mean_binary")
-    labels = _label_vector(corpus, construct)
-    if len(set(labels)) < 2:
+    labels = corpus.values(construct)
+    if (labels == labels[0]).all():
         raise DegenerateLabelsError(
             f"mean_binary: all {construct!r} labels are identical"
         )
-    med = float(np.median(np.array(labels)))
-    if ties == "high":
-        binary = [1.0 if v >= med else 0.0 for v in labels]
-    elif ties == "low":
-        binary = [1.0 if v > med else 0.0 for v in labels]
-    else:
+    med = float(np.median(labels))
+    if ties not in ("high", "low"):
         raise ValueError("ties must be 'high' or 'low'")
-    means = _word_means(corpus, binary)
+    binary = (labels >= med) if ties == "high" else (labels > med)
+    means = _word_means(corpus, binary.astype(np.float64))
     prov = {
         "method": "mean_binary",
         "construct": construct,
@@ -182,7 +171,7 @@ def fit_regression_weights(
     """Word ratings = coefficients of a ridge model over relative word
     frequencies; the intercept stays out of the lexicon."""
     _require_vocab(corpus, "regression_weights")
-    labels = _label_vector(corpus, construct)
+    labels = corpus.values(construct)
     cols = corpus.vocab_columns
     col = np.full(len(corpus.terms), -1)
     col[cols] = np.arange(len(cols))
@@ -218,11 +207,6 @@ def fit_mlffn(
     vocabulary; ``include_oov_words`` adds corpus words without an embedding,
     which all receive the net's zero-vector output (flagged in provenance).
     """
-    for c in constructs:
-        if c not in corpus.constructs:
-            raise DataError(
-                f"unknown construct {c!r}; available: {list(corpus.constructs)}"
-            )
     if table.dim != config.input_dim:
         raise DimensionError(
             f"embedding dim {table.dim} != config input_dim {config.input_dim}"
@@ -231,12 +215,12 @@ def fit_mlffn(
         raise DimensionError(
             f"config output_dim {config.output_dim} != {len(constructs)} constructs"
         )
+    Y = np.column_stack([corpus.values(c) for c in constructs])
     _require_vocab(corpus, "mlffn")
     in_vocab = sorted(w for w in corpus.vocab if w in table)
     if not in_vocab:
         raise DataError("mlffn: no corpus word has an embedding vector")
     X = centroids(corpus, table)
-    Y = np.array([[doc.ratings[c] for c in constructs] for doc in corpus.documents])
     net, log = train(config, X, Y)
 
     words = sorted(table.words) if rate_all_embedded else in_vocab

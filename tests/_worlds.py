@@ -129,22 +129,24 @@ def adjusted_rand_index(a, b):
 def brute_force_mean_star(corpus, construct):
     """Independent recomputation of per-word label means, straight from the
     documents (no inverted index), summing in ascending document order."""
+    docs = corpus.documents
     out = {}
-    for i, doc in enumerate(corpus.documents):
+    for i, doc in enumerate(docs):
         for w in set(doc.tokens):
             out.setdefault(w, []).append(i)
     result = {}
     for w, doc_ids in out.items():
         total = 0.0
         for i in sorted(doc_ids):
-            total += corpus.documents[i].ratings[construct]
+            total += docs[i].ratings[construct]
         result[w] = total / len(doc_ids)
     return result
 
 
 def brute_force_mean_binary(corpus, construct, ties="high"):
     """Independent median split + per-word binary means."""
-    labels = [doc.ratings[construct] for doc in corpus.documents]
+    docs = corpus.documents
+    labels = [doc.ratings[construct] for doc in docs]
     ordered = sorted(labels)
     n = len(ordered)
     if n % 2 == 1:
@@ -156,7 +158,7 @@ def brute_force_mean_binary(corpus, construct, ties="high"):
     else:
         binary = [1.0 if v > med else 0.0 for v in labels]
     membership = {}
-    for i, doc in enumerate(corpus.documents):
+    for i, doc in enumerate(docs):
         for w in set(doc.tokens):
             membership.setdefault(w, []).append(i)
     result = {}

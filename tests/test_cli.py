@@ -236,6 +236,23 @@ class TestInduce:
         prov = json.loads((tmp_path / "lex.tsv.prov").read_text())
         assert prov["seed"] == 42
 
+    def test_config_whitespace_delimiter_matches_the_flag(self, tmp_path):
+        corpus = tmp_path / "toy.txt"  # not .tsv: the default delimiter is a comma
+        corpus.write_text("text\tempathy\nsad, story\t6.0\nsad joke\t2.0\n",
+                          encoding="utf-8")
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("delimiter=\t\nseed = 3 \n", encoding="utf-8")
+        common = ["--corpus", str(corpus), "--construct", "empathy",
+                  "--method", "mean-star"]
+        via_flag, via_config = tmp_path / "flag.tsv", tmp_path / "config.tsv"
+        assert main(["induce", *common, "--delimiter", "\t", "--seed", "3",
+                     "--out", str(via_flag)]) == 0
+        assert main(["induce", "--config", str(cfg), *common,
+                     "--out", str(via_config)]) == 0
+        assert via_config.read_bytes() == via_flag.read_bytes()
+        prov = json.loads((tmp_path / "config.tsv.prov").read_text())
+        assert prov["flags"]["delimiter"] == "\t" and prov["seed"] == 3
+
     @pytest.mark.parametrize("config", ["missing", "directory", "not-utf8"])
     def test_unreadable_config_file_is_usage_error(self, toy, tmp_path, capsys,
                                                    config):

@@ -6,10 +6,12 @@ import pytest
 from lexlearn.corpus import (
     Document,
     build_corpus,
+    canonical_order,
+    corpus_fingerprint,
     load_corpus,
     tokenize,
 )
-from lexlearn.errors import EmptyCorpusError, RowError, SchemaError
+from lexlearn.errors import DataError, EmptyCorpusError, RowError, SchemaError
 from lexlearn.evaluation import load_gold_lexicon
 
 from _worlds import random_corpus
@@ -144,8 +146,9 @@ class TestCorpusInvariants:
             corpus = build_corpus(
                 corpus.documents, corpus.constructs, min_df=int(rng.integers(1, 4))
             )
+            docs = corpus.documents
             for i, j in zip(corpus.entry_rows().tolist(), corpus.indices.tolist()):
-                assert corpus.terms[j] in corpus.documents[i].tokens
+                assert corpus.terms[j] in docs[i].tokens
             df = corpus.document_frequency
             assert ((1 <= df) & (df <= len(corpus))).all()
             assert set(corpus.vocab) == {
@@ -159,6 +162,59 @@ class TestCorpusInvariants:
         ]
         with pytest.raises(Exception, match="constructs"):
             build_corpus(docs, ["e"])
+
+
+# constructs named out of alphabetical order; two documents share id "a", so
+# their texts break the tie, and two share id and text, so their ratings do
+RECORD_DOCS = [
+    Document("b", ("hello", "world"), {"zeal": 1.5, "anger": -2.0}),
+    Document("a", ("zz", "top"), {"zeal": 0.1, "anger": 3.0}),
+    Document("a", ("aa", "top"), {"zeal": 2.0, "anger": 0.25}),
+    Document("b", ("hello", "world"), {"zeal": 1.0, "anger": -1.0}),
+]
+
+
+class TestDocumentRecord:
+    """The per-document record (id, text, ratings) that provenance hashes and
+    the fold split sorts by."""
+
+    def test_fingerprint_and_canonical_order_are_pinned(self):
+        # literal values: a drift in either changes every .prov's corpus
+        # fingerprint or every eval intrinsic fold split
+        corpus = build_corpus(RECORD_DOCS, ["zeal", "anger"])
+        assert corpus_fingerprint(corpus) == (
+            "a4c126bd07f9875240a0ee05e7b4a7d79acfd60d5e2b3b265591ccb6bd2d0b75"
+        )
+        # ids first, then texts, then ratings in construct-name order: anger
+        # puts document 0 (-2.0) before document 3 (-1.0), though zeal would not
+        assert canonical_order(corpus) == [2, 1, 0, 3]
+
+    def test_fields_hold_each_document_once(self):
+        corpus = build_corpus(RECORD_DOCS, ["zeal", "anger"])
+        assert corpus.ids == ("b", "a", "a", "b")
+        assert corpus.texts == ("hello world", "zz top", "aa top", "hello world")
+        assert corpus.ratings.dtype == np.float64
+        np.testing.assert_array_equal(
+            corpus.ratings, [[1.5, -2.0], [0.1, 3.0], [2.0, 0.25], [1.0, -1.0]]
+        )
+
+    def test_documents_view_rebuilds_the_input(self):
+        corpus = build_corpus(RECORD_DOCS)
+        assert corpus.documents == tuple(RECORD_DOCS)
+        rows = [3, 0, 2, 2]
+        assert corpus.select(rows).documents == tuple(RECORD_DOCS[i] for i in rows)
+        rebuilt = build_corpus(corpus.documents, corpus.constructs)
+        assert corpus_fingerprint(rebuilt) == corpus_fingerprint(corpus)
+
+    def test_values_is_a_ratings_column(self):
+        corpus = build_corpus(RECORD_DOCS, ["zeal", "anger"])
+        np.testing.assert_array_equal(corpus.values("anger"), [-2.0, 3.0, 0.25, -1.0])
+        np.testing.assert_array_equal(corpus.select([3, 1]).values("zeal"), [1.0, 0.1])
+
+    def test_values_of_unknown_construct_is_data_error(self):
+        corpus = build_corpus(RECORD_DOCS, ["zeal", "anger"])
+        with pytest.raises(DataError, match="unknown construct 'joy'"):
+            corpus.values("joy")
 
 
 class TestGoldLexicon:

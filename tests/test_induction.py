@@ -127,6 +127,14 @@ class TestMeanBinary:
         with pytest.raises(DegenerateLabelsError):
             fit_mean_binary(corpus, "aff")
 
+    def test_identical_labels_rejected_beside_a_varying_construct(self):
+        docs = [Document(f"d{i}", ("w", f"v{i}"), {"aff": -1.5, "other": float(i)})
+                for i in range(5)]
+        corpus = build_corpus(docs, ["other", "aff"])
+        with pytest.raises(DegenerateLabelsError, match="'aff'"):
+            fit_mean_binary(corpus, "aff")
+        assert len(fit_mean_binary(corpus, "other")) == 6
+
 
 def plain_word_means(corpus, labels, min_df):
     """Per-word label means by plain float addition in ascending document
