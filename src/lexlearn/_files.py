@@ -1,12 +1,23 @@
-"""Files that readers see whole or not at all."""
+"""Files that readers see whole or not at all, and the cache of parsed
+input files."""
 
 from __future__ import annotations
 
 import errno
 import os
+import re
 import secrets
+import shutil
+import stat
+import zipfile
 from contextlib import contextmanager, suppress
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Generic, Mapping, TypeVar
+
+import numpy as np
+
+T = TypeVar("T")
 
 
 @contextmanager
@@ -40,3 +51,109 @@ def atomic_write(*paths: str | Path):
         for temp in temps:
             with suppress(OSError):
                 os.unlink(temp)
+
+
+def cache_root() -> Path:
+    """``$XDG_CACHE_HOME/lexlearn``, or ``~/.cache/lexlearn`` when that
+    variable is unset or empty."""
+    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(base) / "lexlearn"
+
+
+_SHA256_HEX = re.compile(r"[0-9a-f]{64}")
+
+
+def _checked(digest: str | None) -> str | None:
+    if digest is not None and not _SHA256_HEX.fullmatch(digest):
+        raise ValueError(f"digest must be a sha256 hex digest, got {digest!r}")
+    return digest
+
+
+@dataclass(frozen=True)
+class ParseCache(Generic[T]):
+    """Parsed files kept by content, one ``<size>-<sha256>.npz`` entry per
+    file under ``cache_root() / folder``.
+
+    ``pack`` gives the arrays an entry stores for a parse, and ``unpack``
+    the parse back from an open entry, or None when its arrays do not hold
+    one.  An entry also stores ``version``, the sha256 and each ``key``
+    string; an entry whose version, digest or keys differ is a miss, as is
+    one that does not open or read back whole.  Entries are read with no
+    pickle."""
+
+    folder: str
+    version: int
+    pack: Callable[[T], dict[str, np.ndarray]]
+    unpack: Callable[[Mapping[str, np.ndarray]], T | None]
+
+    def directory(self) -> Path:
+        return cache_root() / self.folder
+
+    def load(self, path: str | Path, parse: Callable[[], T],
+             digest: Callable[[], str | None] | None, **key: str) -> T:
+        """``parse()``, or the parse of a regular file read from the entry
+        of its content.
+
+        ``digest`` returns the sha256 hex digest of the file's bytes (None
+        for none; a ``digest`` of None uses no cache).  It is called before
+        the parse only when the cache holds an entry of the file's size, and
+        otherwise after it, so a digest taken on another thread runs beside
+        the parse of a file never seen.  An entry is written after a parse
+        that returns; a cache that cannot be written is left alone."""
+        if digest is None:
+            return parse()
+        try:
+            info = os.stat(path)
+            folder = self.directory()
+        except (OSError, RuntimeError):  # RuntimeError: no home directory
+            return parse()
+        if not stat.S_ISREG(info.st_mode):
+            return parse()
+        # named by size as well, so that a file of a size never cached is
+        # parsed at once rather than after its digest
+        if any(folder.glob(f"{info.st_size}-*.npz")):
+            sha = _checked(digest())
+            value = None if sha is None else self.read(
+                folder / f"{info.st_size}-{sha}.npz", sha, **key)
+            if value is not None:
+                return value
+        value = parse()
+        sha = _checked(digest())
+        if sha is not None:
+            self.write(folder / f"{info.st_size}-{sha}.npz", sha, value, **key)
+        return value
+
+    def read(self, entry: Path, digest: str, **key: str) -> T | None:
+        """The parse in ``entry``, or None for a miss."""
+        want = {"sha256": digest, **key}
+        try:
+            with np.load(entry, allow_pickle=False) as data:
+                if int(data["format_version"]) != self.version or any(
+                        bytes(data[name]) != text.encode("utf-8")
+                        for name, text in want.items()):
+                    return None
+                return self.unpack(data)
+        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+            return None
+
+    def write(self, entry: Path, digest: str, value: T, **key: str) -> None:
+        """Write ``entry`` for a parse, unless it would take more than half
+        of the free space; an entry that cannot be written is left out."""
+        payload = {
+            "format_version": np.int64(self.version),
+            **{name: _utf8(text) for name, text in {"sha256": digest, **key}.items()},
+            **self.pack(value),
+        }
+        try:
+            entry.parent.mkdir(parents=True, exist_ok=True)
+            size = sum(a.nbytes for a in payload.values())
+            if shutil.disk_usage(entry.parent).free < 2 * size:
+                return
+            with atomic_write(entry) as (temp,), open(temp, "wb") as handle:
+                np.savez(handle, **payload)
+        except OSError:
+            pass
+
+
+def _utf8(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)

@@ -453,7 +453,8 @@ def _comparison_table(reports, methods, constructs) -> str:
 def cmd_eval_extrinsic(args: argparse.Namespace) -> int:
     _resolve_seed(args)
     inputs = [args.lexicon, args.users, args.traits]
-    # only a score file gets a .prov
+    # only a score file gets a .prov; without one, the users file's digest
+    # for the cache entry of its parse is taken on this thread
     with _InputDigests(inputs if args.out else []) as hashes:
         lex = _stage("load-lexicon", load_lexicon, args.lexicon)
         users = _stage(
@@ -463,6 +464,7 @@ def cmd_eval_extrinsic(args: argparse.Namespace) -> int:
             args.traits,
             args.trait_column,
             delimiter=args.delimiter,
+            digest=lambda: (hashes.digest if args.out else _file_sha256)(args.users),
         )
         r, scores = _stage("eval", eval_extrinsic, lex, args.construct, users)
         print(f"extrinsic construct={args.construct} users={len(scores)} r={r:.4f}")

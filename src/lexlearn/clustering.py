@@ -186,17 +186,17 @@ def cluster(
     rows = vecs / np.where(row_norms > 0, row_norms, 1.0)[:, None]
     assign = kmeans(rows, k, restarts=10, seed=seed)
 
-    ratings = dict(zip(lex.words, lex.values(construct).tolist()))
-    assignment = {w: int(c) for w, c in zip(graph.node_words, assign)}
-    members: list[list[tuple[str, float]]] = [[] for _ in range(k)]
-    for w, c in assignment.items():
-        members[c].append((w, ratings[w]))
-    means = [float(np.mean([r for _, r in m])) if m else float("nan") for m in members]
-    overall = float(np.mean([r for m in members for _, r in m]))
+    ratings = lex.values(construct)[[lex.rows[w] for w in graph.node_words]]
+    order = np.argsort(assign, kind="stable")  # by cluster, then node order
+    groups = np.split(order, np.cumsum(np.bincount(assign, minlength=k))[:-1])
+    members = [[(graph.node_words[i], ratings[i].item()) for i in g] for g in groups]
+    means = [float(np.mean(ratings[g])) if len(g) else float("nan") for g in groups]
+    overall = float(np.mean(ratings[order]))
     clusters = [
         sorted(m, key=lambda wr: wr[1], reverse=mean >= overall)
         for m, mean in zip(members, means)
     ]
+    assignment = dict(zip(graph.node_words, assign.tolist()))
     prov = {
         "construct": construct,
         "k": k,

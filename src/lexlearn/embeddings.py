@@ -9,11 +9,7 @@ and safe to share across threads.
 
 from __future__ import annotations
 
-import os
-import re
-import shutil
-import stat
-import zipfile
+import shutil  # noqa: F401  the cache's free-space check, patchable here
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
@@ -22,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._files import atomic_write
+from ._files import ParseCache
 from .errors import DataError, FormatError
 
 __all__ = ["EmbeddingTable", "load_embeddings", "centroid", "centroids"]
@@ -64,6 +60,10 @@ class EmbeddingTable:
 
 
 _BLOCK_LINES = 1024  # lines whose values one np.loadtxt call parses
+# records of a rejected block that the per-line rule checks at once, rather
+# than halving them further: a call of np.loadtxt costs as much as checking
+# about this many lines
+_CHECK_LINES = 32
 
 
 def load_embeddings(
@@ -82,78 +82,39 @@ def load_embeddings(
     a line whose word ``restrict_to`` does not keep is neither parsed nor
     counted, so the skips and the 1% budget are those of the kept lines.
     The values of each block's kept lines are parsed by one call of numpy's
-    C reader (``np.loadtxt``); a block it rejects is checked again line by
-    line under the same skip rules, so the table and the counts do not
-    depend on the path taken.  A value beyond the float32 range reads as
+    C reader (``np.loadtxt``); a block it rejects is split in halves, each
+    given back to it, down to segments of a few lines, which are checked
+    line by line under the same skip rules, so the table and the counts do
+    not depend on the path taken.  A value beyond the float32 range reads as
     infinite, so its line is skipped, with no overflow warning.
 
     ``digest`` returns the sha256 hex digest of the file's bytes (None for
     none).  Given it, a full load (no ``restrict_to``) of a regular file
     reads the table from the cache entry of that digest instead of parsing
-    the file, and writes the entry after a parse; see :func:`cache_dir`.
-    ``digest`` is called before the parse only when the cache holds an
-    entry of the file's size, and otherwise after it, so a digest taken on
-    another thread runs beside the parse of a file never seen.  The table
-    is the same either way.  A restricted load never uses the cache.
+    the file, and writes the entry after a parse, in
+    ``$XDG_CACHE_HOME/lexlearn/vectors`` (see
+    :meth:`~lexlearn._files.ParseCache.load`).  The table is the same
+    either way.  A restricted load never uses the cache.
     """
-    if restrict_to is not None or digest is None:
+    if restrict_to is not None:
         return _parse(path, restrict_to)
-    try:
-        info = os.stat(path)
-        folder = cache_dir()
-    except (OSError, RuntimeError):  # RuntimeError: no home directory
-        return _parse(path, None)
-    if not stat.S_ISREG(info.st_mode):
-        return _parse(path, None)
-    # named by size as well, so that a file of a size never cached is parsed
-    # at once rather than after its digest
-    if any(folder.glob(f"{info.st_size}-*.npz")):
-        key = _checked(digest())
-        table = None if key is None else _read_entry(
-            folder / f"{info.st_size}-{key}.npz", key)
-        if table is not None:
-            return table
-    table = _parse(path, None)
-    key = _checked(digest())
-    if key is not None:
-        _write_entry(folder / f"{info.st_size}-{key}.npz", key, table)
-    return table
+    # _parse by its module-level name, so that a wrapper set on it sees this
+    # call too
+    return _CACHE.load(path, lambda: _parse(path, None), digest)
 
 
-def cache_dir() -> Path:
-    """Where full loads keep their parsed tables, one ``<size>-<sha256>.npz``
-    entry per file content: ``$XDG_CACHE_HOME/lexlearn/vectors``, or
-    ``~/.cache/lexlearn/vectors`` when that variable is unset or empty."""
-    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
-    return Path(base) / "lexlearn" / "vectors"
+def _pack(table: EmbeddingTable) -> dict[str, np.ndarray]:
+    return {
+        "words": np.frombuffer("\n".join(table.words).encode("utf-8"), dtype=np.uint8),
+        "vectors": table.vectors,
+        "skipped_lines": np.int64(table.skipped_lines),
+    }
 
 
-def _checked(digest: str | None) -> str | None:
-    if digest is not None and not _SHA256_HEX.fullmatch(digest):
-        raise ValueError(f"digest must be a sha256 hex digest, got {digest!r}")
-    return digest
-
-
-_SHA256_HEX = re.compile(r"[0-9a-f]{64}")
-# the layout of a cache entry, and of the parse it holds: a change to either
-# takes a new version, and an entry of another version is a miss
-_ENTRY_VERSION = 1
-
-
-def _read_entry(entry: Path, digest: str) -> EmbeddingTable | None:
-    """The table in the cache entry, or None for a miss: no entry, or one
-    that does not open or read back whole, or whose version, digest or
-    shapes do not match."""
-    try:
-        with np.load(entry, allow_pickle=False) as data:
-            if (int(data["format_version"]) != _ENTRY_VERSION
-                    or bytes(data["sha256"]) != digest.encode("ascii")):
-                return None
-            words = bytes(data["words"]).decode("utf-8").split("\n")
-            vectors = data["vectors"]
-            skipped = int(data["skipped_lines"])
-    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
-        return None
+def _unpack(data) -> EmbeddingTable | None:
+    words = bytes(data["words"]).decode("utf-8").split("\n")
+    vectors = data["vectors"]
+    skipped = int(data["skipped_lines"])
     if (vectors.dtype != np.float32 or vectors.ndim != 2
             or vectors.shape[0] != len(words) or vectors.shape[1] < 1
             or skipped < 0):
@@ -161,26 +122,12 @@ def _read_entry(entry: Path, digest: str) -> EmbeddingTable | None:
     return EmbeddingTable(tuple(words), vectors, skipped)
 
 
-def _write_entry(entry: Path, digest: str, table: EmbeddingTable) -> None:
-    """Write the cache entry of a parsed table, unless it would take more
-    than half of the free space; a cache that cannot be written is left
-    alone, and the load goes on without it."""
-    words = np.frombuffer("\n".join(table.words).encode("utf-8"), dtype=np.uint8)
-    payload = {
-        "format_version": np.int64(_ENTRY_VERSION),
-        "sha256": np.frombuffer(digest.encode("ascii"), dtype=np.uint8),
-        "words": words,
-        "vectors": table.vectors,
-        "skipped_lines": np.int64(table.skipped_lines),
-    }
-    try:
-        entry.parent.mkdir(parents=True, exist_ok=True)
-        if shutil.disk_usage(entry.parent).free < 2 * (table.vectors.nbytes + words.nbytes):
-            return
-        with atomic_write(entry) as (temp,), open(temp, "wb") as handle:
-            np.savez(handle, **payload)
-    except OSError:
-        pass
+# a word holds no whitespace, so the words are one newline-joined blob; the
+# version covers the layout of an entry and the parse it holds: a change to
+# either takes a new one
+_CACHE = ParseCache("vectors", 1, _pack, _unpack)
+cache_dir = _CACHE.directory
+_read_entry = _CACHE.read
 
 
 def _parse(path: str | Path, restrict_to: Iterable[str] | None) -> EmbeddingTable:
@@ -270,18 +217,34 @@ def _parse_block(lines: list[str], dim: int,
     heads = [h for h in (line.split(None, 1) for line in lines)
              if h and (keep is None or h[0] in keep)]
     records = [h for h in heads if len(h) == 2]  # a lone word is skipped
+    words, values = _parse_records(records, dim)
+    return words, values, len(heads)
+
+
+def _parse_records(records: list[list[str]], dim: int) -> tuple[list[str], np.ndarray]:
+    """The words and values of the valid ``[word, values]`` records: one
+    ``np.loadtxt`` call for all; when it rejects them, the same for each
+    half, down to segments of at most ``_CHECK_LINES`` records, which the
+    per-line rule checks."""
+    if not records:
+        return [], np.empty((0, dim), np.float32)
     try:
         values = np.loadtxt([h[1] for h in records], dtype=np.float32,
-                            comments=None, ndmin=2) if records else None
+                            comments=None, ndmin=2)
     except ValueError:  # a token it does not parse, or rows of unequal length
         values = None
-    if values is None or values.shape != (len(records), dim):
-        valid = [(w, v) for w, v in _check_lines(map(" ".join, heads), dim)
+    if values is not None and values.shape == (len(records), dim):
+        ok = np.isfinite(values).all(axis=1)
+        return list(compress((h[0] for h in records), ok)), values[ok]
+    if len(records) <= _CHECK_LINES:
+        valid = [(w, v) for w, v in _check_lines(map(" ".join, records), dim)
                  if v is not None]
         vectors = np.array([v for _, v in valid], dtype=np.float32)
-        return [w for w, _ in valid], vectors.reshape(len(valid), dim), len(heads)
-    ok = np.isfinite(values).all(axis=1)
-    return list(compress((h[0] for h in records), ok)), values[ok], len(heads)
+        return [w for w, _ in valid], vectors.reshape(len(valid), dim)
+    half = len(records) // 2
+    head_words, head_values = _parse_records(records[:half], dim)
+    tail_words, tail_values = _parse_records(records[half:], dim)
+    return head_words + tail_words, np.concatenate([head_values, tail_values])
 
 
 def centroid(doc, table: EmbeddingTable) -> np.ndarray:

@@ -17,13 +17,17 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import compress, count, repeat
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
+
+from ._files import ParseCache
 
 # build_corpus stays importable from here for code that wraps it by module
 # attribute; folds themselves are row selections of one Corpus
 from .corpus import (  # noqa: F401
     Corpus,
+    _infer_delimiter,
     _parse_number,
     _read_table,
     _TokenForms,
@@ -278,12 +282,27 @@ class _TermIds(dict):
         return term
 
 
+@dataclass(frozen=True, eq=False)
+class _Usage:
+    """A users file as parsed, before the traits join: the users that have
+    a word, in first-seen order, every term form seen, and entry ``k``:
+    user ``user[k]`` used ``terms[term[k]]`` ``count[k]`` times, in the
+    order of each entry's first token (int32 ids, float64 counts)."""
+
+    ids: tuple[str, ...]
+    terms: tuple[str, ...]
+    user: np.ndarray
+    term: np.ndarray
+    count: np.ndarray
+
+
 def load_user_corpora(
     usage_path: str | Path,
     traits_path: str | Path,
     trait_column: str,
     *,
     delimiter: str | None = None,
+    digest: Callable[[], str | None] | None = None,
 ) -> Users:
     """Load per-user word counts plus trait scores from two delimited files.
 
@@ -296,7 +315,47 @@ def load_user_corpora(
     exactly); a short row, a bad cell or bytes that are not UTF-8 raise
     ``RowError`` naming the file and line.  Users whose rows hold no word
     are left out; users missing a trait row are dropped with a warning.
+
+    ``digest`` returns the sha256 hex digest of the usage file's bytes
+    (None for none).  Given it, the parsed usage table of a regular file is
+    read from the cache entry of that digest and delimiter, in
+    ``$XDG_CACHE_HOME/lexlearn/users``, instead of parsing the file, and the
+    entry is written after a parse (see
+    :meth:`~lexlearn._files.ParseCache.load`).  The traits file is read on
+    every call, and the result is the same either way.
     """
+    sep = _infer_delimiter(usage_path, delimiter)
+    usage = _USAGE_CACHE.load(usage_path, lambda: _parse_usage(usage_path, sep),
+                              digest, delimiter=sep)
+    traits = {
+        uid: _parse_number(cell, trait_column, traits_path, line)
+        for line, (uid, cell) in _read_table(
+            traits_path, delimiter, ("user_id", trait_column)
+        )
+    }
+    ids, user, term, counts = usage.ids, usage.user, usage.term, usage.count
+    missing = [uid for uid in ids if uid not in traits]
+    if missing:
+        warnings.warn(
+            f"{len(missing)} user(s) have no trait score and were dropped: "
+            f"{missing[:10]}",
+            stacklevel=2,
+        )
+        keep = np.fromiter(map(traits.__contains__, ids), bool, len(ids))
+        ids = tuple(compress(ids, keep.tolist()))
+        # entries keep their order, so each user's still follow first use
+        kept = keep[user]
+        user = (np.cumsum(keep, dtype=np.int32) - 1)[user[kept]]
+        term, counts = term[kept], counts[kept]
+    if not ids:
+        raise DataError("no user has both word counts and a trait score")
+    return Users(ids, np.fromiter(map(traits.__getitem__, ids), np.float64, len(ids)),
+                 usage.terms, user, term, counts)
+
+
+def _parse_usage(usage_path: str | Path, delimiter: str) -> _Usage:
+    """The usage table of a users file, by the rules that
+    :func:`load_user_corpora` gives."""
     owners = defaultdict(count().__next__)  # user id -> index, first seen first
     term_ids = _TermIds()
     # one term id per token (or per count row), the user and size of each row
@@ -325,43 +384,22 @@ def load_user_corpora(
     if not owners:
         raise DataError(f"{usage_path}: no user rows found")
 
-    traits = {
-        uid: _parse_number(cell, trait_column, traits_path, line)
-        for line, (uid, cell) in _read_table(
-            traits_path, delimiter, ("user_id", trait_column)
-        )
-    }
-    uids = list(owners)
+    terms = tuple(term_ids.terms)
     row_user, row_size = np.frombuffer(owner, np.intc), np.frombuffer(sizes, np.int64)
-    used = np.bincount(row_user, row_size, minlength=len(uids)) > 0
-    missing = [uid for uid in compress(uids, used.tolist()) if uid not in traits]
-    if missing:
-        warnings.warn(
-            f"{len(missing)} user(s) have no trait score and were dropped: "
-            f"{missing[:10]}",
-            stacklevel=2,
-        )
-    keep = used & np.fromiter(map(traits.__contains__, uids), bool, len(uids))
-    if not keep.any():
-        raise DataError("no user has both word counts and a trait score")
-    ids = tuple(compress(uids, keep.tolist()))
-    # key the kept users' tokens by (user, term), in int32 while every key
-    # fits; a stable sort groups them by key with each group in file order.
-    # Each temporary is deleted once the next is built.
-    width = len(term_ids.terms)
+    used = np.bincount(row_user, row_size, minlength=len(owners)) > 0
+    ids = tuple(compress(owners, used.tolist()))
+    if not tokens:
+        empty = np.empty(0, np.int32)
+        return _Usage(ids, terms, empty, empty, np.empty(0))
+    # key the tokens by (user, term), in int32 while every key fits; a
+    # stable sort groups them by key with each group in file order.  Each
+    # temporary is deleted once the next is built.
+    width = len(terms)
     key_type = np.int32 if len(ids) * width < _INT32_KEYS else np.int64
     token = np.frombuffer(tokens, np.intc)
     weight = np.frombuffer(counts, np.float64) if counts else None
-    if missing:  # leave out the tokens of the users dropped above
-        kept_rows = keep[row_user]
-        kept = np.repeat(kept_rows, row_size)
-        token = token[kept]
-        if counts:
-            weight = weight[kept]
-        del kept
-        row_size = row_size * kept_rows
     del tokens, counts
-    index = np.cumsum(keep, dtype=key_type) - 1  # user -> kept user
+    index = np.cumsum(used, dtype=key_type) - 1  # user -> user with a word
     keys = np.repeat(index[row_user], row_size)
     keys *= width
     keys += token
@@ -388,6 +426,50 @@ def load_user_corpora(
     del start
     user, term = np.divmod(keys, width)
     del keys
-    return Users(ids, np.fromiter(map(traits.__getitem__, ids), np.float64, len(ids)),
-                 tuple(term_ids.terms), user.astype(np.int32, copy=False),
-                 term.astype(np.int32, copy=False), sums[order])
+    return _Usage(ids, terms, user.astype(np.int32, copy=False),
+                  term.astype(np.int32, copy=False), sums[order])
+
+
+def _pack_strings(name: str, strings: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """``strings`` as one UTF-8 blob and the end offset of each."""
+    encoded = [s.encode("utf-8") for s in strings]
+    return {name: np.frombuffer(b"".join(encoded), np.uint8),
+            f"{name}_ends": np.cumsum(list(map(len, encoded)), dtype=np.int64)}
+
+
+def _unpack_strings(data, name: str) -> tuple[str, ...] | None:
+    blob, ends = data[name], data[f"{name}_ends"]
+    if (blob.dtype != np.uint8 or blob.ndim != 1
+            or ends.dtype != np.int64 or ends.ndim != 1):
+        return None
+    bounds = np.concatenate([[0], ends])
+    if bounds[-1] != len(blob) or (np.diff(bounds) < 0).any():
+        return None
+    raw, bounds = blob.tobytes(), bounds.tolist()
+    return tuple(raw[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:]))
+
+
+def _pack_usage(usage: _Usage) -> dict[str, np.ndarray]:
+    return {**_pack_strings("ids", usage.ids), **_pack_strings("terms", usage.terms),
+            "user": usage.user, "term": usage.term, "count": usage.count}
+
+
+def _unpack_usage(data) -> _Usage | None:
+    ids, terms = _unpack_strings(data, "ids"), _unpack_strings(data, "terms")
+    user, term, counts = data["user"], data["term"], data["count"]
+    if (ids is None or terms is None or user.dtype != np.int32
+            or term.dtype != np.int32 or counts.dtype != np.float64
+            or user.ndim != 1 or user.shape != term.shape
+            or user.shape != counts.shape):
+        return None
+    if len(user) and not (0 <= user.min() and user.max() < len(ids)
+                          and 0 <= term.min() and term.max() < len(terms)):
+        return None
+    return _Usage(ids, terms, user, term, counts)
+
+
+# an id or a count-layout word may hold any character, so strings are stored
+# as a blob and end offsets; the version covers the layout of an entry and
+# the parse it holds (tokenize and _TokenForms included): a change to either
+# takes a new one
+_USAGE_CACHE = ParseCache("users", 1, _pack_usage, _unpack_usage)

@@ -189,7 +189,7 @@ def _mse(pred: np.ndarray, target: np.ndarray) -> float:
 def _weight_penalty(net: FeedForwardNet, l2: float) -> float:
     if l2 == 0:
         return 0.0
-    return l2 * float(sum(np.sum(w * w) for w in net.weights))
+    return l2 * float(sum(np.vdot(w, w) for w in net.weights))
 
 
 class _Adam:

@@ -5,11 +5,17 @@ labels from it, so the planted ratings serve as the oracle for whatever a
 learning method recovers.
 """
 
+import warnings
+from collections import defaultdict
+from itertools import compress, count
+
 import numpy as np
 
 from lexlearn.clustering import EDGE_DTYPE
-from lexlearn.corpus import Document, build_corpus
+from lexlearn.corpus import Document, _parse_number, _read_table, build_corpus
 from lexlearn.embeddings import EmbeddingTable
+from lexlearn.errors import DataError, RowError
+from lexlearn.evaluation import Users, _TermIds
 from lexlearn.induction import Lexicon
 from lexlearn.neural import _backward, _forward_batch, _mse, _weight_penalty
 
@@ -211,3 +217,74 @@ def gradient_check(net, x, y, n_coords=1000, h=1e-5, rng=None, l2=0.0):
         scale = max(abs(exact), abs(numeric), 1e-8)
         worst = max(worst, abs(exact - numeric) / scale)
     return worst
+
+
+def filter_then_group_users(usage_path, traits_path, trait_column, *, delimiter=None):
+    """The users loader that reads the traits before it groups: it drops the
+    tokens of users with no trait, then keys the kept tokens by (kept user,
+    term) and groups them with one stable sort.  ``load_user_corpora``
+    groups every user's tokens first and drops users afterwards; the two
+    must give the same ``Users`` arrays."""
+    owners = defaultdict(count().__next__)  # user id -> index, first seen first
+    term_ids = _TermIds()
+    tokens, owner, sizes, counts, totals = [], [], [], [], {}
+    for line, cells in _read_table(
+        usage_path, delimiter, ("user_id", "text"), ("user_id", "word", "count")
+    ):
+        u = owners[cells[0]]
+        owner.append(u)
+        if len(cells) == 2:
+            row = list(map(term_ids.__getitem__, cells[1].lower().split()))
+            tokens += row
+            sizes.append(len(row))
+            continue
+        value = int(_parse_number(cells[2], "count", usage_path, line))
+        if value <= 0:
+            raise RowError(f"{usage_path}: line {line}: count must be positive")
+        totals[u] = total = totals.get(u, 0) + value
+        if total > 2**53:
+            raise RowError(f"{usage_path}: line {line}: the counts of user "
+                           f"{cells[0]!r} sum past 2**53")
+        tokens.append(term_ids[cells[1].lower()])
+        sizes.append(1)
+        counts.append(value)
+    if not owners:
+        raise DataError(f"{usage_path}: no user rows found")
+    traits = {
+        uid: _parse_number(cell, trait_column, traits_path, line)
+        for line, (uid, cell) in _read_table(
+            traits_path, delimiter, ("user_id", trait_column)
+        )
+    }
+    uids = list(owners)
+    row_user, row_size = np.array(owner, np.intp), np.array(sizes, np.int64)
+    used = np.bincount(row_user, row_size, minlength=len(uids)) > 0
+    missing = [uid for uid in compress(uids, used.tolist()) if uid not in traits]
+    if missing:
+        warnings.warn(
+            f"{len(missing)} user(s) have no trait score and were dropped: "
+            f"{missing[:10]}",
+            stacklevel=2,
+        )
+    keep = used & np.array([uid in traits for uid in uids], bool)
+    if not keep.any():
+        raise DataError("no user has both word counts and a trait score")
+    ids = tuple(compress(uids, keep.tolist()))
+    kept = np.repeat(keep[row_user], row_size)
+    token = np.array(tokens, np.int64)[kept]
+    weight = np.array(counts, np.float64)[kept] if counts else None
+    width = len(term_ids.terms)
+    index = np.cumsum(keep) - 1  # user -> kept user
+    keys = np.repeat(index[row_user], row_size)[kept] * width + token
+    perm = np.argsort(keys, kind="stable")
+    keys = keys[perm]
+    start = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    if weight is not None:
+        sums = np.add.reduceat(weight[perm], start)
+    else:
+        sums = np.diff(np.r_[start, len(keys)]).astype(np.float64)
+    order = np.argsort(perm[start])  # entries by their first token
+    user, term = np.divmod(keys[start[order]], width)
+    return Users(ids, np.array([traits[uid] for uid in ids], np.float64),
+                 tuple(term_ids.terms), user.astype(np.int32),
+                 term.astype(np.int32), sums[order])

@@ -237,6 +237,29 @@ class TestLoaderMatchesPerLineRule:
         assert len(load_embeddings(path)) > 0
         assert calls == [None]
 
+    def test_a_rejected_block_checks_only_the_segment_it_rejects(self, tmp_path,
+                                                                 monkeypatch):
+        # np.loadtxt refuses 1_0, which Python's float reads as 10: the
+        # block is halved down to a segment of _CHECK_LINES lines holding
+        # that line, and only that segment is checked line by line
+        checked = []
+        check = embeddings._check_lines
+        monkeypatch.setattr(embeddings, "_check_lines", lambda lines, dim: check(
+            map(lambda line: checked.append(line) or line, lines), dim))
+        lines = [f"w{i} {i} 0.5" for i in range(3 * embeddings._BLOCK_LINES)]
+        lines[1500] = "w1500 1_0 0.5"
+        path = tmp_path / "v.vec"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        table = load_embeddings(path)
+        segment = [f"{line}\n" for line in lines]
+        start = segment.index(checked[1])
+        assert checked[0] == "w0 0 0.5\n"  # the line that fixes dim
+        assert checked[1:] == segment[start:start + embeddings._CHECK_LINES]
+        assert "w1500 1_0 0.5\n" in checked
+        assert len(table) == len(lines) and table.skipped_lines == 0
+        assert np.array_equal(table.matrix(["w1500"])[0], [10, 0.5])
+        self.assert_same(path, None)
+
     @pytest.mark.parametrize("text", [
         "\n\n",
         "3 2\n",
