@@ -1,5 +1,5 @@
-"""Files that readers see whole or not at all, and the cache of parsed
-input files."""
+"""Files that readers see whole or not at all, the cache of parsed input
+files, and the memo of input files' digests."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import re
 import secrets
 import shutil
 import stat
+import time
 import zipfile
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -157,3 +158,78 @@ class ParseCache(Generic[T]):
 
 def _utf8(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+
+
+# how long before its hash starts a file's modification and change times
+# must lie for its digest to be kept: a file system with coarse timestamps
+# gives a file written again within one tick the same ones (git's "racy"
+# files), and no tick is coarser than 2 s
+DIGEST_SETTLE_NS = 2_000_000_000
+
+
+class DigestMemo:
+    """The sha256 of one input file, kept under ``cache_root() / "digests"``
+    for the next command that reads the file unchanged.
+
+    An entry is named by the regular file's ``st_dev``, ``st_ino``,
+    ``st_size``, ``st_mtime_ns`` and ``st_ctime_ns`` (of a symbolic link's
+    target) and holds the 64 hex digits of its sha256.  Creating a memo
+    stats ``path`` (it never opens it) and reads its entry: ``digest`` is
+    the digest kept for the file as it is, or None.  An entry that does not
+    read back as a digest is a miss.  The memo is off where ``st_ctime`` is
+    not the change time (off POSIX): there every file is a miss."""
+
+    def __init__(self, path: str | Path):
+        self.path = str(path)
+        self._started = time.time_ns()
+        try:
+            info = os.stat(path)
+        except OSError:
+            info = None
+        self.regular = info is not None and stat.S_ISREG(info.st_mode)
+        self._seen = info if self.regular and os.name == "posix" else None
+        self._entry = None
+        if self._seen is not None:
+            with suppress(RuntimeError):  # no home directory
+                self._entry = cache_root() / "digests" / _stat_name(info)
+        self.digest = self._read()
+
+    def _read(self) -> str | None:
+        if self._entry is None:
+            return None
+        try:
+            text = self._entry.read_text(encoding="ascii")
+        except (OSError, ValueError):
+            return None
+        return text if _SHA256_HEX.fullmatch(text) else None
+
+    def sha256(self, hash_file: Callable[[str], str]) -> str:
+        """``digest``, or else ``hash_file(path)``, kept in an entry when the
+        file stayed as the memo saw it while it was hashed and its times lie
+        ``DIGEST_SETTLE_NS`` before the memo was made.  Writing an entry
+        removes the others of the file's device and inode; a cache that
+        cannot be written is left alone."""
+        if self.digest is not None:
+            return self.digest
+        digest = hash_file(self.path)
+        if self._entry is None or self._started - max(
+                self._seen.st_mtime_ns, self._seen.st_ctime_ns) < DIGEST_SETTLE_NS:
+            return digest
+        try:
+            if _stat_name(os.stat(self.path)) != self._entry.name:
+                return digest
+            folder = self._entry.parent
+            folder.mkdir(parents=True, exist_ok=True)
+            with atomic_write(self._entry) as (temp,):
+                Path(temp).write_text(digest, encoding="ascii")
+            for old in folder.glob(f"{self._seen.st_dev}-{self._seen.st_ino}-*"):
+                if old != self._entry:
+                    old.unlink(missing_ok=True)
+        except OSError:
+            pass
+        return digest
+
+
+def _stat_name(info: os.stat_result) -> str:
+    return (f"{info.st_dev}-{info.st_ino}-{info.st_size}-"
+            f"{info.st_mtime_ns}-{info.st_ctime_ns}")

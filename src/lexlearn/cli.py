@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._files import atomic_write
+from ._files import DigestMemo, atomic_write
 from .clustering import cluster, format_preview, save_clusters
 from .corpus import Corpus, corpus_fingerprint, load_corpus
 from .embeddings import load_embeddings
@@ -104,34 +104,40 @@ def _file_sha256(path: str | Path) -> str:
 class _InputDigests:
     """The sha256 of each input file of a command that writes a ``.prov``.
 
-    Entering the block starts one thread that hashes the regular files among
-    ``paths`` in order, alongside the command's own reading and work; a file
-    it cannot read is left out.  ``join()`` waits for it and must come before
-    the command writes its first output byte, so each digest is of the file
-    as the command started with it (also when ``--out`` names an input).
-    ``digests()`` then hashes, on the calling thread, what the thread did
-    not: a non-regular file, which a second reader would take part of a
-    pipe's data from, or a file it could not read.  Leaving the block early
-    cancels the thread between reads.
+    Entering the block looks up each regular file among ``paths`` in the
+    :class:`~lexlearn._files.DigestMemo` and starts one thread that hashes
+    the misses in order, alongside the command's own reading and work; a
+    file it cannot read is left out.  ``join()`` waits for it and must come
+    before the command writes its first output byte, so each digest is of
+    the file as the command started with it (also when ``--out`` names an
+    input).  ``digests()`` then hashes, on the calling thread, what the
+    thread did not: a non-regular file, which a second reader would take
+    part of a pipe's data from, or a file it could not read.  Leaving the
+    block early cancels the thread between reads.
     """
 
     def __init__(self, paths: list[str | Path]):
         self.paths = [str(p) for p in paths]
         self._digests: dict[str, str] = {}
-        # is_file() stats the path; it never opens it
-        regular = [p for p in dict.fromkeys(self.paths) if Path(p).is_file()]
+        misses = []
+        # a memo stats the path; it never opens it
+        for memo in map(DigestMemo, dict.fromkeys(self.paths)):
+            if memo.digest is not None:
+                self._digests[memo.path] = memo.digest
+            elif memo.regular:
+                misses.append(memo)
         self._thread = None
-        if regular:
-            self._thread = threading.Thread(target=self._hash, args=(regular,),
+        if misses:
+            self._thread = threading.Thread(target=self._hash, args=(misses,),
                                             name="lexlearn-input-sha256", daemon=True)
             self._thread.cancelled = threading.Event()
 
-    def _hash(self, paths: list[str]) -> None:
-        for path in paths:
+    def _hash(self, misses: list[DigestMemo]) -> None:
+        for memo in misses:
             try:
                 # by its module-level name, so that a wrapper set on
                 # lexlearn.cli._file_sha256 sees this call too
-                self._digests[path] = _file_sha256(path)
+                self._digests[memo.path] = memo.sha256(_file_sha256)
             except OSError:
                 continue
             except _HashCancelled:
@@ -152,14 +158,20 @@ class _InputDigests:
             self._thread.join()
 
     def digest(self, path: str | Path) -> str | None:
-        """The thread's digest of ``path``, once it has ended; None for a
-        file it did not hash (not regular, or not readable)."""
+        """The digest of ``path`` from the memo or, once it has ended, the
+        thread; None for a file neither has (not regular, or not
+        readable)."""
         self.join()
         return self._digests.get(str(path))
 
     def digests(self) -> dict[str, str]:
         self.join()
         return {p: self._digests.get(p) or _file_sha256(p) for p in self.paths}
+
+
+def _input_sha256(path: str) -> str:
+    """The sha256 of one input file, from the memo or hashed on this thread."""
+    return DigestMemo(path).sha256(_file_sha256)
 
 
 def _vector_metrics(table) -> dict:
@@ -464,7 +476,7 @@ def cmd_eval_extrinsic(args: argparse.Namespace) -> int:
             args.traits,
             args.trait_column,
             delimiter=args.delimiter,
-            digest=lambda: (hashes.digest if args.out else _file_sha256)(args.users),
+            digest=lambda: (hashes.digest if args.out else _input_sha256)(args.users),
         )
         r, scores = _stage("eval", eval_extrinsic, lex, args.construct, users)
         print(f"extrinsic construct={args.construct} users={len(scores)} r={r:.4f}")

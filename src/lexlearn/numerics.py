@@ -399,6 +399,7 @@ def _lloyd(X: np.ndarray, centers: np.ndarray,
     n = X.shape[0]
     columns = np.arange(dim)
     history = []
+    last = None
     for _ in range(max_iter):
         d2 = _sq_distances(terms, centers)
         assign = np.argmin(d2, axis=1)
@@ -406,6 +407,12 @@ def _lloyd(X: np.ndarray, centers: np.ndarray,
         history.append(float(nearest.sum()))
         counts = np.bincount(assign, minlength=k)
         filled = counts > 0
+        if last is not None and filled.all() and np.array_equal(assign, last):
+            # the centres of a repeated assignment are the same bits, so the
+            # next shift is 0 and the final WCSS is this one
+            history.append(history[-1])
+            return assign, centers, history
+        last = assign
         sums = np.bincount((assign[:, None] * dim + columns).ravel(),
                            weights=X.ravel(), minlength=k * dim).reshape(k, dim)
         new_centers = np.empty_like(centers)
