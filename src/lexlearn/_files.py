@@ -90,8 +90,8 @@ class ParseCache(Generic[T]):
     def directory(self) -> Path:
         return cache_root() / self.folder
 
-    def load(self, path: str | Path, parse: Callable[[], T],
-             digest: Callable[[], str | None] | None, **key: str) -> T:
+    def load(self, path: str | Path, parse: Callable[[], T | None],
+             digest: Callable[[], str | None] | None, **key: str) -> T | None:
         """``parse()``, or the parse of a regular file read from the entry
         of its content.
 
@@ -100,7 +100,8 @@ class ParseCache(Generic[T]):
         the parse only when the cache holds an entry of the file's size, and
         otherwise after it, so a digest taken on another thread runs beside
         the parse of a file never seen.  An entry is written after a parse
-        that returns; a cache that cannot be written is left alone."""
+        that returns other than None; a cache that cannot be written is left
+        alone."""
         if digest is None:
             return parse()
         try:
@@ -119,8 +120,7 @@ class ParseCache(Generic[T]):
             if value is not None:
                 return value
         value = parse()
-        sha = _checked(digest())
-        if sha is not None:
+        if value is not None and (sha := _checked(digest())) is not None:
             self.write(folder / f"{info.st_size}-{sha}.npz", sha, value, **key)
         return value
 
@@ -128,13 +128,17 @@ class ParseCache(Generic[T]):
         """The parse in ``entry``, or None for a miss."""
         want = {"sha256": digest, **key}
         try:
-            with np.load(entry, allow_pickle=False) as data:
+            # opened here, so that an entry np.load refuses is closed too
+            with open(entry, "rb") as handle, \
+                    np.load(handle, allow_pickle=False) as data:
                 if int(data["format_version"]) != self.version or any(
                         bytes(data[name]) != text.encode("utf-8")
                         for name, text in want.items()):
                     return None
                 return self.unpack(data)
-        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        # TypeError: an array of another shape where a number is stored
+        except (OSError, ValueError, KeyError, EOFError, TypeError,
+                zipfile.BadZipFile):
             return None
 
     def write(self, entry: Path, digest: str, value: T, **key: str) -> None:

@@ -357,7 +357,7 @@ def cmd_induce(args: argparse.Namespace) -> int:
         if kind == "mlffn":
             # centroids read every token: load the vectors of the corpus terms
             keep = None if args.rate_all_embedded else set(corpus.terms)
-            # a full load may read the cache entry of the file's digest
+            # the load may read the cache entry of the file's digest
             table = _stage("load-embeddings", load_embeddings, args.embeddings,
                            restrict_to=keep,
                            digest=lambda: hashes.digest(args.embeddings))
@@ -412,8 +412,11 @@ def cmd_eval_intrinsic(args: argparse.Namespace) -> int:
         table = None
         notes = {}
         if "mlffn" in methods:
+            # with no .prov the file has no digest, so no cache entry
             table = _stage("load-embeddings", load_embeddings, args.embeddings,
-                           restrict_to=set(corpus.terms))
+                           restrict_to=set(corpus.terms),
+                           digest=(lambda: hashes.digest(args.embeddings))
+                           if args.out else None)
             notes["metrics"] = _vector_metrics(table)
         reports = []
         for flag in methods:
@@ -499,9 +502,11 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     with _InputDigests([args.lexicon, args.embeddings]) as hashes:
         lex = _stage("load-lexicon", load_lexicon, args.lexicon)
-        # clustering reads only the lexicon words' rows
+        # clustering reads only the lexicon words' rows, found through the
+        # line index in the cache entry of the file's digest
         table = _stage("load-embeddings", load_embeddings, args.embeddings,
-                       restrict_to=lex.words)
+                       restrict_to=lex.words,
+                       digest=lambda: hashes.digest(args.embeddings))
         usable = np.count_nonzero(np.linalg.norm(table.matrix(lex.words), axis=1))
         if args.k > usable:
             raise _UsageFailure(

@@ -215,7 +215,9 @@ def cluster(
         "negative_edges": int(np.count_nonzero(graph.edges["w"] < 0)),
         "eigensolver": eigen["solver"],
         "eigen_iterations": eigen["iterations"],
-        "eigen_worst_residual": eigen["worst_residual"],
+        # to 2 significant digits: the trailing ones vary with the BLAS
+        # thread count
+        "eigen_worst_residual": float(f"{eigen['worst_residual']:.2g}"),
     }
     return ClusterResult(
         k, construct, assignment, clusters, means, graph.dropped_words, prov, metrics

@@ -195,7 +195,8 @@ def _first_non_utf8_line(path: str | Path) -> int:
 def _read_table(
     path: str | Path, delimiter: str | None, *layouts: Sequence[str]
 ) -> Iterator[tuple[int, list[str]]]:
-    """Stream the rows of a delimited UTF-8 table that has a header row.
+    """Stream the rows of a delimited UTF-8 table that has a header row; a
+    byte order mark before the header is dropped.
 
     ``layouts`` are sequences of column names; the first one whose columns
     all appear in the header is read.  Yields ``(line, cells)`` per data
@@ -210,7 +211,7 @@ def _read_table(
             message names the file and the line.
     """
     sep = _infer_delimiter(path, delimiter)
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle, delimiter=sep)
         try:
             header = next(reader, None)

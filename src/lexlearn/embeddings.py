@@ -9,12 +9,15 @@ and safe to share across threads.
 
 from __future__ import annotations
 
+import codecs
+import os
 import shutil  # noqa: F401  the cache's free-space check, patchable here
+import stat
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,7 +73,8 @@ def load_embeddings(
     path: str | Path, restrict_to: Iterable[str] | None = None, *,
     digest: Callable[[], str | None] | None = None,
 ) -> EmbeddingTable:
-    """Load a text word-vector file.
+    """Load a text word-vector file (UTF-8, with or without a byte order
+    mark).
 
     Lines with the wrong number of fields or unparsable or non-finite values
     are skipped and counted; more than 1% skipped lines is treated as a
@@ -89,18 +93,42 @@ def load_embeddings(
     infinite, so its line is skipped, with no overflow warning.
 
     ``digest`` returns the sha256 hex digest of the file's bytes (None for
-    none).  Given it, a full load (no ``restrict_to``) of a regular file
-    reads the table from the cache entry of that digest instead of parsing
-    the file, and writes the entry after a parse, in
-    ``$XDG_CACHE_HOME/lexlearn/vectors`` (see
-    :meth:`~lexlearn._files.ParseCache.load`).  The table is the same
-    either way.  A restricted load never uses the cache.
+    none).  Given it, a load of a regular file uses the cache entry of that
+    digest under ``$XDG_CACHE_HOME/lexlearn`` (see
+    :meth:`~lexlearn._files.ParseCache.load`), and writes one after a parse.
+    A full load (no ``restrict_to``) reads its table from ``vectors/``.  A
+    restricted load reads the file's line index from ``vector-lines/``: the
+    byte span and word of every line after the first valid record, whatever
+    the kept words.  It then checks the lines up to that record again and
+    reads and parses only the kept words' lines.  A scan writes no index
+    for a file it cannot count exactly in bytes: one with a carriage return
+    or with bytes that are not UTF-8.  The table, its counts and any
+    ``FormatError`` are the same either way.
     """
-    if restrict_to is not None:
-        return _parse(path, restrict_to)
-    # _parse by its module-level name, so that a wrapper set on it sees this
-    # call too
-    return _CACHE.load(path, lambda: _parse(path, None), digest)
+    if restrict_to is None:
+        # _parse by its module-level name, so that a wrapper set on it sees
+        # this call too
+        return _CACHE.load(path, lambda: _parse(path, None), digest)
+    keep = set(restrict_to)
+    if digest is None:
+        return _parse(path, keep)
+    scanned = []  # a scan's table or FormatError
+
+    def scan() -> _LineIndex | None:
+        spans = _Spans()
+        try:
+            scanned.append(_parse(path, keep, spans))
+        except FormatError as exc:
+            scanned.append(exc)
+        return spans.index()
+
+    index = _LINES.load(path, scan, digest)
+    result = scanned[0] if scanned else _served(path, keep, index)
+    if result is None:  # the file is not the one indexed
+        return _parse(path, keep)
+    if isinstance(result, FormatError):
+        raise result
+    return result
 
 
 def _pack(table: EmbeddingTable) -> dict[str, np.ndarray]:
@@ -125,26 +153,220 @@ def _unpack(data) -> EmbeddingTable | None:
 # a word holds no whitespace, so the words are one newline-joined blob; the
 # version covers the layout of an entry and the parse it holds: a change to
 # either takes a new one
-_CACHE = ParseCache("vectors", 1, _pack, _unpack)
+_CACHE = ParseCache("vectors", 2, _pack, _unpack)
 cache_dir = _CACHE.directory
 _read_entry = _CACHE.read
 
 
-def _parse(path: str | Path, restrict_to: Iterable[str] | None) -> EmbeddingTable:
+@dataclass(frozen=True, eq=False)
+class _LineIndex:
+    """Where the lines of a ``.vec`` file lie: ``start`` is the byte offset
+    just past its first valid record, and ``words``, ``starts`` and ``ends``
+    give the first field and the byte span of each line after it that is not
+    blank, in file order."""
+
+    size: int  # the file's length in bytes
+    start: int
+    words: str  # newline-joined: a first field holds no whitespace
+    starts: np.ndarray  # int64
+    ends: np.ndarray  # int64
+
+
+def _pack_lines(index: _LineIndex) -> dict[str, np.ndarray]:
+    return {
+        "size": np.int64(index.size),
+        "start": np.int64(index.start),
+        "words": np.frombuffer(index.words.encode("utf-8"), dtype=np.uint8),
+        "starts": index.starts,
+        "ends": index.ends,
+    }
+
+
+def _unpack_lines(data) -> _LineIndex | None:
+    size, start = data["size"], data["start"]
+    blob, starts, ends = data["words"], data["starts"], data["ends"]
+    if (size.shape != () or size.dtype != np.int64 or start.shape != ()
+            or start.dtype != np.int64 or blob.dtype != np.uint8
+            or starts.dtype != np.int64 or starts.ndim != 1
+            or starts.shape != ends.shape or ends.dtype != np.int64):
+        return None
+    words = bytes(blob).decode("utf-8")
+    size, start = int(size), int(start)
+    if (words.count("\n") + 1 if words else 0) != len(starts) \
+            or not 0 <= start <= size:
+        return None
+    # spans that follow the first record, each non-empty, in order, in the file
+    if len(starts) and not (start <= starts[0] and ends[-1] <= size
+                            and (starts < ends).all()
+                            and (ends[:-1] <= starts[1:]).all()):
+        return None
+    return _LineIndex(size, start, words, starts, ends)
+
+
+# the index depends on the file's bytes alone, not on the kept words, so one
+# entry serves every restricted load of them; the version covers the layout
+# of an entry and the line rules (decoding, blank lines, first fields)
+_LINES = ParseCache("vector-lines", 1, _pack_lines, _unpack_lines)
+lines_dir = _LINES.directory
+
+
+def _byte_size(line: str) -> int:
+    return len(line) if line.isascii() else len(line.encode("utf-8"))
+
+
+class _Spans:
+    """The line index of a file, built while :func:`_parse` reads it.
+    ``index()`` is None unless the byte counts are exact: a regular file,
+    decoded with no replaced bytes and no carriage return (universal
+    newlines turn one into a newline), whose size equals the counted
+    bytes."""
+
+    def __init__(self):
+        self.exact = False
+        self.offset = 0
+        self.start: int | None = None
+        self.words: list[str] = []  # the newline-joined words of each block
+        self.starts: list[np.ndarray] = []
+        self.ends: list[np.ndarray] = []
+
+    def lines(self, handle) -> Iterator[str]:
+        """``handle``'s lines, read from its start, each counted into
+        ``offset`` as it is taken, after the file's byte order mark."""
+        self.exact = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+        if self.exact and handle.buffer.peek(3).startswith(codecs.BOM_UTF8):
+            self.offset = 3
+        return map(self._count, handle)
+
+    def _count(self, line: str) -> str:
+        if not line.isascii() and "\ufffd" in line:
+            self.exact = False
+        self.offset += _byte_size(line)
+        return line
+
+    def add(self, block: list[str]) -> list[list[str]]:
+        """Record the lines of ``block``, which follow those counted so far;
+        return their :func:`_heads`."""
+        if self.start is None:
+            self.start = self.offset
+        heads = _heads(block)
+        if not self.exact:
+            return heads
+        if all(map(str.isascii, block)):
+            sizes = list(map(len, block))
+        else:
+            self.exact = not any("\ufffd" in line for line in block)
+            sizes = list(map(_byte_size, block))
+        ends = np.cumsum(sizes, dtype=np.int64)
+        ends += self.offset
+        self.offset = int(ends[-1])
+        filled = np.fromiter(map(bool, heads), bool, len(heads))
+        if filled.any():
+            self.words.append("\n".join([h[0] for h in compress(heads, filled)]))
+            self.starts.append((ends - sizes)[filled])
+            self.ends.append(ends[filled])
+        return heads
+
+    def end(self, handle) -> None:
+        """Check the counts against the file once it has been read whole."""
+        if self.start is None:
+            self.start = self.offset
+        if "\r" in "".join(handle.newlines or ()):
+            self.exact = False
+        if self.exact and os.fstat(handle.fileno()).st_size != self.offset:
+            self.exact = False
+
+    def index(self) -> _LineIndex | None:
+        if not self.exact:
+            return None
+        empty = np.empty(0, np.int64)
+        return _LineIndex(self.offset, self.start, "\n".join(self.words),
+                          np.concatenate([empty, *self.starts]),
+                          np.concatenate([empty, *self.ends]))
+
+
+def _parse(path: str | Path, restrict_to: Iterable[str] | None,
+           spans: _Spans | None = None) -> EmbeddingTable:
     """The table of a text word-vector file, parsed by the rules that
-    :func:`load_embeddings` gives."""
+    :func:`load_embeddings` gives; ``spans`` records the file's line index
+    as it is read."""
     keep = set(restrict_to) if restrict_to is not None else None
+    with open(path, encoding="utf-8-sig", errors="replace") as handle:
+        lines = handle if spans is None else spans.lines(handle)
+        blocks = iter(lambda: list(islice(handle, _BLOCK_LINES)), [])
+        heads = map(_heads if spans is None else spans.add, blocks)
+        found = _records(lines, heads, keep)
+        if spans is not None:
+            spans.end(handle)
+    return _table(path, *found)
+
+
+def _served(path: str | Path, keep: set[str],
+            index: _LineIndex) -> EmbeddingTable | FormatError | None:
+    """The table of a restricted load, or the FormatError that :func:`_parse`
+    raises, read through the line index of the file: the lines up to the
+    first valid record, then only the lines of kept words.  None when the
+    file does not match the index: another size, or a line read of another
+    word."""
+    picked, kept = _pick(index.words, keep)
+    lines = []
+    with open(path, "rb") as handle:
+        if os.fstat(handle.fileno()).st_size != index.size:
+            return None
+        head = handle.read(index.start)
+        for start, end in zip(index.starts[picked].tolist(),
+                              index.ends[picked].tolist()):
+            handle.seek(start)
+            lines.append(handle.read(end - start))
+    try:
+        head = head.decode("utf-8-sig")
+        lines = [line.decode("utf-8") for line in lines]
+    except UnicodeDecodeError:
+        return None
+    heads = _heads(lines)
+    if [h[0] if h else None for h in heads] != kept:
+        return None
+    try:
+        return _table(path, *_records(iter(head.split("\n")), [heads], keep))
+    except FormatError as exc:
+        return exc
+
+
+# characters of newline-joined words split at a time: at 2M lines a split
+# of them all would hold about 130 MB of word objects at once
+_PICK_CHARS = 1 << 20
+
+
+def _pick(words: str, keep: set[str]) -> tuple[np.ndarray, list[str]]:
+    """Whether each of the newline-joined ``words`` is in ``keep``, and the
+    words that are, in order."""
+    picked, kept = [np.empty(0, bool)], []
+    start = 0
+    while start < len(words):
+        stop = words.find("\n", start + _PICK_CHARS)
+        stop = len(words) if stop < 0 else stop
+        piece = words[start:stop].split("\n")
+        picked.append(np.fromiter(map(keep.__contains__, piece), bool, len(piece)))
+        kept += compress(piece, picked[-1])
+        start = stop + 1
+    return np.concatenate(picked), kept
+
+
+def _records(lines: Iterator[str], blocks: Iterable[list[list[str]]],
+             keep: set[str] | None) -> tuple:
+    """The kept records of a file whose lines, from its start, are ``lines``
+    up to the first valid record, which fixes the dimension, and then the
+    :func:`_heads` of each of ``blocks``: ``(words, float32 bytes, dim,
+    data_lines, skipped)``."""
     words: list[str] = []  # the kept records in file order, repeats included
     data = bytearray()  # their float32 rows
     dim: int | None = None
     data_lines = 0
     skipped = 0
-    with open(path, encoding="utf-8", errors="replace") as handle, \
-            np.errstate(over="ignore"):
-        first = handle.readline()
-        lines = chain([] if _is_header(first) else [first], handle)
+    with np.errstate(over="ignore"):
+        first = next(lines, "")
         # line by line until the first valid record fixes dim
-        for word, values in _check_lines(lines, None):
+        for word, values in _check_lines(
+                chain([] if _is_header(first) else [first], lines), None):
             data_lines += 1
             if values is None:
                 skipped += 1
@@ -154,12 +376,19 @@ def _parse(path: str | Path, restrict_to: Iterable[str] | None) -> EmbeddingTabl
                 words.append(word)
                 data += values.tobytes()
             break
-        while dim is not None and (block := list(islice(handle, _BLOCK_LINES))):
+        for block in blocks if dim is not None else ():
             block_words, vectors, records = _parse_block(block, dim, keep)
             data_lines += records
             skipped += records - len(block_words)
             words += block_words
             data += vectors.tobytes()
+    return words, data, dim, data_lines, skipped
+
+
+def _table(path: str | Path, words: list[str], data: bytearray, dim: int | None,
+           data_lines: int, skipped: int) -> EmbeddingTable:
+    """The table of the kept records, or the FormatError of a file with none
+    or with too many skipped lines."""
     if data_lines == 0:
         raise FormatError(f"{path}: no vector records found")
     if skipped > 0.01 * data_lines:
@@ -209,13 +438,19 @@ def _check_lines(lines: Iterable[str], dim: int | None):
         yield parts[0], values
 
 
-def _parse_block(lines: list[str], dim: int,
+def _heads(lines: list[str]) -> list[list[str]]:
+    """Each line split once at whitespace: ``[word, values]``, ``[word]``
+    for a lone word, ``[]`` for a blank line."""
+    return [line.split(None, 1) for line in lines]
+
+
+def _parse_block(heads: list[list[str]], dim: int,
                  keep: set[str] | None) -> tuple[list[str], np.ndarray, int]:
     """The words and (n, dim) float32 values of the valid records among the
-    kept lines of ``lines``, and the number of kept lines: those that are
-    not blank and whose word is in ``keep`` (any word when it is None)."""
-    heads = [h for h in (line.split(None, 1) for line in lines)
-             if h and (keep is None or h[0] in keep)]
+    kept lines of a block, given by their :func:`_heads`, and the number of
+    kept lines: those that are not blank and whose word is in ``keep`` (any
+    word when it is None)."""
+    heads = [h for h in heads if h and (keep is None or h[0] in keep)]
     records = [h for h in heads if len(h) == 2]  # a lone word is skipped
     words, values = _parse_records(records, dim)
     return words, values, len(heads)

@@ -472,4 +472,4 @@ def _unpack_usage(data) -> _Usage | None:
 # as a blob and end offsets; the version covers the layout of an entry and
 # the parse it holds (tokenize and _TokenForms included): a change to either
 # takes a new one
-_USAGE_CACHE = ParseCache("users", 1, _pack_usage, _unpack_usage)
+_USAGE_CACHE = ParseCache("users", 2, _pack_usage, _unpack_usage)

@@ -344,12 +344,13 @@ def load_lexicon(path: str | Path) -> Lexicon:
     Every rating must be finite and every construct column named once; a bad
     line raises ``DataError`` naming the file and the line.  A repeated word
     keeps its last line's ratings.  Rows may come in any order; the lexicon
-    holds them sorted by word.
+    holds them sorted by word.  A byte order mark before the header is
+    dropped.
     """
     path = Path(path)
     rows: dict[str, list[float]] = {}
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             header = handle.readline().rstrip("\n").split("\t")
             if len(header) < 2 or header[0] != "word":
                 raise DataError(

@@ -118,6 +118,29 @@ def planted_block_lexicon(seed, per_block=40, dim=30, jitter=0.05,
     return lexicon(entries), embedding_table(vecs), labels
 
 
+def write_split_world(directory, n_words=800, groups=4, dim=50, seed=1):
+    """A world whose kNN graph falls apart into ``groups`` components: each
+    word lies near one of ``groups`` random unit directions (jitter 0.03,
+    scaled by 0.3), and every group holds words at both rating poles, 1 and
+    5.  Writes ``lex.tsv`` (construct ``aff``) and ``v.vec`` under
+    ``directory`` and returns their paths."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((groups, dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    index = np.arange(n_words)
+    vectors = 0.3 * (dirs[index % groups]
+                     + 0.03 * rng.standard_normal((n_words, dim)))
+    ratings = np.where(index % (2 * groups) < groups, 1.0, 5.0)
+    ratings += rng.uniform(-0.05, 0.05, n_words)
+    lex, vec = directory / "lex.tsv", directory / "v.vec"
+    vec.write_text("".join(f"s{i:04d} " + " ".join(f"{x:.5f}" for x in row) + "\n"
+                           for i, row in enumerate(vectors)), encoding="utf-8")
+    lex.write_text("word\taff\n" + "".join(f"s{i:04d}\t{float(r)!r}\n"
+                                           for i, r in enumerate(ratings)),
+                   encoding="utf-8")
+    return lex, vec
+
+
 def adjusted_rand_index(a, b):
     """Standard ARI between two label sequences."""
     from collections import Counter

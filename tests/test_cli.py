@@ -1,11 +1,14 @@
 """End-to-end command-line behavior: flags, files, exit codes, provenance."""
 
+import contextlib
 import hashlib
 import json
 import os
+import shutil
 import threading
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from lexlearn.cli import main
 from lexlearn.clustering import build_signed_graph
 from lexlearn.corpus import corpus_fingerprint, load_corpus
 from lexlearn.embeddings import load_embeddings
+from lexlearn.errors import FormatError
 from lexlearn.induction import load_lexicon, save_lexicon
 
 from _worlds import planted_block_lexicon, ratings_of
@@ -524,7 +528,17 @@ class TestClusterCommand:
 
 
 class TestVectorCounters:
-    """The loader's counters go into ``.prov`` under ``notes.metrics``."""
+    """The loader's counters go into ``.prov`` under ``notes.metrics``.
+
+    Here no cache can be written, so every restricted load scans the file;
+    :class:`TestVectorCountersLineIndex` runs the same tests with each load
+    cold (its line index written by the scan) or warm (read from it)."""
+
+    @pytest.fixture(autouse=True)
+    def line_index(self, tmp_path, monkeypatch):
+        unwritable = tmp_path / "not-a-directory"
+        unwritable.write_text("", encoding="utf-8")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(unwritable))
 
     @staticmethod
     def make_world(synth, tmp_path, bad_line, copies=1):
@@ -559,7 +573,8 @@ class TestVectorCounters:
         _, vec, lex = world
         restricted = self.cluster(vec, lex, tmp_path / "r.tsv", capsys)
         monkeypatch.setattr(cli, "load_embeddings",
-                            lambda path, restrict_to=None: load_embeddings(path))
+                            lambda path, restrict_to=None, digest=None:
+                            load_embeddings(path))
         full = self.cluster(vec, lex, tmp_path / "f.tsv", capsys)
         assert restricted == full
         assert (tmp_path / "r.tsv").read_bytes() == (tmp_path / "f.tsv").read_bytes()
@@ -679,6 +694,32 @@ class TestVectorCounters:
             metrics = prov["notes"]["metrics"]
             assert {key: metrics[key] for key in VECTOR_COUNTERS} == {
                 "vectors_loaded": 30, "skipped_vector_lines": 1}
+
+
+class TestVectorCountersLineIndex(TestVectorCounters):
+    """:class:`TestVectorCounters` with every load from the command line
+    cold, the file's line index removed before it, or warm: the index
+    written by a load of the same arguments first, and no restricted scan."""
+
+    @pytest.fixture(autouse=True, params=["cold", "warm"])
+    def line_index(self, request, monkeypatch):
+        real = cli.load_embeddings
+
+        def refuse(path, restrict_to, *spans):
+            assert restrict_to is None, "a warm restricted load scanned the file"
+            return parse(path, restrict_to, *spans)
+
+        def load(path, restrict_to=None, digest=None):
+            if request.param == "cold" or restrict_to is None:
+                shutil.rmtree(embeddings.lines_dir(), ignore_errors=True)
+                return real(path, restrict_to, digest=digest)
+            with contextlib.suppress(FormatError):
+                real(path, restrict_to, digest=digest)
+            with mock.patch.object(embeddings, "_parse", refuse):
+                return real(path, restrict_to, digest=digest)
+
+        parse = embeddings._parse
+        monkeypatch.setattr(cli, "load_embeddings", load)
 
 
 class TestDescribeAndRescale:
@@ -1489,8 +1530,11 @@ class TestVectorCache:
                       "--out", str(tmp_path / "out.tsv")]
         events = self.slow_hash_of(emb, monkeypatch)
         assert main(argv) == 0
+        # no full-load entry is read or written; a first restricted load
+        # scans beside the hash and then writes the file's line index
         assert events.index("parsed") < events.index("hashed")
         assert self.entries(vector_cache) == []
+        assert len(self.entries(vector_cache.parent / "vector-lines")) == 1
 
     @staticmethod
     def slow_hash_of(emb, monkeypatch) -> list[str]:
@@ -1507,8 +1551,8 @@ class TestVectorCache:
                 events.append("hashed")
             return digest
 
-        def parse(path, restrict_to):
-            table = real_parse(path, restrict_to)
+        def parse(path, restrict_to, *spans):
+            table = real_parse(path, restrict_to, *spans)
             events.append("parsed")
             return table
 

@@ -1,10 +1,15 @@
 """Signed graphs, signed Laplacians, and spectral clustering recovery."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lexlearn
 from lexlearn.clustering import (
     SignedGraph,
     build_signed_graph,
@@ -23,6 +28,7 @@ from _worlds import (
     lexicon,
     planted_block_lexicon,
     ratings_of,
+    write_split_world,
 )
 
 
@@ -395,3 +401,27 @@ class TestExport:
                 assert ratings == sorted(ratings, reverse=True)
             else:
                 assert ratings == sorted(ratings)
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # four components, k = 8 (the Lanczos side of the cutoff): the TSV is
+    # the same under 1 and 2 OpenBLAS threads, and the worst residual's
+    # trailing digits are not; the thread count is read when numpy loads,
+    # so each run is its own process
+    lex, vec = write_split_world(tmp_path)
+    src = str(Path(lexlearn.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "XDG_CACHE_HOME": str(tmp_path / "cache"),
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from lexlearn.cli import main; sys.exit(main(sys.argv[1:]))",
+             "cluster", "--lexicon", str(lex), "--construct", "aff",
+             "--embeddings", str(vec), "--k", "8", "--seed", "1",
+             "--out", str(tmp_path / "c.tsv")],
+            env=env, check=True, capture_output=True)
+        outputs.append(((tmp_path / "c.tsv").read_bytes(),
+                        (tmp_path / "c.tsv.prov").read_bytes()))
+    assert outputs[0] == outputs[1]

@@ -61,6 +61,16 @@ class TestLoadCorpus:
         assert corpus.vocab["sad"] == 2 and corpus.vocab["story"] == 1
         assert corpus.documents[0].ratings == {"empathy": 6.0}
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # as Excel writes a UTF-8 CSV: without utf-8-sig the first column
+        # is named "\ufeffid" and the id column is missing
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + "id,text,empathy\nd1,a sad story,6.0\n"
+                         "d2,a sad joke,2.0\n".encode("utf-8"))
+        corpus = load_corpus(path, "text", ["empathy"], id_column="id")
+        assert corpus.ids == ("d1", "d2")
+        assert sorted(corpus.vocab) == ["a", "joke", "sad", "story"]
+
     def test_row_stripping_to_no_tokens_then_empty(self, tmp_path):
         # pure-punctuation tokens are kept, so only token-free text strips
         # to nothing
@@ -224,6 +234,13 @@ class TestGoldLexicon:
         assert gold.words == ("happy", "sad")
         assert gold.constructs == ("valence",)
         assert gold.ratings.dtype == np.float64
+        assert gold.ratings.tolist() == [[8.47], [2.10]]
+
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_bytes(b"\xef\xbb\xbfword\tvalence\nsad\t2.10\nhappy\t8.47\n")
+        gold = load_gold_lexicon(path, "word", ["valence"])
+        assert gold.words == ("happy", "sad")
         assert gold.ratings.tolist() == [[8.47], [2.10]]
 
     def test_header_only_is_empty(self, tmp_path):

@@ -40,6 +40,23 @@ class TestLoad:
         path.write_text("apple 1 0 0\nbanana 0 1 0\n", encoding="utf-8")
         assert load_embeddings(str(path)).dim == 3
 
+    @pytest.mark.parametrize("header", ["2 3\n", ""])
+    def test_byte_order_mark_is_not_part_of_the_first_line(self, tmp_path, header):
+        # a header read with the mark is a one-value record; a first word
+        # read with it is not the word a restricted load keeps
+        path = tmp_path / "bom.vec"
+        path.write_bytes(b"\xef\xbb\xbf"
+                         + f"{header}w0 1 0 0\nw1 0 1 0\n".encode("utf-8"))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        for restrict_to, key in [(None, None), ({"w0"}, None),
+                                 ({"w0"}, lambda: digest), ({"w0"}, lambda: digest)]:
+            table = load_embeddings(path, restrict_to, digest=key)
+            assert table.words == (("w0", "w1") if restrict_to is None else ("w0",))
+            assert table.skipped_lines == 0
+            assert table.matrix(["w0"]).tolist() == [[1, 0, 0]]
+        # the cold restricted load wrote the line index, which the warm one read
+        assert len(list(embeddings.lines_dir().iterdir())) == 1
+
     def test_oov_lookup_is_zero_vector(self, small_vec):
         table = load_embeddings(small_vec)
         vec = table.matrix(["zzzunknown"])[0]

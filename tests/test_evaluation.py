@@ -350,6 +350,20 @@ class TestUserCorpusLoading:
         assert by_id["u1"].counts == {"happy": 2, "day": 2, "another": 1}
         assert by_id["u2"].trait_score == 2.5
 
+    @pytest.mark.parametrize("layout", ["text", "count"])
+    def test_byte_order_marks_are_not_part_of_the_headers(self, tmp_path, layout):
+        bom = b"\xef\xbb\xbf"
+        usage = tmp_path / "usage.csv"
+        usage.write_bytes(bom + {
+            "text": "user_id,text\nu1,happy day\nu2,sad\n",
+            "count": "user_id,word,count\nu1,happy,1\nu1,day,1\nu2,sad,1\n",
+        }[layout].encode("utf-8"))
+        traits = tmp_path / "traits.csv"
+        traits.write_bytes(bom + b"user_id,t\nu1,1.0\nu2,2.0\n")
+        users = records_of(load_user_corpora(str(usage), str(traits), "t"))
+        assert {u.user_id: (u.counts, u.trait_score) for u in users} == {
+            "u1": ({"happy": 1, "day": 1}, 1.0), "u2": ({"sad": 1}, 2.0)}
+
     def test_count_format(self, tmp_path):
         usage = tmp_path / "usage.csv"
         usage.write_text(

@@ -467,6 +467,14 @@ class TestLexiconIO:
             assert np.array_equal(back.entries[w], lex.entries[w])
         assert back.provenance == {"method": "mean_star"}
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_bytes(b"\xef\xbb\xbfword\taff\nbad\t1.0\ngood\t3.0\n")
+        back = load_lexicon(path)
+        assert back.constructs == ("aff",)
+        assert back.words == ("bad", "good")
+        assert back.ratings.tolist() == [[1.0], [3.0]]
+
     def test_repeated_word_keeps_its_last_line(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("word\ta\tb\nx\t1\t2\ny\t3\t4\nx\t5\t6\n",

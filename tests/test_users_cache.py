@@ -291,7 +291,7 @@ def test_the_parse_an_entry_holds_is_pinned_to_the_format_version(tmp_path):
         usage = evaluation._parse_usage(path, ",")
         parsed.append((usage.ids, usage.terms, usage.user.tolist(),
                        usage.term.tolist(), usage.count.tolist()))
-    assert (evaluation._USAGE_CACHE.version, parsed) == (1, [
+    assert (evaluation._USAGE_CACHE.version, parsed) == (2, [
         (("u1", "u2"),
          ("great", "café", "--", "?!", "!!", "x2", "quoted", "a-b", "école",
           "日本", "٣"),

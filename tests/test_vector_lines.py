@@ -1,0 +1,326 @@
+"""Restricted word-vector loads served from the line index in the parse cache.
+
+A restricted load of a regular file with a digest writes the file's line
+index (``vector-lines/``) as it scans, and a later restricted load of the
+same bytes, whatever its kept words, reads only the lines it keeps.  The
+table, ``skipped_lines`` and every ``FormatError`` text are those of the
+uncached parse, on the uncached, cold and warm paths.
+"""
+
+import hashlib
+import os
+import shutil
+import threading
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from lexlearn import cli, embeddings
+from lexlearn._files import DigestMemo
+from lexlearn.embeddings import load_embeddings
+from lexlearn.errors import FormatError
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+
+def outcome(load):
+    """``(words, vector bytes, skipped)`` of a load, or its FormatError text."""
+    try:
+        table = load()
+    except FormatError as exc:
+        return str(exc)
+    assert table.vectors.dtype == np.float32
+    return table.words, table.vectors.tobytes(), table.skipped_lines
+
+
+def digest_of(path):
+    sha = hashlib.sha256(path.read_bytes()).hexdigest()
+    return lambda: sha
+
+
+def entries():
+    folder = embeddings.lines_dir()
+    return sorted(folder.iterdir()) if folder.exists() else []
+
+
+def no_scan(*args):
+    raise AssertionError("a warm restricted load scanned the file")
+
+
+def indexable(data: bytes) -> bool:
+    """Whether a scan can count the file's lines exactly in bytes."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return "\r" not in text and "\ufffd" not in text
+
+
+WORDS = ["a", "b", "c", "é", "дом", "日本", "3"]
+SEPARATORS = [" ", " ", "\t", "\xa0", "\x1c", "　"]
+VALUES = ["0.5", "-1", "2e3", "7", "nan", "1e40", "x", "1_0", "-inf"]
+
+
+@st.composite
+def vec_files(draw):
+    """The bytes of a small ``.vec`` file in the shapes found in the wild,
+    and malformed ones: a header or none, blank lines, wrong arity, bad
+    values, repeated and non-ASCII words, Unicode whitespace, CRLF or bare
+    CR line ends, a byte order mark and invalid UTF-8.  A run of 150 valid
+    records puts a few bad lines within the 1% budget."""
+    dim = draw(st.integers(1, 3))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from([f"9 {dim}", "9 x", "2"])))
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["record"] * 8 + ["blank", "arity", "lone", "run"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t", "\x1c"])))
+            continue
+        word = draw(st.sampled_from(WORDS))
+        if kind == "run":
+            lines += [f"{word} " + " ".join(["0.25"] * dim)] * 150
+            continue
+        size = {"record": dim, "arity": draw(st.integers(1, dim + 2)), "lone": 0}[kind]
+        cells = [draw(st.sampled_from(VALUES[:4] if draw(st.integers(0, 9)) else VALUES))
+                 for _ in range(size)]
+        sep = draw(st.sampled_from(SEPARATORS))
+        lines.append(sep.join([word, *cells]) + draw(st.sampled_from(["", "", " "])))
+    ends = draw(st.sampled_from(["\n"] * 6 + ["\r\n", "\r", "mixed"]))
+    text = "".join(
+        line + (draw(st.sampled_from(["\n", "\r\n", "\r"])) if ends == "mixed" else ends)
+        for line in lines)
+    if lines and draw(st.booleans()):
+        text = text[:-1] if ends != "\r\n" else text[:-2]  # no final line end
+    data = text.encode("utf-8")
+    if data and draw(st.integers(0, 9)) == 0:
+        cut = draw(st.integers(0, len(data)))
+        # one byte, or the first three of a four-byte sequence: one
+        # replacement character each, of three bytes
+        data = data[:cut] + draw(st.sampled_from([b"\xff", b"\xf0\x9f\x98"])) + data[cut:]
+    if draw(st.integers(0, 3)) == 0:
+        data = b"\xef\xbb\xbf" + data
+    return data
+
+
+KEEPS = st.sets(st.sampled_from(WORDS + ["zz", ""]), min_size=1, max_size=5)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(vec_files(), KEEPS, KEEPS)
+def test_restricted_loads_match_the_uncached_parse(tmp_path_factory, data, keep,
+                                                   other):
+    path = tmp_path_factory.mktemp("vec") / "v.vec"
+    path.write_bytes(data)
+    shutil.rmtree(embeddings.lines_dir(), ignore_errors=True)
+    want = {frozenset(k): outcome(lambda: embeddings._parse(path, k))
+            for k in (keep, other)}
+    digest = digest_of(path)
+    assert outcome(lambda: load_embeddings(path, keep)) == want[frozenset(keep)]
+    assert entries() == []
+    # cold: the scan writes the index, when its byte counts are exact
+    assert outcome(lambda: load_embeddings(path, keep, digest=digest)) == \
+        want[frozenset(keep)]
+    assert len(entries()) == indexable(data)
+    if not entries():
+        return
+    # warm, for the kept words of the scan and for others, the indexed
+    # words looked up all at once or a few characters at a time: no scan
+    with mock.patch.object(embeddings, "_parse", no_scan):
+        for k, chars in ((keep, embeddings._PICK_CHARS), (other, 3)):
+            with mock.patch.object(embeddings, "_PICK_CHARS", chars):
+                assert outcome(lambda: load_embeddings(path, k, digest=digest)) == \
+                    want[frozenset(k)]
+
+
+@pytest.fixture
+def vec(tmp_path):
+    path = tmp_path / "v.vec"
+    path.write_text("4 2\n" + "".join(f"w{i} {i} 0.5\n" for i in range(60))
+                    + "\nshort 1\nw3 7 8\n", encoding="utf-8")
+    return path
+
+
+KEEP = {"w3", "w10", "w59", "absent"}
+
+
+def test_warm_load_reads_only_the_first_record_and_the_kept_lines(vec, monkeypatch):
+    want = outcome(lambda: embeddings._parse(vec, KEEP))
+    assert want[0] == ("w3", "w10", "w59") and want[2] == 0
+    digest = digest_of(vec)
+    assert outcome(lambda: load_embeddings(vec, KEEP, digest=digest)) == want
+    (entry,) = entries()
+    assert entry.name.startswith(f"{vec.stat().st_size}-")
+    reads = []
+    real_open = open
+
+    class Handle:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __getattr__(self, name):
+            return getattr(self.handle, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def read(self, size):
+            reads.append(size)
+            return self.handle.read(size)
+
+    monkeypatch.setattr(embeddings, "_parse", no_scan)
+    monkeypatch.setattr("builtins.open",
+                        lambda *a, **k: Handle(real_open(*a, **k)) if a[0] == vec
+                        else real_open(*a, **k))
+    assert outcome(lambda: load_embeddings(vec, KEEP, digest=digest)) == want
+    # the header and first record, then the lines of w3, w10, w59 and w3
+    assert reads[0] == len("4 2\nw0 0 0.5\n")
+    assert len(reads) == 5 and sum(reads) < vec.stat().st_size // 5
+
+
+def test_a_fifo_is_scanned_and_writes_no_index(vec, tmp_path):
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("no FIFOs here")
+    want = outcome(lambda: embeddings._parse(vec, KEEP))
+    fifo = tmp_path / "fifo.vec"
+    os.mkfifo(fifo)
+    data = vec.read_bytes()
+
+    def feed():
+        with open(fifo, "wb") as pipe:
+            pipe.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        got = outcome(lambda: load_embeddings(
+            fifo, KEEP, digest=lambda: hashlib.sha256(data).hexdigest()))
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert got == want
+    assert entries() == []
+
+
+def test_an_index_of_other_bytes_is_a_miss(vec, tmp_path):
+    other = tmp_path / "other.vec"
+    digest = digest_of(vec)
+    load_embeddings(vec, KEEP, digest=digest)
+    (entry,) = entries()
+    index = embeddings._LINES.read(entry, digest())
+    # the same size, the kept lines at other offsets
+    other.write_text(vec.read_text(encoding="utf-8").replace("w1 1 0.5\n", "w1 1 0.5")
+                     .replace("w50 50 0.5\n", "w50 50 0.5\n\n"), encoding="utf-8")
+    assert other.stat().st_size == vec.stat().st_size
+    assert embeddings._served(other, KEEP, index) is None
+    # another size
+    other.write_bytes(vec.read_bytes() + b"\n")
+    assert embeddings._served(other, KEEP, index) is None
+    # the same spans and words, another separator: served
+    other.write_text(vec.read_text(encoding="utf-8").replace("w10 ", "w10\t"),
+                     encoding="utf-8")
+    assert embeddings._served(other, KEEP, index) is not None
+    # a kept word's span holds another word: a miss, and the load scans
+    other.write_text(vec.read_text(encoding="utf-8").replace("w10 ", "x10 "),
+                     encoding="utf-8")
+    assert embeddings._served(other, KEEP, index) is None
+    assert outcome(lambda: load_embeddings(other, KEEP, digest=digest)) == \
+        outcome(lambda: embeddings._parse(other, KEEP))
+
+
+def test_a_rewritten_vec_is_not_served_stale_spans(vec, digest_memo):
+    # rewritten in place at the same size with its modification time put
+    # back: an unkept word becomes a kept one, so stale spans would miss it
+
+    def digest():
+        """The digest that the command line takes: from the digest memo,
+        or hashed and kept in it."""
+        return DigestMemo(vec).sha256(cli._file_sha256)
+
+    first = outcome(lambda: load_embeddings(vec, KEEP, digest=digest))
+    old = vec.stat()
+    vec.write_text(vec.read_text(encoding="utf-8").replace("w55 ", "w10 "),
+                   encoding="utf-8")
+    os.utime(vec, ns=(old.st_atime_ns, old.st_mtime_ns))
+    assert vec.stat().st_size == old.st_size
+    second = outcome(lambda: load_embeddings(vec, KEEP, digest=digest))
+    assert second == outcome(lambda: embeddings._parse(vec, KEEP)) != first
+    assert len(entries()) == 2
+
+
+def damage(entry, **arrays):
+    """Rewrite the arrays of a ``.npz`` entry, changing ``arrays``."""
+    with np.load(entry, allow_pickle=False) as data:
+        payload = {name: data[name] for name in data.files}
+    payload.update(arrays)
+    with open(entry, "wb") as handle:
+        np.savez(handle, **payload)
+
+
+@pytest.mark.parametrize("how", [
+    "truncated", "garbage", "span-past-eof", "spans-out-of-order",
+    "fewer-words", "more-spans", "float-spans", "int32-spans", "size-dtype",
+    "start-past-size", "words-not-utf8", "version-shape",
+])
+def test_a_damaged_entry_is_a_miss_and_rewritten(vec, how):
+    want = outcome(lambda: embeddings._parse(vec, KEEP))
+    digest = digest_of(vec)
+    load_embeddings(vec, KEEP, digest=digest)
+    (entry,) = entries()
+    good = entry.read_bytes()
+    with np.load(entry, allow_pickle=False) as data:
+        starts, ends, words = data["starts"], data["ends"], data["words"]
+    size = vec.stat().st_size
+    if how == "truncated":
+        entry.write_bytes(good[:len(good) // 2])
+    elif how == "garbage":
+        entry.write_bytes(b"not an npz archive\n" * 40)
+    elif how == "span-past-eof":
+        damage(entry, ends=np.concatenate([ends[:-1], [size + 5]]))
+    elif how == "spans-out-of-order":
+        damage(entry, starts=starts[::-1].copy(), ends=ends[::-1].copy())
+    elif how == "fewer-words":
+        damage(entry, words=words[:-4])
+    elif how == "more-spans":
+        damage(entry, starts=np.append(starts, size), ends=np.append(ends, size))
+    elif how == "float-spans":
+        damage(entry, starts=starts.astype(np.float64))
+    elif how == "int32-spans":
+        damage(entry, ends=ends.astype(np.int32))
+    elif how == "size-dtype":
+        damage(entry, size=np.float64(size))
+    elif how == "start-past-size":
+        damage(entry, start=np.int64(size + 1))
+    elif how == "words-not-utf8":
+        damage(entry, words=np.frombuffer(b"\xff" * len(words), np.uint8))
+    else:
+        damage(entry, format_version=np.array([1, 1]))
+    assert embeddings._LINES.read(entry, digest()) is None
+    with mock.patch.object(embeddings, "_parse", wraps=embeddings._parse) as parse:
+        assert outcome(lambda: load_embeddings(vec, KEEP, digest=digest)) == want
+    assert parse.called
+    assert embeddings._LINES.read(entry, digest()) is not None
+
+
+def test_a_file_that_changes_size_while_it_is_scanned_writes_no_index(
+        vec, monkeypatch):
+    data = vec.read_bytes()
+    parse_block = embeddings._parse_block
+
+    def shrink(*args):
+        # the small file has been read whole by now
+        vec.write_bytes(data[:-len("w3 7 8\n")])
+        return parse_block(*args)
+
+    monkeypatch.setattr(embeddings, "_parse_block", shrink)
+    got = outcome(lambda: load_embeddings(
+        vec, KEEP, digest=lambda: hashlib.sha256(data).hexdigest()))
+    vec.write_bytes(data)
+    assert got == outcome(lambda: embeddings._parse(vec, KEEP))
+    assert entries() == []
