@@ -124,6 +124,19 @@ class ParseCache(Generic[T]):
             self.write(folder / f"{info.st_size}-{sha}.npz", sha, value, **key)
         return value
 
+    def store(self, path: str | Path, value: T,
+              digest: Callable[[], str | None]) -> None:
+        """Write ``value`` as the entry of ``path``'s content, in place of the
+        one there, as :meth:`load` writes one after a parse; a file that
+        cannot be stat'ed or has no digest is left out."""
+        try:
+            size = os.stat(path).st_size
+            folder = self.directory()
+        except (OSError, RuntimeError):  # RuntimeError: no home directory
+            return
+        if (sha := _checked(digest())) is not None:
+            self.write(folder / f"{size}-{sha}.npz", sha, value)
+
     def read(self, entry: Path, digest: str, **key: str) -> T | None:
         """The parse in ``entry``, or None for a miss."""
         want = {"sha256": digest, **key}

@@ -13,7 +13,7 @@ import codecs
 import os
 import shutil  # noqa: F401  the cache's free-space check, patchable here
 import stat
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
@@ -99,11 +99,20 @@ def load_embeddings(
     A full load (no ``restrict_to``) reads its table from ``vectors/``.  A
     restricted load reads the file's line index from ``vector-lines/``: the
     byte span and word of every line after the first valid record, whatever
-    the kept words.  It then checks the lines up to that record again and
-    reads and parses only the kept words' lines.  A scan writes no index
-    for a file it cannot count exactly in bytes: one with a carriage return
-    or with bytes that are not UTF-8.  The table, its counts and any
-    ``FormatError`` are the same either way.
+    the kept words, and the outcome of each line that a load has parsed
+    through the index: whether it is a valid record, and its float32 row.
+    It then checks the lines up to that record again, takes each kept line
+    the index holds from it, with no read of the line, and reads,
+    word-checks and parses only the kept lines never parsed before; it then
+    writes the entry again, holding the union of the lines parsed.  An entry
+    grows by 4 bytes a value and 9 bytes a line for each line parsed, and
+    every warm load reads all of it.  Stored rows are trusted as a
+    ``vectors/`` table is: the entry is that of the file's digest, and the
+    file must still be of the indexed size, while each line that is read
+    must still start with its indexed word.  A scan stores no rows, and
+    writes no index for a file it cannot count exactly in bytes: one with a
+    carriage return or with bytes that are not UTF-8.  The table, its counts
+    and any ``FormatError`` are the same either way.
     """
     if restrict_to is None:
         # _parse by its module-level name, so that a wrapper set on it sees
@@ -123,9 +132,15 @@ def load_embeddings(
         return spans.index()
 
     index = _LINES.load(path, scan, digest)
-    result = scanned[0] if scanned else _served(path, keep, index)
-    if result is None:  # the file is not the one indexed
-        return _parse(path, keep)
+    if scanned:
+        result = scanned[0]
+    else:
+        served = _served(path, keep, index)
+        if served is None:  # the file is not the one indexed
+            return _parse(path, keep)
+        result, grown = served
+        if grown is not None:
+            _LINES.store(path, grown, digest)
     if isinstance(result, FormatError):
         raise result
     return result
@@ -160,16 +175,23 @@ _read_entry = _CACHE.read
 
 @dataclass(frozen=True, eq=False)
 class _LineIndex:
-    """Where the lines of a ``.vec`` file lie: ``start`` is the byte offset
-    just past its first valid record, and ``words``, ``starts`` and ``ends``
-    give the first field and the byte span of each line after it that is not
-    blank, in file order."""
+    """Where the lines of a ``.vec`` file lie, and what those parsed through
+    it hold: ``start`` is the byte offset just past its first valid record,
+    and ``words``, ``starts`` and ``ends`` give the first field and the byte
+    span of each line after it that is not blank, in file order.
+    ``ordinals`` are the positions in these of the lines parsed so far, in
+    order, ``valid`` whether each is a valid record, and ``rows`` the values
+    of the valid ones."""
 
     size: int  # the file's length in bytes
     start: int
     words: str  # newline-joined: a first field holds no whitespace
     starts: np.ndarray  # int64
     ends: np.ndarray  # int64
+    ordinals: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    valid: np.ndarray = field(default_factory=lambda: np.empty(0, bool))
+    # float32, (valid.sum(), dim)
+    rows: np.ndarray = field(default_factory=lambda: np.empty((0, 0), np.float32))
 
 
 def _pack_lines(index: _LineIndex) -> dict[str, np.ndarray]:
@@ -179,16 +201,24 @@ def _pack_lines(index: _LineIndex) -> dict[str, np.ndarray]:
         "words": np.frombuffer(index.words.encode("utf-8"), dtype=np.uint8),
         "starts": index.starts,
         "ends": index.ends,
+        "ordinals": index.ordinals,
+        "valid": index.valid,
+        "rows": index.rows,
     }
 
 
 def _unpack_lines(data) -> _LineIndex | None:
     size, start = data["size"], data["start"]
     blob, starts, ends = data["words"], data["starts"], data["ends"]
+    ordinals, valid, rows = data["ordinals"], data["valid"], data["rows"]
     if (size.shape != () or size.dtype != np.int64 or start.shape != ()
             or start.dtype != np.int64 or blob.dtype != np.uint8
             or starts.dtype != np.int64 or starts.ndim != 1
-            or starts.shape != ends.shape or ends.dtype != np.int64):
+            or starts.shape != ends.shape or ends.dtype != np.int64
+            or ordinals.dtype != np.int64 or ordinals.ndim != 1
+            or valid.dtype != bool or valid.shape != ordinals.shape
+            or rows.dtype != np.float32 or rows.ndim != 2
+            or rows.shape[0] != np.count_nonzero(valid)):
         return None
     words = bytes(blob).decode("utf-8")
     size, start = int(size), int(start)
@@ -200,13 +230,21 @@ def _unpack_lines(data) -> _LineIndex | None:
                             and (starts < ends).all()
                             and (ends[:-1] <= starts[1:]).all()):
         return None
-    return _LineIndex(size, start, words, starts, ends)
+    # parsed lines of the index, each once, in order, and the finite values
+    # that a parse keeps
+    if len(ordinals) and not (0 <= ordinals[0] and ordinals[-1] < len(starts)
+                              and (ordinals[:-1] < ordinals[1:]).all()):
+        return None
+    if not np.isfinite(rows).all():
+        return None
+    return _LineIndex(size, start, words, starts, ends, ordinals, valid, rows)
 
 
 # the index depends on the file's bytes alone, not on the kept words, so one
 # entry serves every restricted load of them; the version covers the layout
-# of an entry and the line rules (decoding, blank lines, first fields)
-_LINES = ParseCache("vector-lines", 1, _pack_lines, _unpack_lines)
+# of an entry and the line rules (decoding, blank lines, first fields, the
+# skip rule of the stored rows)
+_LINES = ParseCache("vector-lines", 2, _pack_lines, _unpack_lines)
 lines_dir = _LINES.directory
 
 
@@ -300,35 +338,72 @@ def _parse(path: str | Path, restrict_to: Iterable[str] | None,
     return _table(path, *found)
 
 
-def _served(path: str | Path, keep: set[str],
-            index: _LineIndex) -> EmbeddingTable | FormatError | None:
+def _served(path: str | Path, keep: set[str], index: _LineIndex
+            ) -> tuple[EmbeddingTable | FormatError, _LineIndex | None] | None:
     """The table of a restricted load, or the FormatError that :func:`_parse`
     raises, read through the line index of the file: the lines up to the
-    first valid record, then only the lines of kept words.  None when the
-    file does not match the index: another size, or a line read of another
-    word."""
+    first valid record, then the kept words' lines, each from the rows the
+    index stores or else read and parsed; and the index grown by the lines
+    parsed here (None when it stored them all).  None when the file does not
+    match the index: another size, or a line read of another word."""
     picked, kept = _pick(index.words, keep)
-    lines = []
+    lines = np.flatnonzero(picked)
     with open(path, "rb") as handle:
         if os.fstat(handle.fileno()).st_size != index.size:
             return None
-        head = handle.read(index.start)
-        for start, end in zip(index.starts[picked].tolist(),
-                              index.ends[picked].tolist()):
+        try:
+            head = handle.read(index.start).decode("utf-8-sig")
+        except UnicodeDecodeError:
+            return None
+        words, data, dim, data_lines, skipped = _records(
+            iter(head.split("\n")), (), keep)
+        if dim is None and len(index.starts):  # lines after no valid record
+            return None
+        if dim is not None and index.rows.shape[1] != dim:
+            # none stored (a scan's entry), or rows of another file
+            index = replace(index, ordinals=np.empty(0, np.int64),
+                            valid=np.empty(0, bool),
+                            rows=np.empty((0, dim), np.float32))
+        new = ~np.isin(lines, index.ordinals, assume_unique=True)
+        reads = []
+        for start, end in zip(index.starts[lines[new]].tolist(),
+                              index.ends[lines[new]].tolist()):
             handle.seek(start)
-            lines.append(handle.read(end - start))
+            reads.append(handle.read(end - start))
     try:
-        head = head.decode("utf-8-sig")
-        lines = [line.decode("utf-8") for line in lines]
+        heads = _heads([line.decode("utf-8") for line in reads])
     except UnicodeDecodeError:
         return None
-    heads = _heads(lines)
-    if [h[0] if h else None for h in heads] != kept:
+    if [h[0] if h else None for h in heads] != list(compress(kept, new)):
         return None
+    grown = None
+    if heads:
+        with np.errstate(over="ignore"):
+            grown = _grown(index, lines[new], *_outcomes(heads, dim))
+    parsed = index if grown is None else grown
+    at = np.searchsorted(parsed.ordinals, lines)
+    valid = parsed.valid[at]
+    rows = parsed.rows[np.cumsum(parsed.valid)[at[valid]] - 1]
+    skipped += len(lines) - len(rows)
+    if data:  # the first record is kept
+        rows = np.concatenate([np.frombuffer(data, np.float32).reshape(1, dim), rows])
+    words += compress(kept, valid)
     try:
-        return _table(path, *_records(iter(head.split("\n")), [heads], keep))
+        return _table(path, words, rows, dim, data_lines + len(lines), skipped), grown
     except FormatError as exc:
-        return exc
+        return exc, grown
+
+
+def _grown(index: _LineIndex, ordinals: np.ndarray, valid: np.ndarray,
+           rows: np.ndarray) -> _LineIndex:
+    """``index`` with the outcomes of the lines at ``ordinals``, in order
+    and none of them held, added: ``valid`` for each line, and ``rows`` for
+    the valid ones."""
+    at = np.searchsorted(index.ordinals, ordinals)
+    row_at = np.searchsorted(index.ordinals[index.valid], ordinals[valid])
+    return replace(index, ordinals=np.insert(index.ordinals, at, ordinals),
+                   valid=np.insert(index.valid, at, valid),
+                   rows=np.insert(index.rows, row_at, rows, axis=0))
 
 
 # characters of newline-joined words split at a time: at 2M lines a split
@@ -385,10 +460,11 @@ def _records(lines: Iterator[str], blocks: Iterable[list[list[str]]],
     return words, data, dim, data_lines, skipped
 
 
-def _table(path: str | Path, words: list[str], data: bytearray, dim: int | None,
+def _table(path: str | Path, words: list[str], data, dim: int | None,
            data_lines: int, skipped: int) -> EmbeddingTable:
-    """The table of the kept records, or the FormatError of a file with none
-    or with too many skipped lines."""
+    """The table of the kept records, whose float32 rows are the bytes of
+    ``data``, or the FormatError of a file with none or with too many
+    skipped lines."""
     if data_lines == 0:
         raise FormatError(f"{path}: no vector records found")
     if skipped > 0.01 * data_lines:
@@ -451,18 +527,26 @@ def _parse_block(heads: list[list[str]], dim: int,
     kept lines: those that are not blank and whose word is in ``keep`` (any
     word when it is None)."""
     heads = [h for h in heads if h and (keep is None or h[0] in keep)]
-    records = [h for h in heads if len(h) == 2]  # a lone word is skipped
-    words, values = _parse_records(records, dim)
-    return words, values, len(heads)
+    valid, values = _outcomes(heads, dim)
+    return list(compress((h[0] for h in heads), valid)), values, len(heads)
 
 
-def _parse_records(records: list[list[str]], dim: int) -> tuple[list[str], np.ndarray]:
-    """The words and values of the valid ``[word, values]`` records: one
-    ``np.loadtxt`` call for all; when it rejects them, the same for each
-    half, down to segments of at most ``_CHECK_LINES`` records, which the
-    per-line rule checks."""
+def _outcomes(heads: list[list[str]], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each line, given by its :func:`_heads` and not blank, is a
+    valid record, and the values of those that are."""
+    valid = np.fromiter(map(len, heads), np.intp, len(heads)) == 2
+    ok, values = _parse_records(list(compress(heads, valid)), dim)
+    valid[valid] = ok  # a lone word is skipped
+    return valid, values
+
+
+def _parse_records(records: list[list[str]], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each ``[word, values]`` record is valid, and the values of
+    those that are: one ``np.loadtxt`` call for all; when it rejects them,
+    the same for each half, down to segments of at most ``_CHECK_LINES``
+    records, which the per-line rule checks."""
     if not records:
-        return [], np.empty((0, dim), np.float32)
+        return np.empty(0, bool), np.empty((0, dim), np.float32)
     try:
         values = np.loadtxt([h[1] for h in records], dtype=np.float32,
                             comments=None, ndmin=2)
@@ -470,16 +554,16 @@ def _parse_records(records: list[list[str]], dim: int) -> tuple[list[str], np.nd
         values = None
     if values is not None and values.shape == (len(records), dim):
         ok = np.isfinite(values).all(axis=1)
-        return list(compress((h[0] for h in records), ok)), values[ok]
+        return ok, values[ok]
     if len(records) <= _CHECK_LINES:
-        valid = [(w, v) for w, v in _check_lines(map(" ".join, records), dim)
-                 if v is not None]
-        vectors = np.array([v for _, v in valid], dtype=np.float32)
-        return [w for w, _ in valid], vectors.reshape(len(valid), dim)
+        checked = [v for _, v in _check_lines(map(" ".join, records), dim)]
+        ok = np.array([v is not None for v in checked])
+        vectors = np.array([v for v in checked if v is not None], dtype=np.float32)
+        return ok, vectors.reshape(-1, dim)
     half = len(records) // 2
-    head_words, head_values = _parse_records(records[:half], dim)
-    tail_words, tail_values = _parse_records(records[half:], dim)
-    return head_words + tail_words, np.concatenate([head_values, tail_values])
+    head_ok, head_values = _parse_records(records[:half], dim)
+    tail_ok, tail_values = _parse_records(records[half:], dim)
+    return np.concatenate([head_ok, tail_ok]), np.concatenate([head_values, tail_values])
 
 
 def centroid(doc, table: EmbeddingTable) -> np.ndarray:

@@ -115,10 +115,7 @@ def init_net(config: NetConfig, rng: np.random.Generator) -> FeedForwardNet:
 def _forward_batch(net: FeedForwardNet, X: np.ndarray, training: bool,
                    rng: np.random.Generator | None):
     """Batched forward pass; returns (output, cache for backprop)."""
-    if X.shape[1] != net.input_dim:
-        raise DimensionError(
-            f"forward: input has {X.shape[1]} features, net expects {net.input_dim}"
-        )
+    _check_input(net, X)
     if training and (net.dropout_input > 0 or net.dropout_hidden > 0) and rng is None:
         raise TrainingError("forward: training with dropout needs a random source")
     n_layers = len(net.weights)
@@ -152,12 +149,26 @@ def _forward_batch(net: FeedForwardNet, X: np.ndarray, training: bool,
     return h, (inputs, relu_masks, drop_masks)
 
 
+def _check_input(net: FeedForwardNet, X: np.ndarray) -> None:
+    if X.shape[1] != net.input_dim:
+        raise DimensionError(
+            f"forward: input has {X.shape[1]} features, net expects {net.input_dim}"
+        )
+
+
 def forward_batch(net: FeedForwardNet, X) -> np.ndarray:
     """Inference-mode forward pass over rows of X: the plain network output,
-    as inverted dropout needs no inference-time rescaling."""
-    X = np.asarray(X, dtype=np.float64)
-    out, _ = _forward_batch(net, X, False, None)
-    return out
+    as inverted dropout needs no inference-time rescaling.  The same
+    arithmetic as :func:`_forward_batch`, keeping nothing for backprop."""
+    h = np.asarray(X, dtype=np.float64)
+    _check_input(net, h)
+    last = len(net.weights) - 1
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ w
+        h += b
+        if l < last:
+            np.maximum(h, 0.0, out=h)
+    return h
 
 
 def _backward(net: FeedForwardNet, cache, d_out: np.ndarray, l2: float):

@@ -532,7 +532,8 @@ class TestVectorCounters:
 
     Here no cache can be written, so every restricted load scans the file;
     :class:`TestVectorCountersLineIndex` runs the same tests with each load
-    cold (its line index written by the scan) or warm (read from it)."""
+    cold (its line index written by the scan), warm (read from it) or served
+    from the rows the index stores."""
 
     @pytest.fixture(autouse=True)
     def line_index(self, tmp_path, monkeypatch):
@@ -698,10 +699,12 @@ class TestVectorCounters:
 
 class TestVectorCountersLineIndex(TestVectorCounters):
     """:class:`TestVectorCounters` with every load from the command line
-    cold, the file's line index removed before it, or warm: the index
-    written by a load of the same arguments first, and no restricted scan."""
+    cold, the file's line index removed before it; warm: the index written
+    by a load of the same arguments first, and no restricted scan; or rows:
+    two loads of the same arguments first, which store the rows of the kept
+    lines, and no line parsed."""
 
-    @pytest.fixture(autouse=True, params=["cold", "warm"])
+    @pytest.fixture(autouse=True, params=["cold", "warm", "rows"])
     def line_index(self, request, monkeypatch):
         real = cli.load_embeddings
 
@@ -709,13 +712,20 @@ class TestVectorCountersLineIndex(TestVectorCounters):
             assert restrict_to is None, "a warm restricted load scanned the file"
             return parse(path, restrict_to, *spans)
 
+        def no_parse(*args):
+            raise AssertionError("a load parsed a line whose row is stored")
+
         def load(path, restrict_to=None, digest=None):
             if request.param == "cold" or restrict_to is None:
                 shutil.rmtree(embeddings.lines_dir(), ignore_errors=True)
                 return real(path, restrict_to, digest=digest)
-            with contextlib.suppress(FormatError):
-                real(path, restrict_to, digest=digest)
-            with mock.patch.object(embeddings, "_parse", refuse):
+            for _ in range(1 if request.param == "warm" else 2):
+                with contextlib.suppress(FormatError):
+                    real(path, restrict_to, digest=digest)
+            with mock.patch.object(embeddings, "_parse", refuse), \
+                    mock.patch.object(embeddings, "_parse_records",
+                                      no_parse if request.param == "rows"
+                                      else embeddings._parse_records):
                 return real(path, restrict_to, digest=digest)
 
         parse = embeddings._parse

@@ -83,6 +83,18 @@ class TestForward:
         with pytest.raises(DimensionError):
             forward_batch(small_net(), np.ones((1, 6)))
 
+    @pytest.mark.parametrize("sizes, rows", [
+        ((5, 7, 4, 2), 1), ((5, 7, 4, 2), 50), ((3, 6, 4), 9), ((4, 1), 3),
+    ])
+    def test_inference_pass_is_the_training_pass_bit_for_bit(self, sizes, rows):
+        net = small_net(seed=rows, sizes=sizes)
+        for b in net.biases:
+            b[:] = np.random.default_rng(rows).standard_normal(len(b))
+        X = np.random.default_rng(rows + 1).standard_normal((rows, sizes[0]))
+        got = forward_batch(net, X)
+        assert got.shape == (rows, sizes[-1])
+        assert got.tobytes() == _forward_batch(net, X, False, None)[0].tobytes()
+
 
 class TestGradients:
     def test_small_net_against_finite_differences(self):

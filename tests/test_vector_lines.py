@@ -2,12 +2,15 @@
 
 A restricted load of a regular file with a digest writes the file's line
 index (``vector-lines/``) as it scans, and a later restricted load of the
-same bytes, whatever its kept words, reads only the lines it keeps.  The
-table, ``skipped_lines`` and every ``FormatError`` text are those of the
-uncached parse, on the uncached, cold and warm paths.
+same bytes, whatever its kept words, reads only the lines it keeps and
+stores their rows in the index, so that no later load reads or parses them
+again.  The table, ``skipped_lines`` and every ``FormatError`` text are
+those of the uncached parse, on the uncached, cold and warm paths and from
+stored rows.
 """
 
 import hashlib
+import io
 import os
 import shutil
 import threading
@@ -48,6 +51,10 @@ def entries():
 
 def no_scan(*args):
     raise AssertionError("a warm restricted load scanned the file")
+
+
+def no_parse(*args):
+    raise AssertionError("a load parsed a line whose row is stored")
 
 
 def indexable(data: bytes) -> bool:
@@ -117,7 +124,7 @@ def test_restricted_loads_match_the_uncached_parse(tmp_path_factory, data, keep,
     path.write_bytes(data)
     shutil.rmtree(embeddings.lines_dir(), ignore_errors=True)
     want = {frozenset(k): outcome(lambda: embeddings._parse(path, k))
-            for k in (keep, other)}
+            for k in (keep, other, keep | other)}
     digest = digest_of(path)
     assert outcome(lambda: load_embeddings(path, keep)) == want[frozenset(keep)]
     assert entries() == []
@@ -134,6 +141,14 @@ def test_restricted_loads_match_the_uncached_parse(tmp_path_factory, data, keep,
             with mock.patch.object(embeddings, "_PICK_CHARS", chars):
                 assert outcome(lambda: load_embeddings(path, k, digest=digest)) == \
                     want[frozenset(k)]
+    assert len(entries()) == 1
+    # those loads stored the rows of the lines they parsed: each kept line is
+    # served from them, and none is parsed again
+    with mock.patch.object(embeddings, "_parse", no_scan), \
+            mock.patch.object(embeddings, "_parse_records", no_parse):
+        for k in (keep, other, keep | other):
+            assert outcome(lambda: load_embeddings(path, k, digest=digest)) == \
+                want[frozenset(k)]
 
 
 @pytest.fixture
@@ -182,6 +197,27 @@ def test_warm_load_reads_only_the_first_record_and_the_kept_lines(vec, monkeypat
     # the header and first record, then the lines of w3, w10, w59 and w3
     assert reads[0] == len("4 2\nw0 0 0.5\n")
     assert len(reads) == 5 and sum(reads) < vec.stat().st_size // 5
+
+
+def test_a_load_of_stored_rows_reads_only_the_first_record(vec, monkeypatch):
+    want = outcome(lambda: embeddings._parse(vec, KEEP))
+    digest = digest_of(vec)
+    for _ in range(2):  # a scan, then a load that stores the kept rows
+        assert outcome(lambda: load_embeddings(vec, KEEP, digest=digest)) == want
+    reads = []
+
+    class Reader(io.BufferedReader):
+        def read(self, size=-1):
+            reads.append(size)
+            return super().read(size)
+
+    monkeypatch.setattr(embeddings, "_parse", no_scan)
+    monkeypatch.setattr(embeddings, "_parse_records", no_parse)
+    # _served opens the file by the name open, which this global shadows
+    monkeypatch.setattr(embeddings, "open", lambda path, mode: Reader(io.FileIO(path)),
+                        raising=False)
+    assert outcome(lambda: load_embeddings(vec, KEEP, digest=digest)) == want
+    assert reads == [len("4 2\nw0 0 0.5\n")]
 
 
 def test_a_fifo_is_scanned_and_writes_no_index(vec, tmp_path):
@@ -263,19 +299,30 @@ def damage(entry, **arrays):
         np.savez(handle, **payload)
 
 
+# damage to the rows a load stores; rows of another dimension pass the
+# entry's own checks, and only the first record's dimension rules them out
+ROWS_DAMAGE = ["ordinals-out-of-order", "ordinal-past-index", "valid-length",
+               "rows-float64", "rows-fewer", "rows-flat", "rows-other-dim",
+               "rows-non-finite"]
+
+
 @pytest.mark.parametrize("how", [
     "truncated", "garbage", "span-past-eof", "spans-out-of-order",
     "fewer-words", "more-spans", "float-spans", "int32-spans", "size-dtype",
-    "start-past-size", "words-not-utf8", "version-shape",
+    "start-past-size", "words-not-utf8", "version-shape", *ROWS_DAMAGE,
 ])
 def test_a_damaged_entry_is_a_miss_and_rewritten(vec, how):
     want = outcome(lambda: embeddings._parse(vec, KEEP))
     digest = digest_of(vec)
     load_embeddings(vec, KEEP, digest=digest)
+    if how in ROWS_DAMAGE:  # a second load stores the kept lines' rows
+        load_embeddings(vec, KEEP, digest=digest)
     (entry,) = entries()
     good = entry.read_bytes()
     with np.load(entry, allow_pickle=False) as data:
         starts, ends, words = data["starts"], data["ends"], data["words"]
+        ordinals, valid, rows = data["ordinals"], data["valid"], data["rows"]
+    assert len(ordinals) == (4 if how in ROWS_DAMAGE else 0)
     size = vec.stat().st_size
     if how == "truncated":
         entry.write_bytes(good[:len(good) // 2])
@@ -299,13 +346,38 @@ def test_a_damaged_entry_is_a_miss_and_rewritten(vec, how):
         damage(entry, start=np.int64(size + 1))
     elif how == "words-not-utf8":
         damage(entry, words=np.frombuffer(b"\xff" * len(words), np.uint8))
-    else:
+    elif how == "version-shape":
         damage(entry, format_version=np.array([1, 1]))
-    assert embeddings._LINES.read(entry, digest()) is None
+    elif how == "ordinals-out-of-order":
+        damage(entry, ordinals=ordinals[::-1].copy(), valid=valid[::-1].copy(),
+               rows=rows[::-1].copy())
+    elif how == "ordinal-past-index":
+        damage(entry, ordinals=np.append(ordinals[:-1], len(starts)))
+    elif how == "valid-length":
+        damage(entry, valid=np.append(valid, False))
+    elif how == "rows-float64":
+        damage(entry, rows=rows.astype(np.float64))
+    elif how == "rows-fewer":
+        damage(entry, rows=rows[:-1])
+    elif how == "rows-flat":
+        damage(entry, rows=rows.ravel())
+    elif how == "rows-other-dim":
+        damage(entry, rows=np.hstack([rows, rows]))
+    else:
+        rows = rows.copy()
+        rows[1, 0] = np.inf
+        damage(entry, rows=rows)
+    rescan = how != "rows-other-dim"
+    assert (embeddings._LINES.read(entry, digest()) is None) == rescan
     with mock.patch.object(embeddings, "_parse", wraps=embeddings._parse) as parse:
         assert outcome(lambda: load_embeddings(vec, KEEP, digest=digest)) == want
-    assert parse.called
-    assert embeddings._LINES.read(entry, digest()) is not None
+    assert parse.called == rescan
+    # rewritten: by the scan, with no rows, or by a load that parsed the
+    # kept lines again; either serves the next load
+    index = embeddings._LINES.read(entry, digest())
+    assert index.rows.shape == ((0, 0) if rescan else (4, 2))
+    with mock.patch.object(embeddings, "_parse", no_scan):
+        assert outcome(lambda: load_embeddings(vec, KEEP, digest=digest)) == want
 
 
 def test_a_file_that_changes_size_while_it_is_scanned_writes_no_index(
