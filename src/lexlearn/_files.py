@@ -11,6 +11,7 @@ import shutil
 import stat
 import time
 import zipfile
+import zlib
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
@@ -86,6 +87,7 @@ class ParseCache(Generic[T]):
     version: int
     pack: Callable[[T], dict[str, np.ndarray]]
     unpack: Callable[[Mapping[str, np.ndarray]], T | None]
+    suffix = ".npz"  # of an entry's name
 
     def directory(self) -> Path:
         return cache_root() / self.folder
@@ -113,29 +115,16 @@ class ParseCache(Generic[T]):
             return parse()
         # named by size as well, so that a file of a size never cached is
         # parsed at once rather than after its digest
-        if any(folder.glob(f"{info.st_size}-*.npz")):
+        if any(folder.glob(f"{info.st_size}-*{self.suffix}")):
             sha = _checked(digest())
             value = None if sha is None else self.read(
-                folder / f"{info.st_size}-{sha}.npz", sha, **key)
+                folder / f"{info.st_size}-{sha}{self.suffix}", sha, **key)
             if value is not None:
                 return value
         value = parse()
         if value is not None and (sha := _checked(digest())) is not None:
-            self.write(folder / f"{info.st_size}-{sha}.npz", sha, value, **key)
+            self.write(folder / f"{info.st_size}-{sha}{self.suffix}", sha, value, **key)
         return value
-
-    def store(self, path: str | Path, value: T,
-              digest: Callable[[], str | None]) -> None:
-        """Write ``value`` as the entry of ``path``'s content, in place of the
-        one there, as :meth:`load` writes one after a parse; a file that
-        cannot be stat'ed or has no digest is left out."""
-        try:
-            size = os.stat(path).st_size
-            folder = self.directory()
-        except (OSError, RuntimeError):  # RuntimeError: no home directory
-            return
-        if (sha := _checked(digest())) is not None:
-            self.write(folder / f"{size}-{sha}.npz", sha, value)
 
     def read(self, entry: Path, digest: str, **key: str) -> T | None:
         """The parse in ``entry``, or None for a miss."""
@@ -171,6 +160,104 @@ class ParseCache(Generic[T]):
                 np.savez(handle, **payload)
         except OSError:
             pass
+
+
+class ArrayCache(ParseCache[T]):
+    """Parsed files kept by content as a :class:`ParseCache` keeps them, but
+    each entry a ``<size>-<sha256>/`` directory whose arrays a read maps
+    into memory rather than copies, so that a reader touches only the bytes
+    it uses.
+
+    ``index.npy`` holds the arrays that ``pack`` gives, written once: the
+    directory is written beside its place and renamed into it.  They are
+    the fields of one structured value (so a field's bytes are at most
+    numpy's limit on the size of one value, 2 GiB; a larger entry is not
+    written), whose last field is a crc32 of the version, the digest, the
+    layout and the bytes of the others.  A read maps it and checks the
+    crc32: any changed byte makes the entry a miss.  ``rows.npy``, once
+    :meth:`replace_rows` has written it, holds one more array, replaced
+    whole and atomically; a read gives it to ``unpack`` as ``"rows"``,
+    mapped and unchecked, or leaves it out when it does not map."""
+
+    suffix = ""
+
+    def read(self, entry: Path, digest: str, **key: str) -> T | None:
+        try:
+            index = np.load(entry / "index.npy", mmap_mode="r",
+                            allow_pickle=False).view(np.ndarray)
+            *names, last = index.dtype.names or ("",)
+            if (index.shape != () or last != "crc32"
+                    or int(index[last]) != self._crc32(index, digest)):
+                return None
+            data = {name: index[name] for name in names}
+            try:
+                data["rows"] = np.load(entry / "rows.npy", mmap_mode="r",
+                                       allow_pickle=False).view(np.ndarray)
+            except (OSError, ValueError):  # none, or one that does not map
+                pass
+            return self.unpack(data)
+        except (OSError, ValueError, KeyError, TypeError):
+            return None
+
+    def write(self, entry: Path, digest: str, value: T, **key: str) -> None:
+        """Write ``entry`` for a parse, unless it would take more than half
+        of the free space, in place of a damaged one there; an entry that
+        cannot be written is left out."""
+        arrays = self.pack(value)
+        try:
+            index = np.zeros((), [(name, a.dtype, a.shape) for name, a in arrays.items()]
+                             + [("crc32", "<u4")])
+        except ValueError:  # over numpy's size limit
+            return
+        for name, a in arrays.items():
+            index[name] = a
+        index["crc32"] = self._crc32(index, digest)
+        try:
+            entry.parent.mkdir(parents=True, exist_ok=True)
+            if shutil.disk_usage(entry.parent).free < 2 * index.nbytes:
+                return
+            token = secrets.token_hex(6)
+            temp, aside = (entry.with_name(f".{entry.name}.{token}.{end}")
+                           for end in ("tmp", "old"))
+            temp.mkdir()
+            try:
+                np.save(temp / "index.npy", index)
+                if entry.exists():  # a directory is moved aside, not replaced
+                    os.rename(entry, aside)
+                os.rename(temp, entry)
+            finally:
+                shutil.rmtree(temp, ignore_errors=True)
+                shutil.rmtree(aside, ignore_errors=True)
+        except OSError:
+            pass
+
+    def replace_rows(self, path: str | Path, rows: np.ndarray,
+                     digest: Callable[[], str | None]) -> None:
+        """Write ``rows`` as the ``rows.npy`` of the entry of ``path``'s
+        content, in place of the one there, unless it would take more than
+        half of the free space; a file that cannot be stat'ed or has no
+        digest, or an entry that is not there, is left out."""
+        try:
+            size = os.stat(path).st_size
+            folder = self.directory()
+        except (OSError, RuntimeError):  # RuntimeError: no home directory
+            return
+        if (sha := _checked(digest())) is None:
+            return
+        entry = folder / f"{size}-{sha}"
+        try:
+            if shutil.disk_usage(entry).free < 2 * rows.nbytes:
+                return
+            with atomic_write(entry / "rows.npy") as (temp,), open(temp, "wb") as handle:
+                np.save(handle, rows)
+        except OSError:
+            pass
+
+    def _crc32(self, index: np.ndarray, digest: str) -> int:
+        """The crc32 of an ``index.npy`` value: of the version, the digest,
+        the layout and every byte before its own."""
+        head = f"{self.version} {digest} {index.dtype.descr}".encode("utf-8")
+        return zlib.crc32(index.reshape(1).view(np.uint8)[:-4], zlib.crc32(head))
 
 
 def _utf8(text: str) -> np.ndarray:

@@ -142,8 +142,9 @@ class Corpus:
 
     @cached_property
     def vocab(self) -> dict[str, int]:
-        df = self.document_frequency
-        return {self.terms[j]: int(df[j]) for j in self.vocab_columns}
+        cols = self.vocab_columns
+        return dict(zip(map(self.terms.__getitem__, cols.tolist()),
+                        self.document_frequency[cols].tolist()))
 
     def select(self, rows) -> Corpus:
         """Sub-corpus of the given document indices, in the given order.

@@ -13,7 +13,8 @@ import codecs
 import os
 import shutil  # noqa: F401  the cache's free-space check, patchable here
 import stat
-from dataclasses import dataclass, field, replace
+import zlib
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
@@ -21,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._files import ParseCache
+from ._files import ArrayCache, ParseCache
 from .errors import DataError, FormatError
 
 __all__ = ["EmbeddingTable", "load_embeddings", "centroid", "centroids"]
@@ -97,22 +98,23 @@ def load_embeddings(
     digest under ``$XDG_CACHE_HOME/lexlearn`` (see
     :meth:`~lexlearn._files.ParseCache.load`), and writes one after a parse.
     A full load (no ``restrict_to``) reads its table from ``vectors/``.  A
-    restricted load reads the file's line index from ``vector-lines/``: the
+    restricted load maps the file's line index from ``vector-lines/``: the
     byte span and word of every line after the first valid record, whatever
-    the kept words, and the outcome of each line that a load has parsed
-    through the index: whether it is a valid record, and its float32 row.
-    It then checks the lines up to that record again, takes each kept line
+    the kept words, the words' keys, sorted, and the outcome of each line
+    that a load has parsed through the index: whether it is a valid record,
+    and its float32 row.  It then checks the lines up to that record again,
+    finds the kept words' lines by their keys, takes each one whose outcome
     the index holds from it, with no read of the line, and reads,
     word-checks and parses only the kept lines never parsed before; it then
-    writes the entry again, holding the union of the lines parsed.  An entry
-    grows by 4 bytes a value and 9 bytes a line for each line parsed, and
-    every warm load reads all of it.  Stored rows are trusted as a
-    ``vectors/`` table is: the entry is that of the file's digest, and the
-    file must still be of the indexed size, while each line that is read
-    must still start with its indexed word.  A scan stores no rows, and
-    writes no index for a file it cannot count exactly in bytes: one with a
-    carriage return or with bytes that are not UTF-8.  The table, its counts
-    and any ``FormatError`` are the same either way.
+    replaces the entry's stored outcomes with the union of those stored and
+    those parsed.  An outcome takes 4 bytes a value and 24 bytes more.
+    Stored rows are trusted as a ``vectors/`` table is, once the checksums
+    of the index and of each stored outcome hold: the entry is that of the
+    file's digest, and the file must still be of the indexed size, while
+    each line that is read must still start with its indexed word.  A scan
+    stores no rows, and writes no index for a file it cannot count exactly
+    in bytes: one with a carriage return or with bytes that are not UTF-8.
+    The table, its counts and any ``FormatError`` are the same either way.
     """
     if restrict_to is None:
         # _parse by its module-level name, so that a wrapper set on it sees
@@ -140,7 +142,7 @@ def load_embeddings(
             return _parse(path, keep)
         result, grown = served
         if grown is not None:
-            _LINES.store(path, grown, digest)
+            _LINES.replace_rows(path, grown, digest)
     if isinstance(result, FormatError):
         raise result
     return result
@@ -175,77 +177,78 @@ _read_entry = _CACHE.read
 
 @dataclass(frozen=True, eq=False)
 class _LineIndex:
-    """Where the lines of a ``.vec`` file lie, and what those parsed through
-    it hold: ``start`` is the byte offset just past its first valid record,
-    and ``words``, ``starts`` and ``ends`` give the first field and the byte
-    span of each line after it that is not blank, in file order.
-    ``ordinals`` are the positions in these of the lines parsed so far, in
-    order, ``valid`` whether each is a valid record, and ``rows`` the values
-    of the valid ones."""
+    """Where the lines of a ``.vec`` file lie, found by their words, and what
+    those parsed through it hold.  ``start`` is the byte offset just past
+    its first valid record; the lines after it that are not blank are
+    numbered in file order.  ``spans`` gives each line's byte span in the
+    file and the end of its first field in ``words``, the newline-joined
+    UTF-8 first fields; ``keys`` are the :data:`_key` of those fields,
+    ascending, and ``order`` the line of each.  ``rows``, when a load has
+    stored any, is the ``rows.npy`` value of :func:`_stored_rows`."""
 
     size: int  # the file's length in bytes
     start: int
-    words: str  # newline-joined: a first field holds no whitespace
-    starts: np.ndarray  # int64
-    ends: np.ndarray  # int64
-    ordinals: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    valid: np.ndarray = field(default_factory=lambda: np.empty(0, bool))
-    # float32, (valid.sum(), dim)
-    rows: np.ndarray = field(default_factory=lambda: np.empty((0, 0), np.float32))
+    keys: np.ndarray  # uint32
+    order: np.ndarray  # int64
+    spans: np.ndarray  # int64, (lines, 3): start, end, end of the word
+    words: np.ndarray  # uint8
+    rows: np.ndarray | None = None
+
+
+# the key of a word's UTF-8 bytes in the index; two words may share one
+_key = zlib.crc32
 
 
 def _pack_lines(index: _LineIndex) -> dict[str, np.ndarray]:
-    return {
-        "size": np.int64(index.size),
-        "start": np.int64(index.start),
-        "words": np.frombuffer(index.words.encode("utf-8"), dtype=np.uint8),
-        "starts": index.starts,
-        "ends": index.ends,
-        "ordinals": index.ordinals,
-        "valid": index.valid,
-        "rows": index.rows,
-    }
+    # the int64 arrays first: the keys that a load searches lie aligned
+    return {"meta": np.array([index.size, index.start], np.int64),
+            "order": index.order, "spans": index.spans, "keys": index.keys,
+            "words": index.words}
 
 
-def _unpack_lines(data) -> _LineIndex | None:
-    size, start = data["size"], data["start"]
-    blob, starts, ends = data["words"], data["starts"], data["ends"]
-    ordinals, valid, rows = data["ordinals"], data["valid"], data["rows"]
-    if (size.shape != () or size.dtype != np.int64 or start.shape != ()
-            or start.dtype != np.int64 or blob.dtype != np.uint8
-            or starts.dtype != np.int64 or starts.ndim != 1
-            or starts.shape != ends.shape or ends.dtype != np.int64
-            or ordinals.dtype != np.int64 or ordinals.ndim != 1
-            or valid.dtype != bool or valid.shape != ordinals.shape
-            or rows.dtype != np.float32 or rows.ndim != 2
-            or rows.shape[0] != np.count_nonzero(valid)):
-        return None
-    words = bytes(blob).decode("utf-8")
-    size, start = int(size), int(start)
-    if (words.count("\n") + 1 if words else 0) != len(starts) \
-            or not 0 <= start <= size:
-        return None
-    # spans that follow the first record, each non-empty, in order, in the file
-    if len(starts) and not (start <= starts[0] and ends[-1] <= size
-                            and (starts < ends).all()
-                            and (ends[:-1] <= starts[1:]).all()):
-        return None
-    # parsed lines of the index, each once, in order, and the finite values
-    # that a parse keeps
-    if len(ordinals) and not (0 <= ordinals[0] and ordinals[-1] < len(starts)
-                              and (ordinals[:-1] < ordinals[1:]).all()):
-        return None
-    if not np.isfinite(rows).all():
-        return None
-    return _LineIndex(size, start, words, starts, ends, ordinals, valid, rows)
+def _unpack_lines(data) -> _LineIndex:
+    size, start = data["meta"].tolist()
+    return _LineIndex(size, start, data["keys"], data["order"], data["spans"],
+                      data["words"], data.get("rows"))
 
 
 # the index depends on the file's bytes alone, not on the kept words, so one
 # entry serves every restricted load of them; the version covers the layout
-# of an entry and the line rules (decoding, blank lines, first fields, the
-# skip rule of the stored rows)
-_LINES = ParseCache("vector-lines", 2, _pack_lines, _unpack_lines)
+# of an entry, the key and the line rules (decoding, blank lines, first
+# fields, the skip rule of the stored rows)
+_LINES = ArrayCache("vector-lines", 3, _pack_lines, _unpack_lines)
 lines_dir = _LINES.directory
+
+
+def _record(dim: int) -> np.dtype:
+    """One stored line: a crc32 of the bytes after it, whether the line is a
+    valid record (1) or not (0), its number and its values (zero for an
+    invalid one), each field aligned."""
+    return np.dtype([("crc", "<u4"), ("valid", "<u4"), ("line", "<i8"),
+                     ("row", "<f4", (dim,))])
+
+
+def _rows_layout(count: int, dim: int) -> np.dtype:
+    # the records by line, and their lines apart, which a load searches
+    return np.dtype([("lines", "<i8", (count,)), ("records", _record(dim), (count,))])
+
+
+def _stored_rows(rows: np.ndarray | None, dim: int
+                 ) -> tuple[np.ndarray, np.ndarray] | None:
+    """The lines and records of a ``rows.npy`` value of ``dim`` values a
+    line, or None for none or another layout."""
+    if rows is None or rows.shape != () or rows.dtype.names != ("lines", "records"):
+        return None
+    lines = rows["lines"]
+    if lines.ndim != 1 or rows.dtype != _rows_layout(len(lines), dim):
+        return None
+    return lines, rows["records"]
+
+
+def _crc32s(records: np.ndarray) -> np.ndarray:
+    """The crc32 of each record's bytes after its crc."""
+    raw = records.view(np.uint8).reshape(len(records), records.itemsize)
+    return np.fromiter(map(zlib.crc32, raw[:, 4:]), np.uint32, len(records))
 
 
 def _byte_size(line: str) -> int:
@@ -263,7 +266,8 @@ class _Spans:
         self.exact = False
         self.offset = 0
         self.start: int | None = None
-        self.words: list[str] = []  # the newline-joined words of each block
+        self.words: list[bytes] = []  # the newline-joined words of each block
+        self.keys: list[np.ndarray] = []
         self.starts: list[np.ndarray] = []
         self.ends: list[np.ndarray] = []
 
@@ -299,7 +303,9 @@ class _Spans:
         self.offset = int(ends[-1])
         filled = np.fromiter(map(bool, heads), bool, len(heads))
         if filled.any():
-            self.words.append("\n".join([h[0] for h in compress(heads, filled)]))
+            words = "\n".join([h[0] for h in compress(heads, filled)]).encode("utf-8")
+            self.words.append(words)
+            self.keys.append(np.fromiter(map(_key, words.split(b"\n")), np.uint32))
             self.starts.append((ends - sizes)[filled])
             self.ends.append(ends[filled])
         return heads
@@ -317,9 +323,14 @@ class _Spans:
         if not self.exact:
             return None
         empty = np.empty(0, np.int64)
-        return _LineIndex(self.offset, self.start, "\n".join(self.words),
-                          np.concatenate([empty, *self.starts]),
-                          np.concatenate([empty, *self.ends]))
+        keys = np.concatenate([np.empty(0, np.uint32), *self.keys])
+        order = np.argsort(keys)
+        words = np.frombuffer(b"\n".join(self.words), np.uint8)
+        word_ends = np.append(np.flatnonzero(words == ord("\n")), len(words))
+        spans = np.stack([np.concatenate([empty, *self.starts]),
+                          np.concatenate([empty, *self.ends]),
+                          word_ends[:len(keys)]], axis=1)
+        return _LineIndex(self.offset, self.start, keys[order], order, spans, words)
 
 
 def _parse(path: str | Path, restrict_to: Iterable[str] | None,
@@ -339,15 +350,15 @@ def _parse(path: str | Path, restrict_to: Iterable[str] | None,
 
 
 def _served(path: str | Path, keep: set[str], index: _LineIndex
-            ) -> tuple[EmbeddingTable | FormatError, _LineIndex | None] | None:
+            ) -> tuple[EmbeddingTable | FormatError, np.ndarray | None] | None:
     """The table of a restricted load, or the FormatError that :func:`_parse`
     raises, read through the line index of the file: the lines up to the
     first valid record, then the kept words' lines, each from the rows the
-    index stores or else read and parsed; and the index grown by the lines
-    parsed here (None when it stored them all).  None when the file does not
-    match the index: another size, or a line read of another word."""
-    picked, kept = _pick(index.words, keep)
-    lines = np.flatnonzero(picked)
+    index stores or else read and parsed; and the ``rows.npy`` value that
+    adds the lines parsed here to those stored (None when it stored them
+    all).  None when the file does not match the index: another size, or a
+    line read of another word."""
+    lines, kept = _find(index, keep)
     with open(path, "rb") as handle:
         if os.fstat(handle.fileno()).st_size != index.size:
             return None
@@ -357,33 +368,31 @@ def _served(path: str | Path, keep: set[str], index: _LineIndex
             return None
         words, data, dim, data_lines, skipped = _records(
             iter(head.split("\n")), (), keep)
-        if dim is None and len(index.starts):  # lines after no valid record
+        if dim is None and len(index.order):  # lines after no valid record
             return None
-        if dim is not None and index.rows.shape[1] != dim:
-            # none stored (a scan's entry), or rows of another file
-            index = replace(index, ordinals=np.empty(0, np.int64),
-                            valid=np.empty(0, bool),
-                            rows=np.empty((0, dim), np.float32))
-        new = ~np.isin(lines, index.ordinals, assume_unique=True)
+        # stored rows of another layout or dimension hold no usable record
+        stored = _stored_rows(index.rows, dim or 0)
+        held, valid, values = _held(stored, lines, dim or 0)
+        new = np.flatnonzero(~held)
         reads = []
-        for start, end in zip(index.starts[lines[new]].tolist(),
-                              index.ends[lines[new]].tolist()):
+        for start, end in index.spans[lines[new], :2].tolist():
             handle.seek(start)
             reads.append(handle.read(end - start))
     try:
         heads = _heads([line.decode("utf-8") for line in reads])
     except UnicodeDecodeError:
         return None
-    if [h[0] if h else None for h in heads] != list(compress(kept, new)):
+    if [h[0] if h else None for h in heads] != [kept[i] for i in new.tolist()]:
         return None
     grown = None
     if heads:
         with np.errstate(over="ignore"):
-            grown = _grown(index, lines[new], *_outcomes(heads, dim))
-    parsed = index if grown is None else grown
-    at = np.searchsorted(parsed.ordinals, lines)
-    valid = parsed.valid[at]
-    rows = parsed.rows[np.cumsum(parsed.valid)[at[valid]] - 1]
+            ok, parsed = _outcomes(heads, dim)
+        valid[new] = ok
+        values[new] = 0.0
+        values[new[ok]] = parsed
+        grown = _grown(stored, lines[new], valid[new], values[new])
+    rows = values[valid]
     skipped += len(lines) - len(rows)
     if data:  # the first record is kept
         rows = np.concatenate([np.frombuffer(data, np.float32).reshape(1, dim), rows])
@@ -394,36 +403,65 @@ def _served(path: str | Path, keep: set[str], index: _LineIndex
         return exc, grown
 
 
-def _grown(index: _LineIndex, ordinals: np.ndarray, valid: np.ndarray,
-           rows: np.ndarray) -> _LineIndex:
-    """``index`` with the outcomes of the lines at ``ordinals``, in order
-    and none of them held, added: ``valid`` for each line, and ``rows`` for
-    the valid ones."""
-    at = np.searchsorted(index.ordinals, ordinals)
-    row_at = np.searchsorted(index.ordinals[index.valid], ordinals[valid])
-    return replace(index, ordinals=np.insert(index.ordinals, at, ordinals),
-                   valid=np.insert(index.valid, at, valid),
-                   rows=np.insert(index.rows, row_at, rows, axis=0))
+def _find(index: _LineIndex, keep: set[str]) -> tuple[np.ndarray, list[str]]:
+    """The lines of ``index`` whose word is in ``keep``, in file order, and
+    the word of each: the lines of each kept word's key, less those whose
+    stored word is another."""
+    keep = list(keep)
+    encoded = [word.encode("utf-8", "surrogatepass") for word in keep]
+    keys = np.fromiter(map(_key, encoded), np.uint32, len(keep))
+    by_key = np.argsort(keys)  # sorted needles search faster
+    first = index.keys.searchsorted(keys[by_key])
+    count = index.keys.searchsorted(keys[by_key], "right") - first
+    which = np.repeat(by_key, count)  # the kept word of each
+    at = np.arange(len(which)) + np.repeat(first + count - np.cumsum(count), count)
+    lines = index.order[at]
+    ends = index.spans[:, 2]
+    starts = np.where(lines > 0, ends[lines - 1] + 1, 0)
+    stored = memoryview(index.words)
+    same = np.array([stored[a:b] == encoded[w] for a, b, w in zip(
+        starts.tolist(), ends[lines].tolist(), which.tolist())], bool)
+    lines, which = lines[same], which[same]
+    order = np.argsort(lines)
+    return lines[order], [keep[w] for w in which[order].tolist()]
 
 
-# characters of newline-joined words split at a time: at 2M lines a split
-# of them all would hold about 130 MB of word objects at once
-_PICK_CHARS = 1 << 20
+def _held(stored: tuple[np.ndarray, np.ndarray] | None, lines: np.ndarray,
+          dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which of ``lines`` have a record among the :func:`_stored_rows`
+    ``stored`` that its crc32 vouches for; whether each such line is a
+    valid record; and a writable float32 (len(lines), dim) matrix holding
+    their values, and other values in other rows."""
+    if stored is None or not len(stored[0]) or not len(lines):
+        return (np.zeros(len(lines), bool), np.zeros(len(lines), bool),
+                np.zeros((len(lines), dim), np.float32))
+    numbers, records = stored
+    got = records[np.minimum(numbers.searchsorted(lines), len(numbers) - 1)]
+    held = (got["line"] == lines) & (_crc32s(got) == got["crc"])
+    return held, held & (got["valid"] != 0), got["row"]
 
 
-def _pick(words: str, keep: set[str]) -> tuple[np.ndarray, list[str]]:
-    """Whether each of the newline-joined ``words`` is in ``keep``, and the
-    words that are, in order."""
-    picked, kept = [np.empty(0, bool)], []
-    start = 0
-    while start < len(words):
-        stop = words.find("\n", start + _PICK_CHARS)
-        stop = len(words) if stop < 0 else stop
-        piece = words[start:stop].split("\n")
-        picked.append(np.fromiter(map(keep.__contains__, piece), bool, len(piece)))
-        kept += compress(piece, picked[-1])
-        start = stop + 1
-    return np.concatenate(picked), kept
+def _grown(stored: tuple[np.ndarray, np.ndarray] | None, lines: np.ndarray,
+           valid: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The ``rows.npy`` value holding the records of ``stored`` and those of
+    ``lines``, parsed now: whether each is valid, and its ``values``; a
+    stored line parsed again (its record failed its checks) keeps only its
+    new record.  Each stored record is copied once, into place."""
+    new = np.zeros(len(lines), _record(values.shape[1]))
+    new["line"], new["valid"], new["row"] = lines, valid, values
+    new["crc"] = _crc32s(new)
+    old = new[:0] if stored is None else stored[1]
+    again = np.isin(old["line"], lines)
+    if again.any():
+        old = old[~again]
+    numbers = np.concatenate([old["line"], lines])
+    order = np.argsort(numbers, kind="stable")
+    rows = np.zeros((), _rows_layout(len(numbers), values.shape[1]))
+    rows["lines"] = numbers[order]
+    at = np.argsort(order)  # the place of each record
+    rows["records"][at[:len(old)]] = old
+    rows["records"][at[len(old):]] = new
+    return rows
 
 
 def _records(lines: Iterator[str], blocks: Iterable[list[list[str]]],

@@ -375,13 +375,21 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator,
     d2 = _sq_distances(terms, X[chosen[-1]][None, :])[:, 0]
     for _ in range(1, k):
         total = float(d2.sum())
-        if total <= 0.0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
+        if not np.isfinite(total):  # finite points too far apart
+            raise NumericalError("kmeans: squared distances overflow float64")
+        idx = int(rng.integers(n)) if total <= 0.0 else _draw(d2, total, rng)
         chosen.append(idx)
         d2 = np.minimum(d2, _sq_distances(terms, X[idx][None, :])[:, 0])
     return X[chosen].copy()
+
+
+def _draw(d2: np.ndarray, total: float, rng: np.random.Generator) -> int:
+    """The index that ``rng.choice(len(d2), p=d2 / total)`` draws, by the
+    same steps and from the same one uniform, without its argument checks
+    (which cost twice the draw), so ``d2`` and ``total`` must be finite."""
+    cdf = (d2 / total).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _lloyd(X: np.ndarray, centers: np.ndarray,
@@ -433,7 +441,9 @@ def kmeans(points, k: int, restarts: int = 10, seed: int = 0) -> np.ndarray:
     """Seeded k-means++ with Lloyd refinement, best of ``restarts`` by WCSS.
 
     Deterministic for a fixed seed: restart streams are spawned from one
-    SeedSequence, and ties keep the earliest restart.
+    SeedSequence, and ties keep the earliest restart.  A point that is not
+    finite, or points whose squared distances overflow, raise
+    NumericalError.
     """
     X = np.asarray(points, dtype=np.float64)
     if X.ndim != 2:
@@ -443,6 +453,8 @@ def kmeans(points, k: int, restarts: int = 10, seed: int = 0) -> np.ndarray:
         raise DimensionError(f"kmeans: k={k} out of range for n={n} points")
     if restarts < 1:
         raise ValueError("kmeans: restarts must be positive")
+    if not np.isfinite(X).all():
+        raise NumericalError("kmeans: a point holds a non-finite value")
     best_assign = None
     best_wcss = np.inf
     terms = _point_terms(X)

@@ -161,9 +161,10 @@ class TestCorpusInvariants:
                 assert corpus.terms[j] in docs[i].tokens
             df = corpus.document_frequency
             assert ((1 <= df) & (df <= len(corpus))).all()
-            assert set(corpus.vocab) == {
-                t for t, d in zip(corpus.terms, df.tolist()) if d >= corpus.min_df
-            }
+            # the same words, counts and order as one int() per word gives
+            want = {t: int(d) for t, d in zip(corpus.terms, df) if d >= corpus.min_df}
+            assert list(corpus.vocab.items()) == list(want.items())
+            assert {type(d) for d in corpus.vocab.values()} <= {int}
 
     def test_build_corpus_rejects_mismatched_constructs(self):
         docs = [

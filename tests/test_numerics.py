@@ -600,3 +600,33 @@ class TestKMeans:
         with pytest.raises(DimensionError):
             kmeans(np.zeros((3, 2)), 4, restarts=1, seed=0)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 250, 1500])
+    def test_seeding_draw_is_the_generators_choice(self, n):
+        # the k-means++ draw repeats the steps of Generator.choice(n, p=...);
+        # a numpy whose choice draws otherwise fails here
+        for seed in range(200):
+            world = np.random.default_rng(seed)
+            d2 = world.random(n) ** 3
+            d2[world.random(n) < 0.2] = 0.0
+            d2[seed % n] += 1e-3  # some weight
+            total = float(d2.sum())
+            mine, theirs = (np.random.default_rng([seed, n]) for _ in range(2))
+            for _ in range(4):
+                assert numerics._draw(d2, total, mine) == \
+                    int(theirs.choice(n, p=d2 / total))
+            assert mine.random() == theirs.random()  # the same stream after
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_is_a_numerical_error(self, value):
+        pts = np.random.default_rng(12).standard_normal((20, 3))
+        pts[7, 1] = value
+        for k in (1, 3):
+            with pytest.raises(NumericalError, match="non-finite"):
+                kmeans(pts, k, restarts=2, seed=0)
+
+    def test_overflowing_distances_are_a_numerical_error(self):
+        pts = np.array([[1e300, 0.0], [-1e300, 0.0], [0.0, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match="overflow"):
+            kmeans(pts, 2, restarts=1, seed=0)
+

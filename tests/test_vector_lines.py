@@ -14,6 +14,7 @@ import io
 import os
 import shutil
 import threading
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -113,19 +114,29 @@ def vec_files(draw):
     return data
 
 
-KEEPS = st.sets(st.sampled_from(WORDS + ["zz", ""]), min_size=1, max_size=5)
+# "\ud800", a lone surrogate, is no word of a decoded file
+KEEPS = st.sets(st.sampled_from(WORDS + ["zz", "", "\ud800"]), min_size=1, max_size=5)
 
 
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
-@given(vec_files(), KEEPS, KEEPS)
+@given(vec_files(), KEEPS, KEEPS, st.sampled_from([None, 1, 3]))
 def test_restricted_loads_match_the_uncached_parse(tmp_path_factory, data, keep,
-                                                   other):
+                                                   other, keys):
     path = tmp_path_factory.mktemp("vec") / "v.vec"
     path.write_bytes(data)
     shutil.rmtree(embeddings.lines_dir(), ignore_errors=True)
     want = {frozenset(k): outcome(lambda: embeddings._parse(path, k))
             for k in (keep, other, keep | other)}
     digest = digest_of(path)
+    # the index keys words by their crc32, or, so that words collide, by it
+    # modulo 1 or 3; a line of a kept word's key holding another word is
+    # left out
+    key = embeddings._key if keys is None else (lambda word: zlib.crc32(word) % keys)
+    with mock.patch.object(embeddings, "_key", key):
+        loads_match(path, data, keep, other, want, digest)
+
+
+def loads_match(path, data, keep, other, want, digest):
     assert outcome(lambda: load_embeddings(path, keep)) == want[frozenset(keep)]
     assert entries() == []
     # cold: the scan writes the index, when its byte counts are exact
@@ -134,13 +145,11 @@ def test_restricted_loads_match_the_uncached_parse(tmp_path_factory, data, keep,
     assert len(entries()) == indexable(data)
     if not entries():
         return
-    # warm, for the kept words of the scan and for others, the indexed
-    # words looked up all at once or a few characters at a time: no scan
+    # warm, for the kept words of the scan and for others: no scan
     with mock.patch.object(embeddings, "_parse", no_scan):
-        for k, chars in ((keep, embeddings._PICK_CHARS), (other, 3)):
-            with mock.patch.object(embeddings, "_PICK_CHARS", chars):
-                assert outcome(lambda: load_embeddings(path, k, digest=digest)) == \
-                    want[frozenset(k)]
+        for k in (keep, other):
+            assert outcome(lambda: load_embeddings(path, k, digest=digest)) == \
+                want[frozenset(k)]
     assert len(entries()) == 1
     # those loads stored the rows of the lines they parsed: each kept line is
     # served from them, and none is parsed again
@@ -220,6 +229,29 @@ def test_a_load_of_stored_rows_reads_only_the_first_record(vec, monkeypatch):
     assert reads == [len("4 2\nw0 0 0.5\n")]
 
 
+def test_a_load_of_stored_rows_keys_each_kept_word_once(tmp_path):
+    # whatever the number of lines indexed: no word of the index is looked at
+    # but those of the kept words' keys
+    path = tmp_path / "big.vec"
+    path.write_text("".join(f"w{i} {i} 1\n" for i in range(20_000)), encoding="utf-8")
+    keep = {f"w{i}" for i in range(0, 20_000, 97)} | {"absent", "日本"}
+    want = outcome(lambda: embeddings._parse(path, keep))
+    digest = digest_of(path)
+    for _ in range(2):  # a scan, then a load that stores the kept rows
+        assert outcome(lambda: load_embeddings(path, keep, digest=digest)) == want
+    keyed = []
+
+    def key(word):
+        keyed.append(word)
+        return zlib.crc32(word)
+
+    with mock.patch.object(embeddings, "_key", key), \
+            mock.patch.object(embeddings, "_parse", no_scan), \
+            mock.patch.object(embeddings, "_parse_records", no_parse):
+        assert outcome(lambda: load_embeddings(path, keep, digest=digest)) == want
+    assert sorted(keyed) == sorted(word.encode("utf-8") for word in keep)
+
+
 def test_a_fifo_is_scanned_and_writes_no_index(vec, tmp_path):
     if not hasattr(os, "mkfifo"):
         pytest.skip("no FIFOs here")
@@ -290,26 +322,59 @@ def test_a_rewritten_vec_is_not_served_stale_spans(vec, digest_memo):
     assert len(entries()) == 2
 
 
-def damage(entry, **arrays):
-    """Rewrite the arrays of a ``.npz`` entry, changing ``arrays``."""
-    with np.load(entry, allow_pickle=False) as data:
-        payload = {name: data[name] for name in data.files}
-    payload.update(arrays)
-    with open(entry, "wb") as handle:
-        np.savez(handle, **payload)
+def stored(entry, name="index"):
+    """The value of an entry's ``index.npy`` or ``rows.npy``, in memory."""
+    return np.load(entry / f"{name}.npy", allow_pickle=False)
 
 
-# damage to the rows a load stores; rows of another dimension pass the
-# entry's own checks, and only the first record's dimension rules them out
+def rewrite(entry, name="index", **fields):
+    """Rewrite an entry's ``index.npy`` or ``rows.npy`` with ``fields``
+    changed, and its crc32 and the records' crcs as they were."""
+    value = stored(entry, name)
+    arrays = {field: value[field] for field in value.dtype.names}
+    arrays.update(fields)
+    out = np.zeros((), [(field, a.dtype, a.shape) for field, a in arrays.items()])
+    for field, a in arrays.items():
+        out[field] = a
+    np.save(entry / f"{name}.npy", out)
+
+
+def flip(entry, name, field, subfield=None):
+    """Flip the lowest bit of the first byte of ``field`` in an entry's
+    ``index.npy`` or ``rows.npy``, or of ``subfield`` of its second record
+    (a valid record's 1 becomes 0)."""
+    path = entry / f"{name}.npy"
+    data = bytearray(path.read_bytes())
+    layout = stored(entry, name).dtype
+    kind, at = layout.fields[field][:2]
+    if subfield is not None:
+        record = kind.base
+        kind, inner = record.fields[subfield][:2]
+        at += record.itemsize + inner
+    at += len(data) - layout.itemsize
+    data[at] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+INDEX_FIELDS = ["meta", "order", "spans", "keys", "words", "crc32"]
+RECORD_FIELDS = ["crc", "valid", "line", "row"]
+# damage to the rows a load stores: each damaged record, or the rows file
+# when it does not hold records of the first record's dimension, counts as
+# none stored, and its lines are parsed again; the index stays
 ROWS_DAMAGE = ["ordinals-out-of-order", "ordinal-past-index", "valid-length",
                "rows-float64", "rows-fewer", "rows-flat", "rows-other-dim",
-               "rows-non-finite"]
+               "rows-non-finite", "rows-truncated", "rows-missing", "rows-empty",
+               "rows-flipped-lines", *(f"rows-flipped-{f}" for f in RECORD_FIELDS)]
+# beside an entry: left alone, never read
+BESIDE = ["leftover-temporary", "old-layout"]
 
 
 @pytest.mark.parametrize("how", [
     "truncated", "garbage", "span-past-eof", "spans-out-of-order",
     "fewer-words", "more-spans", "float-spans", "int32-spans", "size-dtype",
-    "start-past-size", "words-not-utf8", "version-shape", *ROWS_DAMAGE,
+    "start-past-size", "words-not-utf8", "version-shape", "missing",
+    "header-dtype", *(f"flipped-{f}" for f in INDEX_FIELDS),
+    *ROWS_DAMAGE, *BESIDE,
 ])
 def test_a_damaged_entry_is_a_miss_and_rewritten(vec, how):
     want = outcome(lambda: embeddings._parse(vec, KEEP))
@@ -318,56 +383,92 @@ def test_a_damaged_entry_is_a_miss_and_rewritten(vec, how):
     if how in ROWS_DAMAGE:  # a second load stores the kept lines' rows
         load_embeddings(vec, KEEP, digest=digest)
     (entry,) = entries()
-    good = entry.read_bytes()
-    with np.load(entry, allow_pickle=False) as data:
-        starts, ends, words = data["starts"], data["ends"], data["words"]
-        ordinals, valid, rows = data["ordinals"], data["valid"], data["rows"]
-    assert len(ordinals) == (4 if how in ROWS_DAMAGE else 0)
+    assert sorted(p.name for p in entry.iterdir()) == \
+        ["index.npy", "rows.npy"] if how in ROWS_DAMAGE else ["index.npy"]
+    index = stored(entry)
+    spans, words, meta = index["spans"], index["words"], index["meta"]
+    if how in ROWS_DAMAGE:
+        rows = stored(entry, "rows")
+        lines, records = rows["lines"], rows["records"]
+        assert len(records) == 4
     size = vec.stat().st_size
+    good = (entry / "index.npy").read_bytes()
     if how == "truncated":
-        entry.write_bytes(good[:len(good) // 2])
+        (entry / "index.npy").write_bytes(good[:len(good) // 2])
     elif how == "garbage":
-        entry.write_bytes(b"not an npz archive\n" * 40)
+        (entry / "index.npy").write_bytes(b"not an npy array\n" * 40)
+    elif how == "missing":
+        (entry / "index.npy").unlink()
     elif how == "span-past-eof":
-        damage(entry, ends=np.concatenate([ends[:-1], [size + 5]]))
+        spans[-1, 1] = size + 5
+        rewrite(entry, spans=spans)
     elif how == "spans-out-of-order":
-        damage(entry, starts=starts[::-1].copy(), ends=ends[::-1].copy())
+        rewrite(entry, spans=spans[::-1])
     elif how == "fewer-words":
-        damage(entry, words=words[:-4])
+        rewrite(entry, words=words[:-4])
     elif how == "more-spans":
-        damage(entry, starts=np.append(starts, size), ends=np.append(ends, size))
+        rewrite(entry, spans=np.vstack([spans, [size, size, len(words)]]))
     elif how == "float-spans":
-        damage(entry, starts=starts.astype(np.float64))
+        rewrite(entry, spans=spans.astype(np.float64))
     elif how == "int32-spans":
-        damage(entry, ends=ends.astype(np.int32))
+        rewrite(entry, spans=spans.astype(np.int32))
     elif how == "size-dtype":
-        damage(entry, size=np.float64(size))
+        rewrite(entry, meta=meta.astype(np.float64))
     elif how == "start-past-size":
-        damage(entry, start=np.int64(size + 1))
+        rewrite(entry, meta=np.array([size, size + 1]))
     elif how == "words-not-utf8":
-        damage(entry, words=np.frombuffer(b"\xff" * len(words), np.uint8))
-    elif how == "version-shape":
-        damage(entry, format_version=np.array([1, 1]))
+        rewrite(entry, words=np.full_like(words, 0xFF))
+    elif how == "version-shape":  # a crc32 of another shape
+        rewrite(entry, crc32=np.repeat(index["crc32"], 2))
+    elif how == "header-dtype":  # the keys read as signed
+        (entry / "index.npy").write_bytes(good.replace(b"'<u4', (", b"'<i4', (", 1))
+    elif how.startswith("flipped-"):
+        flip(entry, "index", how.removeprefix("flipped-"))
     elif how == "ordinals-out-of-order":
-        damage(entry, ordinals=ordinals[::-1].copy(), valid=valid[::-1].copy(),
-               rows=rows[::-1].copy())
+        rewrite(entry, "rows", lines=lines[::-1], records=records[::-1])
     elif how == "ordinal-past-index":
-        damage(entry, ordinals=np.append(ordinals[:-1], len(starts)))
-    elif how == "valid-length":
-        damage(entry, valid=np.append(valid, False))
+        records["line"][-1] = lines[-1] = len(spans)
+        rewrite(entry, "rows", lines=lines, records=records)
+    elif how == "valid-length":  # more lines than records
+        rewrite(entry, "rows", lines=np.append(lines, len(spans)))
     elif how == "rows-float64":
-        damage(entry, rows=rows.astype(np.float64))
+        wide = np.zeros(len(records), [(f, np.float64 if f == "row" else records.dtype[f],
+                                        records.dtype[f].shape) for f in RECORD_FIELDS])
+        for f in RECORD_FIELDS:
+            wide[f] = records[f]
+        rewrite(entry, "rows", records=wide)
     elif how == "rows-fewer":
-        damage(entry, rows=rows[:-1])
+        rewrite(entry, "rows", lines=lines[:-1], records=records[:-1])
     elif how == "rows-flat":
-        damage(entry, rows=rows.ravel())
+        np.save(entry / "rows.npy", records["row"].ravel())
     elif how == "rows-other-dim":
-        damage(entry, rows=np.hstack([rows, rows]))
-    else:
-        rows = rows.copy()
-        rows[1, 0] = np.inf
-        damage(entry, rows=rows)
-    rescan = how != "rows-other-dim"
+        np.save(entry / "rows.npy", embeddings._grown(
+            None, lines, records["valid"], np.hstack([records["row"]] * 2)))
+    elif how == "rows-non-finite":
+        records["row"][1, 0] = np.inf
+        rewrite(entry, "rows", records=records)
+    elif how == "rows-truncated":
+        data = (entry / "rows.npy").read_bytes()
+        (entry / "rows.npy").write_bytes(data[:len(data) - 10])
+    elif how == "rows-missing":
+        (entry / "rows.npy").unlink()
+    elif how == "rows-empty":  # an entry with no stored rows
+        empty = np.empty(0, np.int64)
+        np.save(entry / "rows.npy", embeddings._grown(
+            None, empty, empty.astype(bool), np.empty((0, 2), np.float32)))
+    elif how == "rows-flipped-lines":
+        flip(entry, "rows", "lines")
+    elif how.startswith("rows-flipped-"):
+        flip(entry, "rows", "records", how.removeprefix("rows-flipped-"))
+    elif how == "leftover-temporary":  # of a write that never ended
+        beside = entry.with_name(f".{entry.name}.0123456789ab.tmp")
+        beside.mkdir()
+        (beside / "index.npy").write_bytes(good[:100])
+    else:  # the entry that the previous version wrote
+        beside = entry.with_name(entry.name + ".npz")
+        np.savez(beside, format_version=np.int64(2), starts=spans[:, 0],
+                 ends=spans[:, 1], words=words)
+    rescan = how not in ROWS_DAMAGE + BESIDE
     assert (embeddings._LINES.read(entry, digest()) is None) == rescan
     with mock.patch.object(embeddings, "_parse", wraps=embeddings._parse) as parse:
         assert outcome(lambda: load_embeddings(vec, KEEP, digest=digest)) == want
@@ -375,9 +476,16 @@ def test_a_damaged_entry_is_a_miss_and_rewritten(vec, how):
     # rewritten: by the scan, with no rows, or by a load that parsed the
     # kept lines again; either serves the next load
     index = embeddings._LINES.read(entry, digest())
-    assert index.rows.shape == ((0, 0) if rescan else (4, 2))
+    assert (index.rows is None) == rescan
+    if not rescan:  # the lines of w3, w10, w59 and w3, after w0's
+        records = embeddings._stored_rows(index.rows, 2)[1]
+        assert {2, 9, 58, 60} <= set(records["line"].tolist())
     with mock.patch.object(embeddings, "_parse", no_scan):
         assert outcome(lambda: load_embeddings(vec, KEEP, digest=digest)) == want
+    with mock.patch.object(embeddings, "_parse", no_scan), \
+            mock.patch.object(embeddings, "_parse_records", no_parse):
+        assert outcome(lambda: load_embeddings(vec, KEEP, digest=digest)) == want
+    assert entries() == sorted([entry, beside] if how in BESIDE else [entry])
 
 
 def test_a_file_that_changes_size_while_it_is_scanned_writes_no_index(
