@@ -4,13 +4,13 @@ files, and the memo of input files' digests."""
 from __future__ import annotations
 
 import errno
+import math
 import os
 import re
 import secrets
 import shutil
 import stat
 import time
-import zipfile
 import zlib
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -73,21 +73,28 @@ def _checked(digest: str | None) -> str | None:
 
 @dataclass(frozen=True)
 class ParseCache(Generic[T]):
-    """Parsed files kept by content, one ``<size>-<sha256>.npz`` entry per
-    file under ``cache_root() / folder``.
+    """Parsed files kept by content, one ``<size>-<sha256>/`` directory
+    entry per file under ``cache_root() / folder``.
 
-    ``pack`` gives the arrays an entry stores for a parse, and ``unpack``
-    the parse back from an open entry, or None when its arrays do not hold
-    one.  An entry also stores ``version``, the sha256 and each ``key``
-    string; an entry whose version, digest or keys differ is a miss, as is
-    one that does not open or read back whole.  Entries are read with no
-    pickle."""
+    ``pack`` gives the arrays an entry stores for a parse, one plain
+    ``<name>.npy`` file each, and ``unpack`` the parse back from them, or
+    None when they do not hold one.  A read maps each file into memory
+    rather than copies it, so a reader touches only the bytes it uses
+    besides the check.  The ``crc32`` file holds one crc32 of ``version``,
+    the sha256, each ``key`` string, and each array's name, dtype, shape
+    and bytes, which every read checks: an entry of another version, digest
+    or key, or with a file missing, short or changed, is a miss.  Entries
+    are read with no pickle.
+
+    ``rows.npy``, once :meth:`replace_rows` has written it, holds one more
+    array, replaced whole and atomically and outside the crc32; a read gives
+    it to ``unpack`` as ``"rows"``, mapped and unchecked, or leaves it out
+    when it does not map."""
 
     folder: str
     version: int
     pack: Callable[[T], dict[str, np.ndarray]]
     unpack: Callable[[Mapping[str, np.ndarray]], T | None]
-    suffix = ".npz"  # of an entry's name
 
     def directory(self) -> Path:
         return cache_root() / self.folder
@@ -115,113 +122,61 @@ class ParseCache(Generic[T]):
             return parse()
         # named by size as well, so that a file of a size never cached is
         # parsed at once rather than after its digest
-        if any(folder.glob(f"{info.st_size}-*{self.suffix}")):
+        if any(folder.glob(f"{info.st_size}-*")):
             sha = _checked(digest())
             value = None if sha is None else self.read(
-                folder / f"{info.st_size}-{sha}{self.suffix}", sha, **key)
+                folder / f"{info.st_size}-{sha}", sha, **key)
             if value is not None:
                 return value
         value = parse()
         if value is not None and (sha := _checked(digest())) is not None:
-            self.write(folder / f"{info.st_size}-{sha}{self.suffix}", sha, value, **key)
+            self.write(folder / f"{info.st_size}-{sha}", sha, value, **key)
         return value
 
     def read(self, entry: Path, digest: str, **key: str) -> T | None:
         """The parse in ``entry``, or None for a miss."""
-        want = {"sha256": digest, **key}
         try:
-            # opened here, so that an entry np.load refuses is closed too
-            with open(entry, "rb") as handle, \
-                    np.load(handle, allow_pickle=False) as data:
-                if int(data["format_version"]) != self.version or any(
-                        bytes(data[name]) != text.encode("utf-8")
-                        for name, text in want.items()):
-                    return None
-                return self.unpack(data)
-        # TypeError: an array of another shape where a number is stored
-        except (OSError, ValueError, KeyError, EOFError, TypeError,
-                zipfile.BadZipFile):
-            return None
-
-    def write(self, entry: Path, digest: str, value: T, **key: str) -> None:
-        """Write ``entry`` for a parse, unless it would take more than half
-        of the free space; an entry that cannot be written is left out."""
-        payload = {
-            "format_version": np.int64(self.version),
-            **{name: _utf8(text) for name, text in {"sha256": digest, **key}.items()},
-            **self.pack(value),
-        }
-        try:
-            entry.parent.mkdir(parents=True, exist_ok=True)
-            size = sum(a.nbytes for a in payload.values())
-            if shutil.disk_usage(entry.parent).free < 2 * size:
-                return
-            with atomic_write(entry) as (temp,), open(temp, "wb") as handle:
-                np.savez(handle, **payload)
-        except OSError:
-            pass
-
-
-class ArrayCache(ParseCache[T]):
-    """Parsed files kept by content as a :class:`ParseCache` keeps them, but
-    each entry a ``<size>-<sha256>/`` directory whose arrays a read maps
-    into memory rather than copies, so that a reader touches only the bytes
-    it uses.
-
-    ``index.npy`` holds the arrays that ``pack`` gives, written once: the
-    directory is written beside its place and renamed into it.  They are
-    the fields of one structured value (so a field's bytes are at most
-    numpy's limit on the size of one value, 2 GiB; a larger entry is not
-    written), whose last field is a crc32 of the version, the digest, the
-    layout and the bytes of the others.  A read maps it and checks the
-    crc32: any changed byte makes the entry a miss.  ``rows.npy``, once
-    :meth:`replace_rows` has written it, holds one more array, replaced
-    whole and atomically; a read gives it to ``unpack`` as ``"rows"``,
-    mapped and unchecked, or leaves it out when it does not map."""
-
-    suffix = ""
-
-    def read(self, entry: Path, digest: str, **key: str) -> T | None:
-        try:
-            index = np.load(entry / "index.npy", mmap_mode="r",
-                            allow_pickle=False).view(np.ndarray)
-            *names, last = index.dtype.names or ("",)
-            if (index.shape != () or last != "crc32"
-                    or int(index[last]) != self._crc32(index, digest)):
+            names = sorted(name[:-4] for name in os.listdir(entry)
+                           if name.endswith(".npy") and name != "rows.npy")
+            data = {name: _mapped(entry / f"{name}.npy") for name in names}
+            if (entry / "crc32").read_bytes() != b"%08x" % self._crc32(data, digest, key):
                 return None
-            data = {name: index[name] for name in names}
             try:
-                data["rows"] = np.load(entry / "rows.npy", mmap_mode="r",
-                                       allow_pickle=False).view(np.ndarray)
+                data["rows"] = _mapped(entry / "rows.npy")
             except (OSError, ValueError):  # none, or one that does not map
                 pass
             return self.unpack(data)
+        # ValueError: a file that does not map, or is not C-ordered;
+        # TypeError: an array of another shape where a number is stored
         except (OSError, ValueError, KeyError, TypeError):
             return None
 
     def write(self, entry: Path, digest: str, value: T, **key: str) -> None:
-        """Write ``entry`` for a parse, unless it would take more than half
-        of the free space, in place of a damaged one there; an entry that
-        cannot be written is left out."""
-        arrays = self.pack(value)
-        try:
-            index = np.zeros((), [(name, a.dtype, a.shape) for name, a in arrays.items()]
-                             + [("crc32", "<u4")])
-        except ValueError:  # over numpy's size limit
-            return
-        for name, a in arrays.items():
-            index[name] = a
-        index["crc32"] = self._crc32(index, digest)
+        """Write ``entry`` for a parse, in place of one there, unless it
+        would take more than half of the free space; an entry that cannot be
+        written is left out.  Files named ``entry`` plus a suffix beside it,
+        the zipped entries of earlier versions, are removed first."""
+        arrays = {name: np.asarray(a, order="C")
+                  for name, a in sorted(self.pack(value).items())}
+        crc = self._crc32(arrays, digest, key)
         try:
             entry.parent.mkdir(parents=True, exist_ok=True)
-            if shutil.disk_usage(entry.parent).free < 2 * index.nbytes:
+            for old in entry.parent.glob(f"{entry.name}.*"):
+                with suppress(OSError):
+                    old.unlink()
+            if shutil.disk_usage(entry.parent).free < 2 * sum(
+                    a.nbytes for a in arrays.values()):
                 return
+            # written beside its place and renamed into it, so that a reader
+            # finds it whole or not at all
             token = secrets.token_hex(6)
             temp, aside = (entry.with_name(f".{entry.name}.{token}.{end}")
                            for end in ("tmp", "old"))
             temp.mkdir()
             try:
-                np.save(temp / "index.npy", index)
+                for name, a in arrays.items():
+                    np.save(temp / f"{name}.npy", a)
+                (temp / "crc32").write_bytes(b"%08x" % crc)
                 if entry.exists():  # a directory is moved aside, not replaced
                     os.rename(entry, aside)
                 os.rename(temp, entry)
@@ -253,15 +208,31 @@ class ArrayCache(ParseCache[T]):
         except OSError:
             pass
 
-    def _crc32(self, index: np.ndarray, digest: str) -> int:
-        """The crc32 of an ``index.npy`` value: of the version, the digest,
-        the layout and every byte before its own."""
-        head = f"{self.version} {digest} {index.dtype.descr}".encode("utf-8")
-        return zlib.crc32(index.reshape(1).view(np.uint8)[:-4], zlib.crc32(head))
+    def _crc32(self, arrays: Mapping[str, np.ndarray], digest: str,
+               key: Mapping[str, str]) -> int:
+        """The crc32 of an entry: of the version, the digest, the key
+        strings, and each array's name, layout and bytes, in order."""
+        crc = zlib.crc32(f"{self.version} {digest} {sorted(key.items())}".encode("utf-8"))
+        for name, a in arrays.items():
+            crc = zlib.crc32(f" {name} {a.dtype.descr} {a.shape}".encode("utf-8"), crc)
+            crc = zlib.crc32(a, crc)
+        return crc
 
 
-def _utf8(text: str) -> np.ndarray:
-    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+def _mapped(path: Path) -> np.ndarray:
+    """The array of a ``.npy`` file, mapped read-only; a ValueError for a
+    file that does not hold one, or holds Python objects."""
+    import mmap  # here, so that a command that reads no entry never loads it
+
+    with open(path, "rb") as handle:
+        version = np.lib.format.read_magic(handle)
+        read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                       else np.lib.format.read_array_header_2_0)
+        shape, fortran, dtype = read_header(handle)
+        buffer = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        offset = handle.tell()
+    return np.frombuffer(buffer, dtype, math.prod(shape), offset).reshape(
+        shape, order="F" if fortran else "C")
 
 
 # how long before its hash starts a file's modification and change times

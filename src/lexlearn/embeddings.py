@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import codecs
 import os
-import shutil  # noqa: F401  the cache's free-space check, patchable here
 import stat
 import zlib
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._files import ArrayCache, ParseCache
+from ._files import ParseCache
 from .errors import DataError, FormatError
 
 __all__ = ["EmbeddingTable", "load_embeddings", "centroid", "centroids"]
@@ -96,8 +96,9 @@ def load_embeddings(
     ``digest`` returns the sha256 hex digest of the file's bytes (None for
     none).  Given it, a load of a regular file uses the cache entry of that
     digest under ``$XDG_CACHE_HOME/lexlearn`` (see
-    :meth:`~lexlearn._files.ParseCache.load`), and writes one after a parse.
-    A full load (no ``restrict_to``) reads its table from ``vectors/``.  A
+    :class:`~lexlearn._files.ParseCache`), and writes one after a parse.
+    A full load (no ``restrict_to``) maps its table from ``vectors/``: its
+    ``vectors`` are then a read-only memory map of the entry.  A
     restricted load maps the file's line index from ``vector-lines/``: the
     byte span and word of every line after the first valid record, whatever
     the kept words, the words' keys, sorted, and the outcome of each line
@@ -170,9 +171,7 @@ def _unpack(data) -> EmbeddingTable | None:
 # a word holds no whitespace, so the words are one newline-joined blob; the
 # version covers the layout of an entry and the parse it holds: a change to
 # either takes a new one
-_CACHE = ParseCache("vectors", 2, _pack, _unpack)
-cache_dir = _CACHE.directory
-_read_entry = _CACHE.read
+_CACHE = ParseCache("vectors", 3, _pack, _unpack)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +199,6 @@ _key = zlib.crc32
 
 
 def _pack_lines(index: _LineIndex) -> dict[str, np.ndarray]:
-    # the int64 arrays first: the keys that a load searches lie aligned
     return {"meta": np.array([index.size, index.start], np.int64),
             "order": index.order, "spans": index.spans, "keys": index.keys,
             "words": index.words}
@@ -216,8 +214,7 @@ def _unpack_lines(data) -> _LineIndex:
 # entry serves every restricted load of them; the version covers the layout
 # of an entry, the key and the line rules (decoding, blank lines, first
 # fields, the skip rule of the stored rows)
-_LINES = ArrayCache("vector-lines", 3, _pack_lines, _unpack_lines)
-lines_dir = _LINES.directory
+_LINES = ParseCache("vector-lines", 4, _pack_lines, _unpack_lines)
 
 
 def _record(dim: int) -> np.dtype:
@@ -356,8 +353,9 @@ def _served(path: str | Path, keep: set[str], index: _LineIndex
     first valid record, then the kept words' lines, each from the rows the
     index stores or else read and parsed; and the ``rows.npy`` value that
     adds the lines parsed here to those stored (None when it stored them
-    all).  None when the file does not match the index: another size, or a
-    line read of another word."""
+    all, or when that value would pass numpy's 2 GiB limit on one value).
+    None when the file does not match the index: another size, or a line
+    read of another word."""
     lines, kept = _find(index, keep)
     with open(path, "rb") as handle:
         if os.fstat(handle.fileno()).st_size != index.size:
@@ -391,7 +389,8 @@ def _served(path: str | Path, keep: set[str], index: _LineIndex
         valid[new] = ok
         values[new] = 0.0
         values[new[ok]] = parsed
-        grown = _grown(stored, lines[new], valid[new], values[new])
+        with suppress(ValueError):  # over numpy's 2 GiB limit on one value
+            grown = _grown(stored, lines[new], valid[new], values[new])
     rows = values[valid]
     skipped += len(lines) - len(rows)
     if data:  # the first record is kept

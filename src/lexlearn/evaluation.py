@@ -318,11 +318,13 @@ def load_user_corpora(
 
     ``digest`` returns the sha256 hex digest of the usage file's bytes
     (None for none).  Given it, the parsed usage table of a regular file is
-    read from the cache entry of that digest and delimiter, in
+    mapped from the cache entry of that digest and delimiter, in
     ``$XDG_CACHE_HOME/lexlearn/users``, instead of parsing the file, and the
     entry is written after a parse (see
-    :meth:`~lexlearn._files.ParseCache.load`).  The traits file is read on
-    every call, and the result is the same either way.
+    :class:`~lexlearn._files.ParseCache`); the ``user``, ``term`` and
+    ``count`` arrays are then read-only memory maps of the entry, or copies
+    of them when users are dropped.  The traits file is read on every call,
+    and the result is the same either way.
     """
     sep = _infer_delimiter(usage_path, delimiter)
     usage = _USAGE_CACHE.load(usage_path, lambda: _parse_usage(usage_path, sep),
@@ -472,4 +474,4 @@ def _unpack_usage(data) -> _Usage | None:
 # as a blob and end offsets; the version covers the layout of an entry and
 # the parse it holds (tokenize and _TokenForms included): a change to either
 # takes a new one
-_USAGE_CACHE = ParseCache("users", 2, _pack_usage, _unpack_usage)
+_USAGE_CACHE = ParseCache("users", 3, _pack_usage, _unpack_usage)

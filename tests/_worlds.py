@@ -2,7 +2,7 @@
 
 Each generator plants a known word-rating structure and derives document
 labels from it, so the planted ratings serve as the oracle for whatever a
-learning method recovers.
+learning method recovers.  ``damage`` breaks a parse-cache file.
 """
 
 import warnings
@@ -311,3 +311,29 @@ def filter_then_group_users(usage_path, traits_path, trait_column, *, delimiter=
     return Users(ids, np.array([traits[uid] for uid in ids], np.float64),
                  tuple(term_ids.terms), user.astype(np.int32),
                  term.astype(np.int32), sums[order])
+
+
+CACHE_DAMAGE = ["truncated", "flipped", "garbage", "missing"]
+
+
+def entry_damages(files, every=("truncated", "garbage")):
+    """The ways to damage a cache entry of ``files``, by name, each as its
+    :func:`damage` and the files it is done to: each of ``every`` to every
+    file, and each of ``CACHE_DAMAGE`` to one file, named ``<damage>-<the
+    file's stem>``."""
+    return {**{how: (how, files) for how in every},
+            **{f"{how}-{name.removesuffix('.npy')}": (how, [name])
+               for name in files for how in CACHE_DAMAGE}}
+
+
+def damage(path, how):
+    """Damage a cache entry's file by one of ``CACHE_DAMAGE``: cut to half
+    its bytes, the lowest bit of its last byte flipped, other bytes, or
+    removed.  The file is unlinked first, never changed in place, so that no
+    array mapped from it changes under a reader."""
+    data = path.read_bytes()
+    path.unlink()
+    if how != "missing":
+        path.write_bytes({"truncated": data[:len(data) // 2],
+                          "flipped": data[:-1] + bytes([data[-1] ^ 0x01]),
+                          "garbage": b"not an npy array\n" * 40}[how])

@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from lexlearn import cli, embeddings, numerics
+from lexlearn import _files, cli, embeddings, numerics
 from lexlearn.cli import main
 from lexlearn.clustering import build_signed_graph
 from lexlearn.corpus import corpus_fingerprint, load_corpus
@@ -21,7 +21,7 @@ from lexlearn.embeddings import load_embeddings
 from lexlearn.errors import FormatError
 from lexlearn.induction import load_lexicon, save_lexicon
 
-from _worlds import planted_block_lexicon, ratings_of
+from _worlds import damage, entry_damages, planted_block_lexicon, ratings_of
 
 VECTOR_COUNTERS = ("vectors_loaded", "skipped_vector_lines")
 
@@ -717,7 +717,7 @@ class TestVectorCountersLineIndex(TestVectorCounters):
 
         def load(path, restrict_to=None, digest=None):
             if request.param == "cold" or restrict_to is None:
-                shutil.rmtree(embeddings.lines_dir(), ignore_errors=True)
+                shutil.rmtree(embeddings._LINES.directory(), ignore_errors=True)
                 return real(path, restrict_to, digest=digest)
             for _ in range(1 if request.param == "warm" else 2):
                 with contextlib.suppress(FormatError):
@@ -1452,6 +1452,10 @@ class TestVectorCache:
 
         return run
 
+    # the files of an entry
+    FILES = ["crc32", "skipped_lines.npy", "vectors.npy", "words.npy"]
+    DAMAGES = entry_damages(FILES)
+
     @staticmethod
     def entries(cache):
         return sorted(cache.glob("*")) if cache.exists() else []
@@ -1464,8 +1468,9 @@ class TestVectorCache:
         monkeypatch.setattr(embeddings, "_parse",
                             lambda *args: parsed.append(args) or parse(*args))
         cold = induce()
-        assert [p.name for p in self.entries(vector_cache)] == [
-            f"{synth[1].stat().st_size}-{sha(synth[1])}.npz"]
+        (entry,) = self.entries(vector_cache)
+        assert entry.name == f"{synth[1].stat().st_size}-{sha(synth[1])}"
+        assert sorted(p.name for p in entry.iterdir()) == self.FILES
         warm = induce()
         assert len(parsed) == 1  # the warm run read the entry
         # a cache directory that cannot be made: the load runs without one
@@ -1495,10 +1500,10 @@ class TestVectorCache:
 
     def test_no_entry_takes_over_half_the_free_space(self, induce, monkeypatch,
                                                      vector_cache):
-        usage = embeddings.shutil.disk_usage
+        usage = _files.shutil.disk_usage
 
         def free(space):
-            monkeypatch.setattr(embeddings.shutil, "disk_usage",
+            monkeypatch.setattr(_files.shutil, "disk_usage",
                                 lambda path: usage(path)._replace(free=space))
 
         free(1000)  # under twice the entry's ~1 KB of vectors and words
@@ -1508,20 +1513,35 @@ class TestVectorCache:
         assert induce() == crowded
         assert len(self.entries(vector_cache)) == 1
 
-    @pytest.mark.parametrize("damage", ["truncated", "garbage"])
+    @pytest.mark.parametrize("how", DAMAGES)
     def test_damaged_entry_is_a_miss_and_rewritten(self, induce, synth, capsys,
-                                                   vector_cache, damage):
+                                                   vector_cache, how):
         first = induce()
         (entry,) = self.entries(vector_cache)
-        data = entry.read_bytes()
-        entry.write_bytes(data[:len(data) // 2] if damage == "truncated"
-                          else b"not an npz archive\n" * 40)
-        capsys.readouterr()
-        assert induce() == first
-        assert capsys.readouterr().err == ""
+        written = {name: (entry / name).read_bytes() for name in self.FILES}
         digest = sha(synth[1])
-        table = embeddings._read_entry(entry, digest)
+        kind, names = self.DAMAGES[how]
+        for name in names:
+            damage(entry / name, kind)
+        assert embeddings._CACHE.read(entry, digest) is None
+        capsys.readouterr()
+        with mock.patch.object(embeddings, "_parse", wraps=embeddings._parse) as parse:
+            assert induce() == first
+        assert parse.called
+        assert capsys.readouterr().err == ""
+        assert {name: (entry / name).read_bytes() for name in self.FILES} == written
+        table = embeddings._CACHE.read(entry, digest)
         assert table is not None and len(table) == 30
+
+    def test_an_entry_of_the_zipped_layout_is_removed(self, induce, synth,
+                                                      vector_cache):
+        # the entry that a version before wrote for the same content
+        vector_cache.mkdir(parents=True)
+        old = vector_cache / f"{synth[1].stat().st_size}-{sha(synth[1])}.npz"
+        np.savez(old, format_version=np.int64(2), vectors=np.zeros((30, 2), np.float32))
+        first = induce()
+        assert self.entries(vector_cache) == [old.with_suffix("")]
+        assert induce() == first
 
     @pytest.mark.parametrize("command", ["cluster", "induce-restricted"])
     def test_restricted_loads_neither_use_the_cache_nor_wait_for_the_hash(
@@ -1584,7 +1604,7 @@ class TestVectorCache:
         assert induce() == cold
         assert events == ["hashed"]
         # an entry of that size under another digest: wait, miss, parse
-        entry.rename(entry.with_name(f"{emb.stat().st_size}-{'0' * 64}.npz"))
+        entry.rename(entry.with_name(f"{emb.stat().st_size}-{'0' * 64}"))
         events.clear()
         assert induce() == cold
         assert events == ["hashed", "parsed"]

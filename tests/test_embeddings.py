@@ -2,7 +2,9 @@
 
 import dataclasses
 import hashlib
+import mmap
 import random
+import shutil
 from unittest import mock
 
 import numpy as np
@@ -30,6 +32,18 @@ class TestLoad:
         assert len(table) == 2
         assert np.allclose(table.matrix(["apple"])[0], [1, 0, 0])
 
+    def test_a_warm_full_load_maps_its_vectors(self, small_vec):
+        # read from the cache entry without a copy into memory
+        digest = hashlib.sha256(open(small_vec, "rb").read()).hexdigest()
+        cold = load_embeddings(small_vec, digest=lambda: digest)
+        warm = load_embeddings(small_vec, digest=lambda: digest)
+        assert cold.vectors.flags.writeable and not warm.vectors.flags.writeable
+        base = warm.vectors
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap)
+        assert (warm.words, warm.vectors.tobytes()) == (cold.words, cold.vectors.tobytes())
+
     def test_restrict_to(self, small_vec):
         table = load_embeddings(small_vec, restrict_to={"apple"})
         assert len(table) == 1
@@ -55,7 +69,7 @@ class TestLoad:
             assert table.skipped_lines == 0
             assert table.matrix(["w0"]).tolist() == [[1, 0, 0]]
         # the cold restricted load wrote the line index, which the warm one read
-        assert len(list(embeddings.lines_dir().iterdir())) == 1
+        assert len(list(embeddings._LINES.directory().iterdir())) == 1
 
     def test_oov_lookup_is_zero_vector(self, small_vec):
         table = load_embeddings(small_vec)
@@ -204,8 +218,8 @@ class TestLoaderMatchesPerLineRule:
     def assert_same(path, restrict_to):
         data = path.read_bytes()
         digest = hashlib.sha256(data).hexdigest()
-        entry = embeddings.cache_dir() / f"{len(data)}-{digest}.npz"
-        entry.unlink(missing_ok=True)
+        entry = embeddings._CACHE.directory() / f"{len(data)}-{digest}"
+        shutil.rmtree(entry, ignore_errors=True)
         # uncached, then for a full load cold and warm: whether each parses
         loads = [(None, True)] + ([(lambda: digest, True), (lambda: digest, False)]
                                   if restrict_to is None else [])

@@ -32,7 +32,7 @@ from lexlearn.cli import main  # noqa: E402
 from lexlearn.errors import LexlearnError  # noqa: E402
 from lexlearn.evaluation import load_user_corpora  # noqa: E402
 
-from _worlds import filter_then_group_users  # noqa: E402
+from _worlds import damage, entry_damages, filter_then_group_users  # noqa: E402
 
 
 def sha(path) -> str:
@@ -108,7 +108,7 @@ def test_grouping_first_gives_the_reference_users(tables, int64_keys):
         cold = outcome(load_user_corpora, *args, delimiter=delimiter,
                        digest=lambda: digest)
         assert cold == want
-        entries = list(evaluation._USAGE_CACHE.directory().glob("*.npz"))
+        entries = list(evaluation._USAGE_CACHE.directory().glob("*"))
         if not entries:  # the parse failed
             assert want[1] is not None
             return
@@ -157,6 +157,11 @@ class TestUsersCache:
 
         return run
 
+    # the files of an entry
+    FILES = ["count.npy", "crc32", "ids.npy", "ids_ends.npy", "term.npy",
+             "terms.npy", "terms_ends.npy", "user.npy"]
+    DAMAGES = entry_damages(FILES)
+
     @staticmethod
     def entries(cache):
         return sorted(cache.glob("*")) if cache.exists() else []
@@ -176,29 +181,48 @@ class TestUsersCache:
         assert cold[0] == 0
         assert "u5" in cold[2]  # the missing-trait warning
         users = files / "users.csv"
-        assert [p.name for p in self.entries(users_cache)] == [
-            f"{users.stat().st_size}-{sha(users)}.npz"]
+        (entry,) = self.entries(users_cache)
+        assert entry.name == f"{users.stat().st_size}-{sha(users)}"
+        assert sorted(p.name for p in entry.iterdir()) == self.FILES
         with mock.patch.object(evaluation, "_parse_usage", side_effect=AssertionError):
             warm = extrinsic(out=out)
         self.uncached(monkeypatch, files)  # a cache that cannot be written
         assert cold == warm == extrinsic(out=out)
 
-    @pytest.mark.parametrize("damage", ["truncated", "garbage"])
-    def test_damaged_entry_is_a_miss_and_rewritten(self, extrinsic, users_cache,
-                                                   damage):
+    @pytest.mark.parametrize("how", DAMAGES)
+    def test_damaged_entry_is_a_miss_and_rewritten(self, extrinsic, users_cache, how):
         first = extrinsic()
         (entry,) = self.entries(users_cache)
-        data = entry.read_bytes()
-        entry.write_bytes(data[:len(data) // 2] if damage == "truncated"
-                          else b"not an npz archive\n" * 40)
-        assert extrinsic() == first
-        assert entry.read_bytes() == data
+        written = {name: (entry / name).read_bytes() for name in self.FILES}
+        kind, names = self.DAMAGES[how]
+        for name in names:
+            damage(entry / name, kind)
+        with mock.patch.object(evaluation, "_parse_usage",
+                               wraps=evaluation._parse_usage) as parse:
+            assert extrinsic() == first
+        assert parse.called
+        assert {name: (entry / name).read_bytes() for name in self.FILES} == written
+        with mock.patch.object(evaluation, "_parse_usage", side_effect=AssertionError):
+            assert extrinsic() == first
 
-    def test_entry_that_does_not_hold_a_table_is_a_miss(self, extrinsic, users_cache):
+    def test_an_entry_of_the_zipped_layout_is_removed(self, extrinsic, files,
+                                                      users_cache):
+        # the entry that a version before wrote for the same content
+        users_cache.mkdir(parents=True)
+        users = files / "users.csv"
+        old = users_cache / f"{users.stat().st_size}-{sha(users)}.npz"
+        np.savez(old, format_version=np.int64(2), user=np.zeros(3, np.int32))
+        first = extrinsic()
+        assert self.entries(users_cache) == [old.with_suffix("")]
+        with mock.patch.object(evaluation, "_parse_usage", side_effect=AssertionError):
+            assert extrinsic() == first
+
+    def test_entry_that_does_not_hold_a_table_is_a_miss(self, extrinsic, files,
+                                                        users_cache):
         first = extrinsic()
         (entry,) = self.entries(users_cache)
-        with np.load(entry) as data:
-            good = dict(data)
+        good = {p.stem: np.load(p) for p in entry.glob("*.npy")}
+        digest = sha(files / "users.csv")
         bad = {
             "dtype": {"user": good["user"].astype(np.int64)},
             "length": {"count": good["count"][:-1]},
@@ -207,8 +231,17 @@ class TestUsersCache:
             "offsets": {"ids_ends": good["ids_ends"][::-1].copy()},
             "blob": {"terms": good["terms"][:-1]},
         }
+
+        def write(arrays):
+            """Write ``arrays`` as the entry, with a checksum that holds, so
+            that only they tell a read whether they hold a table; read it."""
+            dataclasses.replace(evaluation._USAGE_CACHE, pack=lambda _: arrays).write(
+                entry, digest, None, delimiter=",")
+            return evaluation._USAGE_CACHE.read(entry, digest, delimiter=",")
+
+        assert write(good) is not None
         for change in bad.values():
-            np.savez(entry, **{**good, **change})
+            assert write({**good, **change}) is None
             with mock.patch.object(evaluation, "_parse_usage",
                                    wraps=evaluation._parse_usage) as parse:
                 assert extrinsic() == first
@@ -291,7 +324,7 @@ def test_the_parse_an_entry_holds_is_pinned_to_the_format_version(tmp_path):
         usage = evaluation._parse_usage(path, ",")
         parsed.append((usage.ids, usage.terms, usage.user.tolist(),
                        usage.term.tolist(), usage.count.tolist()))
-    assert (evaluation._USAGE_CACHE.version, parsed) == (2, [
+    assert (evaluation._USAGE_CACHE.version, parsed) == (3, [
         (("u1", "u2"),
          ("great", "café", "--", "?!", "!!", "x2", "quoted", "a-b", "école",
           "日本", "٣"),

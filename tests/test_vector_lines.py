@@ -25,6 +25,8 @@ from lexlearn._files import DigestMemo
 from lexlearn.embeddings import load_embeddings
 from lexlearn.errors import FormatError
 
+from _worlds import damage, entry_damages
+
 pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -46,7 +48,7 @@ def digest_of(path):
 
 
 def entries():
-    folder = embeddings.lines_dir()
+    folder = embeddings._LINES.directory()
     return sorted(folder.iterdir()) if folder.exists() else []
 
 
@@ -124,7 +126,7 @@ def test_restricted_loads_match_the_uncached_parse(tmp_path_factory, data, keep,
                                                    other, keys):
     path = tmp_path_factory.mktemp("vec") / "v.vec"
     path.write_bytes(data)
-    shutil.rmtree(embeddings.lines_dir(), ignore_errors=True)
+    shutil.rmtree(embeddings._LINES.directory(), ignore_errors=True)
     want = {frozenset(k): outcome(lambda: embeddings._parse(path, k))
             for k in (keep, other, keep | other)}
     digest = digest_of(path)
@@ -322,30 +324,30 @@ def test_a_rewritten_vec_is_not_served_stale_spans(vec, digest_memo):
     assert len(entries()) == 2
 
 
-def stored(entry, name="index"):
-    """The value of an entry's ``index.npy`` or ``rows.npy``, in memory."""
+def stored(entry, name):
+    """The value of an entry's ``<name>.npy``, in memory."""
     return np.load(entry / f"{name}.npy", allow_pickle=False)
 
 
-def rewrite(entry, name="index", **fields):
-    """Rewrite an entry's ``index.npy`` or ``rows.npy`` with ``fields``
-    changed, and its crc32 and the records' crcs as they were."""
-    value = stored(entry, name)
+def rewrite(entry, **fields):
+    """Rewrite an entry's ``rows.npy`` with ``fields`` changed, and the
+    records' crcs as they were."""
+    value = stored(entry, "rows")
     arrays = {field: value[field] for field in value.dtype.names}
     arrays.update(fields)
     out = np.zeros((), [(field, a.dtype, a.shape) for field, a in arrays.items()])
     for field, a in arrays.items():
         out[field] = a
-    np.save(entry / f"{name}.npy", out)
+    np.save(entry / "rows.npy", out)
 
 
-def flip(entry, name, field, subfield=None):
+def flip(entry, field, subfield=None):
     """Flip the lowest bit of the first byte of ``field`` in an entry's
-    ``index.npy`` or ``rows.npy``, or of ``subfield`` of its second record
-    (a valid record's 1 becomes 0)."""
-    path = entry / f"{name}.npy"
+    ``rows.npy``, or of ``subfield`` of its second record (a valid record's
+    1 becomes 0)."""
+    path = entry / "rows.npy"
     data = bytearray(path.read_bytes())
-    layout = stored(entry, name).dtype
+    layout = stored(entry, "rows").dtype
     kind, at = layout.fields[field][:2]
     if subfield is not None:
         record = kind.base
@@ -356,7 +358,8 @@ def flip(entry, name, field, subfield=None):
     path.write_bytes(bytes(data))
 
 
-INDEX_FIELDS = ["meta", "order", "spans", "keys", "words", "crc32"]
+INDEX_FILES = ["crc32", "keys.npy", "meta.npy", "order.npy", "spans.npy", "words.npy"]
+DAMAGES = entry_damages(INDEX_FILES, every=("truncated", "garbage", "missing"))
 RECORD_FIELDS = ["crc", "valid", "line", "row"]
 # damage to the rows a load stores: each damaged record, or the rows file
 # when it does not hold records of the first record's dimension, counts as
@@ -366,15 +369,15 @@ ROWS_DAMAGE = ["ordinals-out-of-order", "ordinal-past-index", "valid-length",
                "rows-non-finite", "rows-truncated", "rows-missing", "rows-empty",
                "rows-flipped-lines", *(f"rows-flipped-{f}" for f in RECORD_FIELDS)]
 # beside an entry: left alone, never read
-BESIDE = ["leftover-temporary", "old-layout"]
+BESIDE = ["leftover-temporary"]
 
 
 @pytest.mark.parametrize("how", [
-    "truncated", "garbage", "span-past-eof", "spans-out-of-order",
-    "fewer-words", "more-spans", "float-spans", "int32-spans", "size-dtype",
-    "start-past-size", "words-not-utf8", "version-shape", "missing",
-    "header-dtype", *(f"flipped-{f}" for f in INDEX_FIELDS),
-    *ROWS_DAMAGE, *BESIDE,
+    *DAMAGES,
+    "span-past-eof", "spans-out-of-order", "fewer-words", "more-spans",
+    "float-spans", "int32-spans", "size-dtype", "start-past-size",
+    "words-not-utf8", "version-shape", "extra-array", "header-dtype",
+    "old-layout", *ROWS_DAMAGE, *BESIDE,
 ])
 def test_a_damaged_entry_is_a_miss_and_rewritten(vec, how):
     want = outcome(lambda: embeddings._parse(vec, KEEP))
@@ -383,62 +386,72 @@ def test_a_damaged_entry_is_a_miss_and_rewritten(vec, how):
     if how in ROWS_DAMAGE:  # a second load stores the kept lines' rows
         load_embeddings(vec, KEEP, digest=digest)
     (entry,) = entries()
-    assert sorted(p.name for p in entry.iterdir()) == \
-        ["index.npy", "rows.npy"] if how in ROWS_DAMAGE else ["index.npy"]
-    index = stored(entry)
-    spans, words, meta = index["spans"], index["words"], index["meta"]
+    files = sorted(INDEX_FILES + ["rows.npy"] if how in ROWS_DAMAGE else INDEX_FILES)
+    assert sorted(p.name for p in entry.iterdir()) == files
+    written = {name: (entry / name).read_bytes() for name in INDEX_FILES}
+    spans, words, meta = (stored(entry, name) for name in ("spans", "words", "meta"))
     if how in ROWS_DAMAGE:
         rows = stored(entry, "rows")
         lines, records = rows["lines"], rows["records"]
         assert len(records) == 4
     size = vec.stat().st_size
-    good = (entry / "index.npy").read_bytes()
-    if how == "truncated":
-        (entry / "index.npy").write_bytes(good[:len(good) // 2])
-    elif how == "garbage":
-        (entry / "index.npy").write_bytes(b"not an npy array\n" * 40)
-    elif how == "missing":
-        (entry / "index.npy").unlink()
+    if how in DAMAGES:
+        kind, names = DAMAGES[how]
+        for name in names:
+            damage(entry / name, kind)
     elif how == "span-past-eof":
         spans[-1, 1] = size + 5
-        rewrite(entry, spans=spans)
+        np.save(entry / "spans.npy", spans)
     elif how == "spans-out-of-order":
-        rewrite(entry, spans=spans[::-1])
+        np.save(entry / "spans.npy", spans[::-1])
     elif how == "fewer-words":
-        rewrite(entry, words=words[:-4])
+        np.save(entry / "words.npy", words[:-4])
     elif how == "more-spans":
-        rewrite(entry, spans=np.vstack([spans, [size, size, len(words)]]))
+        np.save(entry / "spans.npy", np.vstack([spans, [size, size, len(words)]]))
     elif how == "float-spans":
-        rewrite(entry, spans=spans.astype(np.float64))
+        np.save(entry / "spans.npy", spans.astype(np.float64))
     elif how == "int32-spans":
-        rewrite(entry, spans=spans.astype(np.int32))
+        np.save(entry / "spans.npy", spans.astype(np.int32))
     elif how == "size-dtype":
-        rewrite(entry, meta=meta.astype(np.float64))
+        np.save(entry / "meta.npy", meta.astype(np.float64))
     elif how == "start-past-size":
-        rewrite(entry, meta=np.array([size, size + 1]))
+        np.save(entry / "meta.npy", np.array([size, size + 1]))
     elif how == "words-not-utf8":
-        rewrite(entry, words=np.full_like(words, 0xFF))
-    elif how == "version-shape":  # a crc32 of another shape
-        rewrite(entry, crc32=np.repeat(index["crc32"], 2))
+        np.save(entry / "words.npy", np.full_like(words, 0xFF))
+    elif how == "version-shape":  # the checksum in another shape
+        (entry / "crc32").write_bytes(written["crc32"] * 2)
+    elif how == "extra-array":
+        np.save(entry / "extra.npy", meta)
     elif how == "header-dtype":  # the keys read as signed
-        (entry / "index.npy").write_bytes(good.replace(b"'<u4', (", b"'<i4', (", 1))
-    elif how.startswith("flipped-"):
-        flip(entry, "index", how.removeprefix("flipped-"))
+        (entry / "keys.npy").write_bytes(
+            written["keys.npy"].replace(b"'<u4'", b"'<i4'", 1))
+    elif how == "old-layout":
+        # the entry that the previous version wrote: one structured value
+        # with a trailing crc32, and the zipped one of the version before
+        # it beside, which the rewrite removes
+        for name in INDEX_FILES:
+            (entry / name).unlink()
+        old = np.zeros((), [("meta", "<i8", 2), ("spans", "<i8", spans.shape),
+                            ("words", "u1", words.shape), ("crc32", "<u4")])
+        old["meta"], old["spans"], old["words"] = meta, spans, words
+        np.save(entry / "index.npy", old)
+        np.savez(entry.with_name(entry.name + ".npz"), format_version=np.int64(2),
+                 starts=spans[:, 0], ends=spans[:, 1], words=words)
     elif how == "ordinals-out-of-order":
-        rewrite(entry, "rows", lines=lines[::-1], records=records[::-1])
+        rewrite(entry, lines=lines[::-1], records=records[::-1])
     elif how == "ordinal-past-index":
         records["line"][-1] = lines[-1] = len(spans)
-        rewrite(entry, "rows", lines=lines, records=records)
+        rewrite(entry, lines=lines, records=records)
     elif how == "valid-length":  # more lines than records
-        rewrite(entry, "rows", lines=np.append(lines, len(spans)))
+        rewrite(entry, lines=np.append(lines, len(spans)))
     elif how == "rows-float64":
         wide = np.zeros(len(records), [(f, np.float64 if f == "row" else records.dtype[f],
                                         records.dtype[f].shape) for f in RECORD_FIELDS])
         for f in RECORD_FIELDS:
             wide[f] = records[f]
-        rewrite(entry, "rows", records=wide)
+        rewrite(entry, records=wide)
     elif how == "rows-fewer":
-        rewrite(entry, "rows", lines=lines[:-1], records=records[:-1])
+        rewrite(entry, lines=lines[:-1], records=records[:-1])
     elif how == "rows-flat":
         np.save(entry / "rows.npy", records["row"].ravel())
     elif how == "rows-other-dim":
@@ -446,7 +459,7 @@ def test_a_damaged_entry_is_a_miss_and_rewritten(vec, how):
             None, lines, records["valid"], np.hstack([records["row"]] * 2)))
     elif how == "rows-non-finite":
         records["row"][1, 0] = np.inf
-        rewrite(entry, "rows", records=records)
+        rewrite(entry, records=records)
     elif how == "rows-truncated":
         data = (entry / "rows.npy").read_bytes()
         (entry / "rows.npy").write_bytes(data[:len(data) - 10])
@@ -457,17 +470,13 @@ def test_a_damaged_entry_is_a_miss_and_rewritten(vec, how):
         np.save(entry / "rows.npy", embeddings._grown(
             None, empty, empty.astype(bool), np.empty((0, 2), np.float32)))
     elif how == "rows-flipped-lines":
-        flip(entry, "rows", "lines")
+        flip(entry, "lines")
     elif how.startswith("rows-flipped-"):
-        flip(entry, "rows", "records", how.removeprefix("rows-flipped-"))
-    elif how == "leftover-temporary":  # of a write that never ended
+        flip(entry, "records", how.removeprefix("rows-flipped-"))
+    else:  # a leftover temporary directory, of a write that never ended
         beside = entry.with_name(f".{entry.name}.0123456789ab.tmp")
         beside.mkdir()
-        (beside / "index.npy").write_bytes(good[:100])
-    else:  # the entry that the previous version wrote
-        beside = entry.with_name(entry.name + ".npz")
-        np.savez(beside, format_version=np.int64(2), starts=spans[:, 0],
-                 ends=spans[:, 1], words=words)
+        (beside / "keys.npy").write_bytes(written["keys.npy"][:100])
     rescan = how not in ROWS_DAMAGE + BESIDE
     assert (embeddings._LINES.read(entry, digest()) is None) == rescan
     with mock.patch.object(embeddings, "_parse", wraps=embeddings._parse) as parse:
@@ -477,6 +486,7 @@ def test_a_damaged_entry_is_a_miss_and_rewritten(vec, how):
     # kept lines again; either serves the next load
     index = embeddings._LINES.read(entry, digest())
     assert (index.rows is None) == rescan
+    assert {name: (entry / name).read_bytes() for name in INDEX_FILES} == written
     if not rescan:  # the lines of w3, w10, w59 and w3, after w0's
         records = embeddings._stored_rows(index.rows, 2)[1]
         assert {2, 9, 58, 60} <= set(records["line"].tolist())
@@ -486,6 +496,22 @@ def test_a_damaged_entry_is_a_miss_and_rewritten(vec, how):
             mock.patch.object(embeddings, "_parse_records", no_parse):
         assert outcome(lambda: load_embeddings(vec, KEEP, digest=digest)) == want
     assert entries() == sorted([entry, beside] if how in BESIDE else [entry])
+    assert sorted(p.name for p in entry.iterdir()) == sorted(INDEX_FILES + ["rows.npy"])
+
+
+def test_rows_past_the_size_of_one_value_are_not_stored(vec):
+    # numpy refuses a value of more than 2 GiB, about 1.7M stored 300-d rows
+    want = outcome(lambda: embeddings._parse(vec, KEEP))
+    digest = digest_of(vec)
+    load_embeddings(vec, KEEP, digest=digest)
+    too_large = ValueError("dtype size in bytes must fit into a C int")
+    with mock.patch.object(embeddings, "_rows_layout", side_effect=too_large):
+        for _ in range(2):
+            assert outcome(lambda: load_embeddings(vec, KEEP, digest=digest)) == want
+    (entry,) = entries()
+    assert not (entry / "rows.npy").exists()
+    assert outcome(lambda: load_embeddings(vec, KEEP, digest=digest)) == want
+    assert (entry / "rows.npy").exists()
 
 
 def test_a_file_that_changes_size_while_it_is_scanned_writes_no_index(
