@@ -1,10 +1,13 @@
 """Command-line pipeline: induce, eval, cluster, describe, rescale.
 
-Every run writes a JSON provenance sidecar (``<output>.prov``) next to each
-output file: the full flag echo, tool version, seed, and sha256 fingerprints
-of the inputs, enough to re-run the command bit-identically.  Exit codes are
-stable for scripting: 0 success, 1 data or numerical failure, 2 usage
-failure.  Diagnostics name the failing stage on stderr.
+Each command, once its usage checks pass, runs inside one ``_Run``, which
+fixes its seed, takes the sha256 of its input files and writes its output
+with a JSON provenance sidecar (``<output>.prov``) beside it: the full flag
+echo, tool version, seed, and sha256 fingerprints of the inputs (``null``
+for an input that is not a regular file, which is read only once), enough
+to re-run the command bit-identically.  Exit codes are stable for
+scripting: 0 success, 1 data or numerical failure, 2 usage failure.
+Diagnostics name the failing stage on stderr.
 """
 
 from __future__ import annotations
@@ -87,8 +90,8 @@ class _HashCancelled(Exception):
 def _file_sha256(path: str | Path) -> str:
     """The sha256 of a file's bytes to its end, read into one reusable buffer
     of an eighth of the file, from 1 MiB to ``_HASH_CHUNK`` bytes (the buffer
-    adds to the memory of the load that runs beside it).  On the thread of an
-    :class:`_InputDigests` that has been cancelled it gives up between reads."""
+    adds to the memory of the load that runs beside it).  On the thread of a
+    :class:`_Run` that has been cancelled it gives up between reads."""
     cancelled = getattr(threading.current_thread(), "cancelled", None)
     digest = hashlib.sha256()
     with open(path, "rb", buffering=0) as handle:
@@ -101,49 +104,57 @@ def _file_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-class _InputDigests:
-    """The sha256 of each input file of a command that writes a ``.prov``.
+class _Run:
+    """One command's run, opened once its usage checks pass: its seed, the
+    sha256 of each of its ``inputs``, and its output with the ``.prov``.
 
-    Entering the block looks up each regular file among ``paths`` in the
-    :class:`~lexlearn._files.DigestMemo` and starts one thread that hashes
-    the misses in order, alongside the command's own reading and work; a
-    file it cannot read is left out.  ``join()`` waits for it and must come
-    before the command writes its first output byte, so each digest is of
-    the file as the command started with it (also when ``--out`` names an
-    input).  ``digests()`` then hashes, on the calling thread, what the
-    thread did not: a non-regular file, which a second reader would take
-    part of a pipe's data from, or a file it could not read.  Leaving the
-    block early cancels the thread between reads.
+    A command with no ``--seed`` draws one and names it on stderr;
+    ``describe``, which draws nothing, records 0.  Opening the run stats
+    each input and looks it up in the :class:`~lexlearn._files.DigestMemo`.
+    When the command writes an output, entering the block starts one thread
+    that hashes the regular files the memo lacks, in order, alongside the
+    command's own reading and work; leaving the block cancels it between
+    reads.  Without an output, a digest a loader asks for is hashed on the
+    calling thread.  A file that is not regular (a pipe, a FIFO) is never
+    opened a second time: its digest is None, ``null`` in ``.prov``.
     """
 
-    def __init__(self, paths: list[str | Path]):
-        self.paths = [str(p) for p in paths]
-        self._digests: dict[str, str] = {}
-        misses = []
+    def __init__(self, args: argparse.Namespace, inputs: list[str]):
+        if args.seed is None and args.command != "describe":
+            args.seed = secrets.randbits(32)
+            print(f"lexlearn: no --seed given; using recorded seed {args.seed}",
+                  file=sys.stderr)
+        self.args = args
+        self._inputs = list(dict.fromkeys(map(str, inputs)))
+        self._metrics: dict = {}
         # a memo stats the path; it never opens it
-        for memo in map(DigestMemo, dict.fromkeys(self.paths)):
-            if memo.digest is not None:
+        self._digests: dict[str, str | None] = {}
+        self._misses: dict[str, DigestMemo] = {}
+        for memo in map(DigestMemo, self._inputs):
+            if memo.digest is None and memo.regular:
+                self._misses[memo.path] = memo
+            else:
                 self._digests[memo.path] = memo.digest
-            elif memo.regular:
-                misses.append(memo)
         self._thread = None
-        if misses:
-            self._thread = threading.Thread(target=self._hash, args=(misses,),
-                                            name="lexlearn-input-sha256", daemon=True)
+        # the one output, which gets a .prov: --out, or describe's --plot-data
+        out = getattr(args, "out", None) or getattr(args, "plot_data", None)
+        if self._misses and out:
+            self._thread = threading.Thread(target=self._hash, daemon=True,
+                                            name="lexlearn-input-sha256")
             self._thread.cancelled = threading.Event()
 
-    def _hash(self, misses: list[DigestMemo]) -> None:
-        for memo in misses:
+    def _hash(self) -> None:
+        for path, memo in self._misses.items():
             try:
                 # by its module-level name, so that a wrapper set on
                 # lexlearn.cli._file_sha256 sees this call too
-                self._digests[memo.path] = memo.sha256(_file_sha256)
-            except OSError:
+                self._digests[path] = memo.sha256(_file_sha256)
+            except OSError:  # hashed again on the calling thread
                 continue
             except _HashCancelled:
                 return
 
-    def __enter__(self) -> _InputDigests:
+    def __enter__(self) -> _Run:
         if self._thread is not None:
             self._thread.start()
         return self
@@ -153,50 +164,45 @@ class _InputDigests:
             self._thread.cancelled.set()
             self._thread.join()
 
-    def join(self) -> None:
-        if self._thread is not None:
-            self._thread.join()
+    def _sha256(self, path: str) -> str | None:
+        """The digest of input ``path``: from the memo or the thread, once it
+        has ended, or else hashed on this thread; None for a file that is not
+        regular."""
+        if path in self._misses:
+            if self._thread is not None:
+                self._thread.join()
+            if path not in self._digests:
+                self._digests[path] = self._misses[path].sha256(_file_sha256)
+        return self._digests[path]
 
-    def digest(self, path: str | Path) -> str | None:
-        """The digest of ``path`` from the memo or, once it has ended, the
-        thread; None for a file neither has (not regular, or not
-        readable)."""
-        self.join()
-        return self._digests.get(str(path))
+    def digest(self, path: str):
+        """The ``digest`` argument of a loader of input ``path``."""
+        return lambda: self._sha256(str(path))
 
-    def digests(self) -> dict[str, str]:
-        self.join()
-        return {p: self._digests.get(p) or _file_sha256(p) for p in self.paths}
+    def embeddings(self, restrict_to):
+        """The ``--embeddings`` table, loaded at stage ``load-embeddings``
+        for ``restrict_to`` (None: every word); the loader's deterministic
+        counters go into the ``notes.metrics`` of the ``.prov``."""
+        # the load may read the cache entry of the file's digest
+        table = _stage("load-embeddings", load_embeddings, self.args.embeddings,
+                       restrict_to=restrict_to, digest=self.digest(self.args.embeddings))
+        self._metrics = {"vectors_loaded": len(table),
+                         "skipped_vector_lines": table.skipped_lines}
+        return table
 
+    def write(self, path: str, write, notes: dict) -> None:
+        """Write one output with ``write`` and its ``.prov`` sidecar at stage
+        ``write-output``, each to a temporary file beside it; both move into
+        place only once both are written, so a failed write leaves neither.
+        The sidecar holds the flag echo, tool version, command, seed (0 for a
+        command without one), input digests and ``notes``.  The digests wait
+        for the thread, so each is of the file as the command started with
+        it, also when ``path`` names an input."""
+        args = self.args
+        if self._metrics:
+            notes = {**notes, "metrics": {**self._metrics, **notes.get("metrics", {})}}
 
-def _input_sha256(path: str) -> str:
-    """The sha256 of one input file, from the memo or hashed on this thread."""
-    return DigestMemo(path).sha256(_file_sha256)
-
-
-def _vector_metrics(table) -> dict:
-    """The loader's deterministic counters, for ``notes.metrics`` in ``.prov``."""
-    return {"vectors_loaded": len(table), "skipped_vector_lines": table.skipped_lines}
-
-
-def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.writelines(line + "\n" for line in lines)
-
-
-def _write_output(hashes: _InputDigests, args: argparse.Namespace, path: str,
-                  write, notes: dict) -> None:
-    """Write one output with ``write`` and its ``.prov`` sidecar at stage
-    ``write-output``, each to a temporary file beside it; both move into
-    place only once both are written, so a failed write leaves neither.  The
-    sidecar holds the flag echo, tool version, command, seed (0 for a
-    command without one), input digests and ``notes``."""
-    hashes.join()
-
-    def write_with_provenance() -> None:
-        # the sidecar moves first: when it cannot, the output stays as it was
-        with atomic_write(path + ".prov", path) as (prov_temp, temp):
-            write(temp)
+        def write_with_provenance() -> None:
             record = {
                 "tool": "lexlearn",
                 "version": __version__,
@@ -205,22 +211,22 @@ def _write_output(hashes: _InputDigests, args: argparse.Namespace, path: str,
                 "flags": {k: v for k, v in sorted(vars(args).items())
                           if k not in ("func", "command")},
                 "seed": args.seed or 0,
-                "inputs": hashes.digests(),
+                "inputs": {p: self._sha256(p) for p in self._inputs},
                 "notes": notes,
             }
-            with open(prov_temp, "w", encoding="utf-8", newline="\n") as handle:
-                json.dump(record, handle, indent=2, sort_keys=True, default=str)
-                handle.write("\n")
+            # the sidecar moves first: when it cannot, the output stays as it was
+            with atomic_write(path + ".prov", path) as (prov_temp, temp):
+                write(temp)
+                with open(prov_temp, "w", encoding="utf-8", newline="\n") as handle:
+                    json.dump(record, handle, indent=2, sort_keys=True, default=str)
+                    handle.write("\n")
 
-    _stage("write-output", write_with_provenance)
+        _stage("write-output", write_with_provenance)
 
 
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if args.seed is None:
-        args.seed = secrets.randbits(32)
-        print(f"lexlearn: no --seed given; using recorded seed {args.seed}",
-              file=sys.stderr)
-    return args.seed
+def _write_lines(path: str, lines: list[str]) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.writelines(line + "\n" for line in lines)
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -343,37 +349,29 @@ def _fingerprinted(lex: Lexicon, corpus: Corpus) -> Lexicon:
 
 
 def cmd_induce(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
     constructs = _constructs_from_args(args)
     kind = METHOD_FLAGS[args.method]
     if kind == "mlffn" and not args.embeddings:
         raise _UsageFailure("--embeddings is required for --method mlffn")
     rescale = _parse_range(args.rescale) if args.rescale else None
     inputs = [args.corpus] + ([args.embeddings] if kind == "mlffn" else [])
-    with _InputDigests(inputs) as hashes:
+    with _Run(args, inputs) as run:
         corpus = _load_corpus(args, constructs)
-        notes = {"method": kind, "constructs": constructs}
         table = None
         if kind == "mlffn":
             # centroids read every token: load the vectors of the corpus terms
-            keep = None if args.rate_all_embedded else set(corpus.terms)
-            # the load may read the cache entry of the file's digest
-            table = _stage("load-embeddings", load_embeddings, args.embeddings,
-                           restrict_to=keep,
-                           digest=lambda: hashes.digest(args.embeddings))
-            notes["metrics"] = _vector_metrics(table)
+            table = run.embeddings(None if args.rate_all_embedded else set(corpus.terms))
         spec = _method_spec(args, kind, table)
         # one net for all constructs, or one per construct seeded seed + i
         groups = ([constructs] if args.joint or kind != "mlffn"
                   else [[c] for c in constructs])
-        lex = join_lexica([_stage("fit", fit_method, corpus, group, spec, seed + i)
+        lex = join_lexica([_stage("fit", fit_method, corpus, group, spec, args.seed + i)
                            for i, group in enumerate(groups)])
         lex = _fingerprinted(lex, corpus)
         if rescale:
             lex = _stage("rescale", rescale_log_minmax, lex, *rescale)
-        notes["lexicon"] = lex.provenance
-        _write_output(hashes, args, args.out,
-                      lambda path: save_lexicon(lex, path), notes)
+        run.write(args.out, lambda path: save_lexicon(lex, path),
+                  {"method": kind, "constructs": constructs, "lexicon": lex.provenance})
     print(f"wrote {len(lex)} words x {len(lex.constructs)} construct(s) to {args.out}")
     return 0
 
@@ -384,7 +382,6 @@ def cmd_induce(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_intrinsic(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
     if args.methods == "all":
         methods = list(METHOD_FLAGS)
     else:
@@ -398,8 +395,7 @@ def cmd_eval_intrinsic(args: argparse.Namespace) -> int:
         raise _UsageFailure("--embeddings is required to evaluate mlffn")
     constructs = _constructs_from_args(args)
     inputs = [args.corpus, args.gold] + ([args.embeddings] if "mlffn" in methods else [])
-    # only a report file gets a .prov
-    with _InputDigests(inputs if args.out else []) as hashes:
+    with _Run(args, inputs) as run:
         corpus = _load_corpus(args, constructs)
         gold = _stage(
             "load-gold",
@@ -409,21 +405,13 @@ def cmd_eval_intrinsic(args: argparse.Namespace) -> int:
             constructs,
             delimiter=args.delimiter,
         )
-        table = None
-        notes = {}
-        if "mlffn" in methods:
-            # with no .prov the file has no digest, so no cache entry
-            table = _stage("load-embeddings", load_embeddings, args.embeddings,
-                           restrict_to=set(corpus.terms),
-                           digest=(lambda: hashes.digest(args.embeddings))
-                           if args.out else None)
-            notes["metrics"] = _vector_metrics(table)
+        table = run.embeddings(set(corpus.terms)) if "mlffn" in methods else None
         reports = []
         for flag in methods:
             spec = _method_spec(args, METHOD_FLAGS[flag], table)
             for construct in constructs:
                 report = _stage("eval", eval_intrinsic, corpus, gold, spec, construct,
-                                folds=args.folds, seed=seed)
+                                folds=args.folds, seed=args.seed)
                 reports.append(report)
                 fold_text = ", ".join(
                     "failed" if v != v else f"{v:.4f}" for v in report.per_fold
@@ -442,8 +430,7 @@ def cmd_eval_intrinsic(args: argparse.Namespace) -> int:
             print(_comparison_table(reports, methods, constructs))
         if args.out:
             lines = [EVAL_TSV_HEADER, *map(report_tsv_row, reports)]
-            _write_output(hashes, args, args.out,
-                          lambda path: _write_lines(path, lines), notes)
+            run.write(args.out, lambda path: _write_lines(path, lines), {})
             print(f"wrote report to {args.out}")
     return 0
 
@@ -466,11 +453,7 @@ def _comparison_table(reports, methods, constructs) -> str:
 
 
 def cmd_eval_extrinsic(args: argparse.Namespace) -> int:
-    _resolve_seed(args)
-    inputs = [args.lexicon, args.users, args.traits]
-    # only a score file gets a .prov; without one, the users file's digest
-    # for the cache entry of its parse is taken on this thread
-    with _InputDigests(inputs if args.out else []) as hashes:
+    with _Run(args, [args.lexicon, args.users, args.traits]) as run:
         lex = _stage("load-lexicon", load_lexicon, args.lexicon)
         users = _stage(
             "load-users",
@@ -479,7 +462,7 @@ def cmd_eval_extrinsic(args: argparse.Namespace) -> int:
             args.traits,
             args.trait_column,
             delimiter=args.delimiter,
-            digest=lambda: (hashes.digest if args.out else _input_sha256)(args.users),
+            digest=run.digest(args.users),
         )
         r, scores = _stage("eval", eval_extrinsic, lex, args.construct, users)
         print(f"extrinsic construct={args.construct} users={len(scores)} r={r:.4f}")
@@ -487,8 +470,7 @@ def cmd_eval_extrinsic(args: argparse.Namespace) -> int:
             lines = ["user_id\tscore",
                      *(f"{uid}\t{scores[uid]!r}" for uid in sorted(scores)),
                      f"# pearson_r\t{r!r}"]
-            _write_output(hashes, args, args.out,
-                          lambda path: _write_lines(path, lines), {"r": r})
+            run.write(args.out, lambda path: _write_lines(path, lines), {"r": r})
             print(f"wrote scores to {args.out}")
     return 0
 
@@ -499,14 +481,11 @@ def cmd_eval_extrinsic(args: argparse.Namespace) -> int:
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
-    with _InputDigests([args.lexicon, args.embeddings]) as hashes:
+    with _Run(args, [args.lexicon, args.embeddings]) as run:
         lex = _stage("load-lexicon", load_lexicon, args.lexicon)
         # clustering reads only the lexicon words' rows, found through the
         # line index in the cache entry of the file's digest
-        table = _stage("load-embeddings", load_embeddings, args.embeddings,
-                       restrict_to=lex.words,
-                       digest=lambda: hashes.digest(args.embeddings))
+        table = run.embeddings(lex.words)
         usable = np.count_nonzero(np.linalg.norm(table.matrix(lex.words), axis=1))
         if args.k > usable:
             raise _UsageFailure(
@@ -521,14 +500,12 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             args.k,
             args.knn,
             args.rho,
-            seed,
+            args.seed,
             normalized=args.normalized,
             clip_negative_cosine=not args.no_clip,
         )
-        _write_output(hashes, args, args.out,
-                      lambda path: save_clusters(result, path),
-                      {**result.provenance,
-                       "metrics": {**_vector_metrics(table), **result.metrics}})
+        run.write(args.out, lambda path: save_clusters(result, path),
+                  {**result.provenance, "metrics": result.metrics})
     print(format_preview(result, args.top))
     if result.dropped_words:
         print(f"dropped {len(result.dropped_words)} word(s) with zero embeddings")
@@ -591,8 +568,7 @@ def _pearson_cell(a: np.ndarray, b: np.ndarray) -> str:
 
 
 def cmd_describe(args: argparse.Namespace) -> int:
-    # only a plot-data file gets a .prov
-    with _InputDigests([args.lexicon] if args.plot_data else []) as hashes:
+    with _Run(args, [args.lexicon]) as run:
         lex = _stage("load-lexicon", load_lexicon, args.lexicon)
         plot_lines = ["construct\tbin\tlo\thi\tcount"]
         for construct in lex.constructs:
@@ -627,21 +603,18 @@ def cmd_describe(args: argparse.Namespace) -> int:
                     row.append(r.rjust(width))
                 print("".join(row))
         if args.plot_data:
-            _write_output(hashes, args, args.plot_data,
-                          lambda path: _write_lines(path, plot_lines), {})
+            run.write(args.plot_data, lambda path: _write_lines(path, plot_lines), {})
             print(f"wrote histogram bins to {args.plot_data}")
     return 0
 
 
 def cmd_rescale(args: argparse.Namespace) -> int:
-    _resolve_seed(args)
     lo, hi = _parse_range(args.range)
-    with _InputDigests([args.lexicon]) as hashes:
+    with _Run(args, [args.lexicon]) as run:
         lex = _stage("load-lexicon", load_lexicon, args.lexicon)
         rescaled = _stage("rescale", rescale_log_minmax, lex, lo, hi)
-        _write_output(hashes, args, args.out,
-                      lambda path: save_lexicon(rescaled, path),
-                      {"lexicon": rescaled.provenance})
+        run.write(args.out, lambda path: save_lexicon(rescaled, path),
+                  {"lexicon": rescaled.provenance})
     print(f"wrote rescaled lexicon to {args.out}")
     return 0
 

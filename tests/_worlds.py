@@ -141,6 +141,38 @@ def write_split_world(directory, n_words=800, groups=4, dim=50, seed=1):
     return lex, vec
 
 
+def write_labelled_world(directory, n_words=30, dim=8, n_docs=80, n_users=12, seed=17):
+    """A small planted linear world on disk: ``corpus.csv`` (column ``text``
+    and construct ``aff``), ``v.vec``, the planted ratings as ``gold.tsv``
+    (also a lexicon), and ``users.csv`` and ``traits.csv`` (trait ``t``, the
+    mean planted rating of each user's words plus noise).  Returns the paths
+    by file name."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i:02d}" for i in range(n_words)]
+    vectors = rng.standard_normal((n_words, dim))
+    planted = vectors @ rng.standard_normal(dim) / np.sqrt(dim)
+    docs = rng.integers(0, n_words, (n_docs, 5))
+    users = rng.integers(0, n_words, (n_users, 4))
+    texts = {
+        "v.vec": "".join(f"{w} " + " ".join(f"{x:.5f}" for x in row) + "\n"
+                         for w, row in zip(words, vectors)),
+        "corpus.csv": "text,aff\n" + "".join(
+            " ".join(words[j] for j in doc) + f",{planted[doc].mean():.5f}\n"
+            for doc in docs),
+        "gold.tsv": "word\taff\n" + "".join(f"{w}\t{r:.4f}\n"
+                                            for w, r in zip(words, planted)),
+        "users.csv": "user_id,text\n" + "".join(
+            f"u{i}," + " ".join(words[j] for j in user) + "\n"
+            for i, user in enumerate(users)),
+        "traits.csv": "user_id,t\n" + "".join(
+            f"u{i},{planted[user].mean() + rng.normal(0, 0.1):.4f}\n"
+            for i, user in enumerate(users)),
+    }
+    for name, text in texts.items():
+        (directory / name).write_text(text, encoding="utf-8")
+    return {name: directory / name for name in texts}
+
+
 def adjusted_rand_index(a, b):
     """Standard ARI between two label sequences."""
     from collections import Counter

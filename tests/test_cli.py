@@ -1,10 +1,13 @@
 """End-to-end command-line behavior: flags, files, exit codes, provenance."""
 
+import argparse
 import contextlib
 import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -28,6 +31,17 @@ VECTOR_COUNTERS = ("vectors_loaded", "skipped_vector_lines")
 
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_lexlearn(argv, **kwargs):
+    """``lexlearn`` with ``argv`` in a new process, killed after 60 s."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from lexlearn.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv], env=env, capture_output=True, timeout=60, **kwargs)
 
 
 @pytest.fixture
@@ -1272,26 +1286,49 @@ class TestInputDigests:
         def recording(path):
             on_main = threading.current_thread() is threading.main_thread()
             hashed.append((str(path), on_main))
+            if Path(path) == fifo:  # an open would wait for a second writer
+                raise AssertionError(f"{path} was opened again")
             return real(path)
 
         monkeypatch.setattr(cli, "_file_sha256", recording)
-        with cli._InputDigests([fifo, regular]) as hashes:
-            hashes._thread.join(timeout=10)
-            hung = hashes._thread.is_alive()
-            if hung:  # a reader blocked on the FIFO: give it an empty write end
-                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
-            assert not hung
-            assert hashed == [(str(regular), False)]
-            # the FIFO is hashed on the calling thread, after the command's work
-            writer = threading.Thread(target=fifo.write_bytes, args=(b"abc",),
-                                      daemon=True)
-            writer.start()
-            digests = hashes.digests()
+        out = tmp_path / "out.tsv"
+        args = argparse.Namespace(command="rescale", seed=0, out=str(out))
+        with cli._Run(args, [fifo, regular]) as run:
+            # neither a loader's digest nor the write opens the FIFO: its
+            # digest is null
+            assert run.digest(fifo)() is None
+            run.write(str(out), lambda path: Path(path).write_text("", encoding="utf-8"),
+                      {})
+        assert hashed == [(str(regular), False)]
+        prov = json.loads((tmp_path / "out.tsv.prov").read_text(encoding="utf-8"))
+        assert prov["inputs"] == {str(fifo): None, str(regular): sha(regular)}
+
+    def test_a_piped_input_gets_a_null_digest(self, tmp_path):
+        lex = b"word\ta\nw0\t1.0\nw1\t2.0\n"
+        result = run_lexlearn(["rescale", "--lexicon", "/dev/stdin", "--range", "0:1",
+                               "--out", str(tmp_path / "r.tsv"), "--seed", "1"],
+                              input=lex)
+        assert result.returncode == 0, result.stderr
+        assert len(load_lexicon(tmp_path / "r.tsv")) == 2
+        prov = json.loads((tmp_path / "r.tsv.prov").read_text(encoding="utf-8"))
+        assert prov["inputs"] == {"/dev/stdin": None}
+
+    def test_a_fifo_written_once_ends_with_a_null_digest(self, tmp_path):
+        fifo = tmp_path / "lex.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, daemon=True,
+                                  args=(b"word\ta\nw0\t1.0\nw1\t2.0\n",))
+        writer.start()
+        try:
+            result = run_lexlearn(["describe", "--lexicon", str(fifo),
+                                   "--plot-data", str(tmp_path / "d.tsv")])
+        finally:
             writer.join(timeout=10)
-            assert not writer.is_alive()
-        assert hashed[1:] == [(str(fifo), True)]
-        assert digests == {str(fifo): hashlib.sha256(b"abc").hexdigest(),
-                           str(regular): sha(regular)}
+            if writer.is_alive():  # no reader came: give the writer one
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        assert result.returncode == 0, result.stderr
+        prov = json.loads((tmp_path / "d.tsv.prov").read_text(encoding="utf-8"))
+        assert prov["inputs"] == {str(fifo): None}
 
     @pytest.mark.parametrize("command,out,threads", [
         (["eval", "extrinsic", "--construct", "empathy", "--trait-column", "emp"],

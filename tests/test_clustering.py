@@ -28,6 +28,7 @@ from _worlds import (
     lexicon,
     planted_block_lexicon,
     ratings_of,
+    write_labelled_world,
     write_split_world,
 )
 
@@ -403,25 +404,48 @@ class TestExport:
                 assert ratings == sorted(ratings)
 
 
-def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # four components, k = 8 (the Lanczos side of the cutoff): the TSV is
-    # the same under 1 and 2 OpenBLAS threads, and the worst residual's
-    # trailing digits are not; the thread count is read when numpy loads,
-    # so each run is its own process
-    lex, vec = write_split_world(tmp_path)
+def blas_world_argv(directory, command):
+    """The argv of ``command`` on its small world under ``directory``,
+    writing ``out.tsv``: ``cluster`` on four components at k = 8 (the
+    Lanczos side of the cutoff), the others on a planted linear world."""
+    if command == "cluster":
+        lex, vec = write_split_world(directory)
+        return ["cluster", "--lexicon", str(lex), "--construct", "aff",
+                "--embeddings", str(vec), "--k", "8", "--seed", "1",
+                "--out", str(directory / "out.tsv")]
+    world = {name: str(path) for name, path in write_labelled_world(directory).items()}
+    net = ["--embeddings", world["v.vec"], "--hidden", "8", "--epochs", "5"]
+    corpus = ["--corpus", world["corpus.csv"], "--construct", "aff"]
+    return {
+        "induce-mlffn": ["induce", "--method", "mlffn", *corpus, *net],
+        "eval-intrinsic": ["eval", "intrinsic", *corpus, "--gold", world["gold.tsv"],
+                           "--methods", "all", "--folds", "3", *net],
+        "eval-extrinsic": ["eval", "extrinsic", "--lexicon", world["gold.tsv"],
+                           "--construct", "aff", "--users", world["users.csv"],
+                           "--traits", world["traits.csv"], "--trait-column", "t"],
+    }[command] + ["--seed", "1", "--out", str(directory / "out.tsv")]
+
+
+@pytest.mark.parametrize("command", ["cluster", "induce-mlffn", "eval-intrinsic",
+                                     "eval-extrinsic"])
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, command):
+    # the output and its .prov are the same under 1 and 2 BLAS threads
+    # (cluster writes its worst residual to 2 significant digits, which
+    # hides its thread-dependent trailing ones); the thread count is read
+    # when numpy loads, so each run is its own process
+    argv = blas_world_argv(tmp_path, command)
     src = str(Path(lexlearn.__file__).parents[1])
     outputs = []
     for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "XDG_CACHE_HOME": str(tmp_path / "cache"),
-               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"),
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               **dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                "MKL_NUM_THREADS"], threads)}
         subprocess.run(
             [sys.executable, "-c",
              "import sys; from lexlearn.cli import main; sys.exit(main(sys.argv[1:]))",
-             "cluster", "--lexicon", str(lex), "--construct", "aff",
-             "--embeddings", str(vec), "--k", "8", "--seed", "1",
-             "--out", str(tmp_path / "c.tsv")],
+             *argv],
             env=env, check=True, capture_output=True)
-        outputs.append(((tmp_path / "c.tsv").read_bytes(),
-                        (tmp_path / "c.tsv.prov").read_bytes()))
+        outputs.append(((tmp_path / "out.tsv").read_bytes(),
+                        (tmp_path / "out.tsv.prov").read_bytes()))
     assert outputs[0] == outputs[1]

@@ -6,6 +6,7 @@ modification and change times, and holds its sha256.  No byte of any
 output, ``.prov`` or stdout depends on whether the memo held the digest.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -26,6 +27,11 @@ pytestmark = pytest.mark.skipif(os.name != "posix",
 
 def sha(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def input_sha256(path) -> str:
+    """The digest of one input file, from the memo or hashed on this thread."""
+    return DigestMemo(path).sha256(cli._file_sha256)
 
 
 def no_hashing(path):
@@ -173,25 +179,25 @@ class TestEntries:
 
     def test_entry_is_named_by_the_stat_and_holds_the_digest(self, data, digest_memo,
                                                              hashed):
-        assert cli._input_sha256(str(data)) == sha(data)
+        assert input_sha256(str(data)) == sha(data)
         info = data.stat()
         (entry,) = entries(digest_memo)
         assert entry.name == (f"{info.st_dev}-{info.st_ino}-{info.st_size}-"
                               f"{info.st_mtime_ns}-{info.st_ctime_ns}")
         assert entry.read_text(encoding="ascii") == sha(data)
         assert DigestMemo(data).digest == sha(data)
-        assert cli._input_sha256(str(data)) == sha(data)
+        assert input_sha256(str(data)) == sha(data)
         assert hashed == [data]
 
     def test_rewrite_at_the_same_size_and_mtime_misses(self, data, digest_memo, hashed):
-        cli._input_sha256(str(data))
+        input_sha256(str(data))
         old = data.stat()
         data.write_text("one two THREE\n", encoding="utf-8")
         os.utime(data, ns=(old.st_atime_ns, old.st_mtime_ns))
         assert (data.stat().st_size, data.stat().st_mtime_ns) == (old.st_size,
                                                                   old.st_mtime_ns)
         assert DigestMemo(data).digest is None
-        assert cli._input_sha256(str(data)) == sha(data)
+        assert input_sha256(str(data)) == sha(data)
         assert hashed == [data, data]
         # the new entry took the place of the old one of the same inode
         (entry,) = entries(digest_memo)
@@ -205,9 +211,9 @@ class TestEntries:
             os.utime(data, (time.time() - 7200, time.time() - 7200))
         else:  # a future mtime: it never lies before the hash
             os.utime(data, (time.time() + 3600, time.time() + 3600))
-        assert cli._input_sha256(str(data)) == sha(data)
+        assert input_sha256(str(data)) == sha(data)
         assert entries(digest_memo) == []
-        assert cli._input_sha256(str(data)) == sha(data)
+        assert input_sha256(str(data)) == sha(data)
         assert hashed == [data, data]
 
     def test_file_changed_while_hashed_is_not_kept(self, data, digest_memo,
@@ -221,7 +227,7 @@ class TestEntries:
             return digest
 
         monkeypatch.setattr(cli, "_file_sha256", appending)
-        cli._input_sha256(str(data))
+        input_sha256(str(data))
         assert entries(digest_memo) == []
         assert DigestMemo(data).digest is None
 
@@ -230,11 +236,11 @@ class TestEntries:
         os.mkfifo(fifo)
         memo = DigestMemo(fifo)  # would block here if it opened the FIFO
         assert not memo.regular and memo.digest is None
-        writer = threading.Thread(target=fifo.write_bytes, args=(b"abc",), daemon=True)
-        writer.start()
-        assert cli._input_sha256(str(fifo)) == hashlib.sha256(b"abc").hexdigest()
-        writer.join(timeout=10)
-        assert not writer.is_alive()
+        # a command reads a FIFO once, with its load: its digest is null
+        args = argparse.Namespace(command="describe", seed=None, plot_data=None)
+        with cli._Run(args, [fifo]) as run:
+            assert run.digest(fifo)() is None
+        assert hashed == []
         assert entries(digest_memo) == []
 
     @pytest.mark.parametrize("damage", [b"", b"0" * 63, b"A" * 64, b"\xff" * 64,
@@ -242,28 +248,28 @@ class TestEntries:
                              ids=["empty", "short", "upper", "binary", "newline"])
     def test_damaged_entry_is_a_miss_and_rewritten(self, data, digest_memo, hashed,
                                                    damage):
-        cli._input_sha256(str(data))
+        input_sha256(str(data))
         (entry,) = entries(digest_memo)
         entry.write_bytes(damage)
         assert DigestMemo(data).digest is None
-        assert cli._input_sha256(str(data)) == sha(data)
+        assert input_sha256(str(data)) == sha(data)
         assert hashed == [data, data]
         assert entries(digest_memo) == [entry]
         assert entry.read_text(encoding="ascii") == sha(data)
 
     def test_entry_that_is_a_directory_is_a_miss(self, data, digest_memo, hashed):
-        cli._input_sha256(str(data))
+        input_sha256(str(data))
         (entry,) = entries(digest_memo)
         entry.unlink()
         entry.mkdir()
-        assert cli._input_sha256(str(data)) == sha(data)
+        assert input_sha256(str(data)) == sha(data)
         assert hashed == [data, data]
 
     def test_symlinked_input_is_keyed_on_its_target(self, data, tmp_path, digest_memo,
                                                     hashed):
         link = tmp_path / "link.txt"
         link.symlink_to(data)
-        assert cli._input_sha256(str(link)) == sha(data)
+        assert input_sha256(str(link)) == sha(data)
         (entry,) = entries(digest_memo)
         assert entry.name.startswith(f"{data.stat().st_dev}-{data.stat().st_ino}-")
         assert DigestMemo(data).digest == sha(data)
@@ -274,8 +280,8 @@ class TestEntries:
         other.write_text("other\n", encoding="utf-8")
         for text in ("a\n", "bb\n", "ccc\n"):
             data.write_text(text, encoding="utf-8")
-            assert cli._input_sha256(str(data)) == sha(data)
-            assert cli._input_sha256(str(other)) == sha(other)
+            assert input_sha256(str(data)) == sha(data)
+            assert input_sha256(str(other)) == sha(other)
         assert len(entries(digest_memo)) == 2
         assert {e.read_text(encoding="ascii") for e in entries(digest_memo)} == {
             sha(data), sha(other)}

@@ -3,7 +3,8 @@
 Hypothesis draws lexicon files: header constructs and row words may repeat,
 and rating cells include extreme floats, ``nan`` and junk text.  ``describe``
 and ``rescale`` must end each one with exit 0, 1 or 2, never an exception;
-an exit 1 names the failing stage; and every lexicon ``rescale`` writes must
+an exit 1 names the failing stage; no exception is raised on a thread and
+no thread outlives the command; and every lexicon ``rescale`` writes must
 load back, carry a ``.prov`` sidecar and pass ``describe``.
 
 It also draws gold tables for ``eval intrinsic`` on one fixed corpus: words
@@ -20,6 +21,7 @@ tokenizes the same through the loaders' memo as through ``tokenize``.
 import contextlib
 import io
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -54,11 +56,17 @@ def lexicon_files(draw):
 
 
 def run(*argv):
+    """Exit code of one command, which must end cleanly: no traceback, no
+    exception on a thread, no thread left running, and a stage named on an
+    exit 1."""
     err = io.StringIO()
+    threads = threading.active_count()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         rc = main(list(argv))
     assert rc in (0, 1, 2), rc
     assert "Traceback" not in err.getvalue(), err.getvalue()
+    assert "Exception in thread" not in err.getvalue(), err.getvalue()
+    assert threading.active_count() == threads
     if rc == 1:
         assert "stage '" in err.getvalue(), err.getvalue()
     return rc
